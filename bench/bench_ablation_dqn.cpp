@@ -180,15 +180,7 @@ int main() {
             QLearningScheme ql(ql_config);
             CompetitionEnvironment env(env_config);
             for (std::size_t slot = 0; slot < train_slots(); ++slot) {
-              const auto d = ql.decide();
-              const auto step = env.step(d.channel, d.power_index);
-              SlotFeedback fb;
-              fb.success = step.success;
-              fb.jammed = step.outcome != SlotOutcome::kClear;
-              fb.channel = step.channel;
-              fb.power_index = d.power_index;
-              fb.reward = step.reward;
-              ql.feedback(fb);
+              play_slot(ql, env);
             }
             ql.set_training(false);
             env_config.seed = 56;

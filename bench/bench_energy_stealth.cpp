@@ -56,15 +56,7 @@ EnergyPoint run_energy_point(double lp_lower) {
   EnergyAccumulator energy;
   const double slot_s = 3.0;
   for (std::size_t slot = 0; slot < eval_slots(); ++slot) {
-    const SchemeDecision d = scheme.decide();
-    const EnvStep step = env.step(d.channel, d.power_index);
-    SlotFeedback fb;
-    fb.success = step.success;
-    fb.jammed = step.outcome != SlotOutcome::kClear;
-    fb.channel = step.channel;
-    fb.power_index = d.power_index;
-    fb.reward = step.reward;
-    scheme.feedback(fb);
+    const auto [d, step] = play_slot(scheme, env);
     metrics.record(step, d.power_index);
     energy.record_slot(env_config.tx_levels[d.power_index], slot_s,
                        step.hopped);

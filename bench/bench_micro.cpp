@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -409,24 +410,18 @@ void BM_EvalBatchedDecision(benchmark::State& state) {
   rl::DqnConfig config;
   rl::DqnAgent agent(config);
   const auto envc = core::EnvironmentConfig::defaults();
-  const std::size_t pl = envc.tx_levels.size();
-  core::VectorEnv venv(envc, replicas);
-  core::ObservationWindows windows(replicas, config.state_dim / 3,
-                                   envc.num_channels, pl);
-  std::vector<std::size_t> actions(replicas);
-  std::vector<int> channels(replicas);
-  std::vector<std::size_t> powers(replicas);
+  core::DqnScheme::Config sc;
+  sc.history = config.state_dim / 3;
+  sc.num_channels = envc.num_channels;
+  sc.num_power_levels = envc.num_power_levels();
+  core::DqnRollout rollout(envc, sc, replicas);
+  const auto act = [&](const rl::Matrix& states,
+                       std::span<std::size_t> actions) {
+    agent.act_greedy_batch(states, actions);
+  };
   for (auto _ : state) {
-    agent.act_greedy_batch(windows.states(), actions);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      channels[r] = static_cast<int>(actions[r] / pl);
-      powers[r] = actions[r] % pl;
-    }
-    venv.step(channels, powers);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      windows.push(r, venv.successes()[r] != 0, venv.channels()[r], powers[r]);
-    }
-    benchmark::DoNotOptimize(actions.data());
+    rollout.step(act, [](std::size_t) { return true; });
+    benchmark::DoNotOptimize(rollout.actions().data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(replicas));

@@ -73,15 +73,7 @@ MetricsReport run_ql_cell(const EnvironmentConfig& env_config,
 
   CompetitionEnvironment env(env_config);
   for (std::size_t slot = 0; slot < train_slots(); ++slot) {
-    const auto d = ql.decide();
-    const auto step = env.step(d.channel, d.power_index);
-    SlotFeedback fb;
-    fb.success = step.success;
-    fb.jammed = step.outcome != SlotOutcome::kClear;
-    fb.channel = step.channel;
-    fb.power_index = d.power_index;
-    fb.reward = step.reward;
-    ql.feedback(fb);
+    play_slot(ql, env);
   }
   ql.set_training(false);
   ql.reset();

@@ -151,17 +151,8 @@ void SelfPlay::run_generation(std::size_t g) {
     frozen_defender.reset();
     std::size_t jam_hits = 0;
     for (std::size_t slot = 0; slot < config_.jammer_slots; ++slot) {
-      const core::SchemeDecision decision = frozen_defender.decide();
-      const core::EnvStep step =
-          env.step(decision.channel, decision.power_index);
-      core::SlotFeedback feedback;
-      feedback.success = step.success;
-      feedback.jammed = step.outcome != core::SlotOutcome::kClear;
-      feedback.channel = step.channel;
-      feedback.power_index = decision.power_index;
-      feedback.reward = step.reward;
-      frozen_defender.feedback(feedback);
-      if (feedback.jammed) ++jam_hits;
+      const core::SlotPlay play = core::play_slot(frozen_defender, env);
+      if (play.step.outcome != core::SlotOutcome::kClear) ++jam_hits;
     }
     slots_total_ += config_.jammer_slots;
     result.jammer_hit_rate = static_cast<double>(jam_hits) /

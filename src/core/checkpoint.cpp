@@ -38,6 +38,26 @@ void load_policy(DqnScheme& scheme, const std::string& path) {
   scheme.agent().load_policy(in);
 }
 
+bool TrainProgress::record(double reward, const TrainerConfig& config) {
+  window.push(reward);
+  ++slots_trained;
+  if (config.on_slot) config.on_slot(slots_trained - 1, reward);
+  if (window.reached(config.target_mean_reward)) early_stopped = true;
+  return early_stopped;
+}
+
+TrainingStats TrainProgress::stats(
+    std::chrono::steady_clock::time_point t0) const {
+  TrainingStats stats;
+  stats.slots_trained = static_cast<std::size_t>(slots_trained);
+  stats.final_mean_reward = window.mean();
+  stats.early_stopped = early_stopped;
+  stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return stats;
+}
+
 void write_train_progress(io::ContainerWriter& out,
                           const TrainProgress& progress,
                           const TrainerConfig& config) {
@@ -49,9 +69,7 @@ void write_train_progress(io::ContainerWriter& out,
   w.u64(config.reward_window);
   w.u8(config.target_mean_reward ? 1 : 0);
   w.f64(config.target_mean_reward.value_or(0.0));
-  w.f64(progress.window_sum);
-  w.u64(progress.window.size());
-  for (double r : progress.window) w.f64(r);
+  progress.window.encode(w);
   out.add_chunk(io::tags::kTrainProgress, w.take());
 }
 
@@ -63,13 +81,10 @@ TrainProgress read_train_progress(const io::ContainerReader& in,
                        "checkpoint trainer state differs in " + what);
   };
   io::ByteReader r(in.chunk(io::tags::kTrainProgress));
-  TrainProgress progress;
-  progress.mode = r.u8();
-  if (progress.mode != mode) throw mismatch("training mode");
-  progress.replicas = r.u64();
-  if (progress.replicas != replicas) throw mismatch("replica count");
-  progress.slots_trained = r.u64();
-  progress.early_stopped = r.u8() != 0;
+  if (r.u8() != mode) throw mismatch("training mode");
+  if (r.u64() != replicas) throw mismatch("replica count");
+  const std::uint64_t slots_trained = r.u64();
+  const bool early_stopped = r.u8() != 0;
   if (r.u64() != config.reward_window) throw mismatch("reward_window");
   const bool has_target = r.u8() != 0;
   const double target = r.f64();
@@ -77,15 +92,24 @@ TrainProgress read_train_progress(const io::ContainerReader& in,
       (has_target && target != *config.target_mean_reward)) {
     throw mismatch("target_mean_reward");
   }
-  progress.window_sum = r.f64();
-  const std::uint64_t count = r.u64();
-  if (count > config.reward_window) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "reward window longer than reward_window");
-  }
-  for (std::uint64_t i = 0; i < count; ++i) progress.window.push_back(r.f64());
+  TrainProgress progress{
+      mode, replicas, slots_trained, early_stopped,
+      RewardWindow::decode(r, config.reward_window, slots_trained,
+                           io::ErrorKind::kBadPayload)};
   r.expect_end();
   return progress;
+}
+
+io::ContainerWriter begin_trainer_checkpoint(const TrainProgress& progress,
+                                             const TrainerConfig& config,
+                                             const jammer::JammerSpec& jammer,
+                                             const DqnScheme& scheme) {
+  io::ContainerWriter out;
+  add_meta_chunk(out, "trainer");
+  write_train_progress(out, progress, config);
+  write_jammer_config(out, jammer);
+  scheme.save_state(out);
+  return out;
 }
 
 void write_jammer_config(io::ContainerWriter& out,

@@ -8,10 +8,11 @@
 // so a killed run resumes bit-identically (see trainer.hpp).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "core/reward_window.hpp"
 #include "core/rl_fh.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
@@ -45,18 +46,21 @@ void load_policy(DqnScheme& scheme, const std::string& path);
 
 /// The training loop's own mutable state, as stored in the TRAINPRG chunk.
 /// Shared by every trainer flavor: mode 0 = sequential train(), 1 =
-/// train_batched(), 2 = train_parallel().
+/// train_batched(), 2 = train_parallel(). Each trainer runs its loop on one
+/// of these, so a checkpoint writes it as is.
 struct TrainProgress {
   std::uint8_t mode = 0;
   std::uint64_t replicas = 1;
   std::uint64_t slots_trained = 0;
   bool early_stopped = false;
-  // The sliding window and its running sum. The sum is serialized as the
-  // raw double (not recomputed on load): the incremental add/sub stream
-  // differs from a fresh summation in floating point, and bit-identical
-  // resume requires the exact value the uninterrupted run would carry.
-  double window_sum = 0.0;
-  std::deque<double> window;
+  RewardWindow window;
+
+  /// Per-transition bookkeeping: window push, slot count, config.on_slot,
+  /// then the early-stop test. Returns true when this slot stopped the run.
+  bool record(double reward, const TrainerConfig& config);
+
+  /// The stats to report for a loop started at `t0`.
+  TrainingStats stats(std::chrono::steady_clock::time_point t0) const;
 };
 
 /// Append the TRAINPRG chunk (progress + the config fields a resume must
@@ -67,10 +71,19 @@ void write_train_progress(io::ContainerWriter& out,
 
 /// Decode and validate the TRAINPRG chunk: mode, replica count,
 /// reward_window and target_mean_reward must all match (io::IoError
-/// kStateMismatch otherwise).
+/// kStateMismatch otherwise); a window longer than reward_window or than
+/// slots_trained is io::IoError kBadPayload.
 TrainProgress read_train_progress(const io::ContainerReader& in,
                                   std::uint8_t mode, std::uint64_t replicas,
                                   const TrainerConfig& config);
+
+/// Start a trainer checkpoint with the chunks every trainer writes: META
+/// (type "trainer"), TRAINPRG, JAMRCFG for `jammer`, and the full scheme
+/// state. The caller appends its own loop chunks and writes the file.
+io::ContainerWriter begin_trainer_checkpoint(const TrainProgress& progress,
+                                             const TrainerConfig& config,
+                                             const jammer::JammerSpec& jammer,
+                                             const DqnScheme& scheme);
 
 /// Append the JAMRCFG chunk naming the adversary the environment competes
 /// against. No-op for the closed-form "kernel" sentinel, so kernel-mode

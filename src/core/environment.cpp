@@ -258,4 +258,18 @@ EnvStep CompetitionEnvironment::step(int channel, std::size_t power_index) {
   return result;
 }
 
+SlotPlay play_slot(AntiJammingScheme& scheme, CompetitionEnvironment& env) {
+  SlotPlay play;
+  play.decision = scheme.decide();
+  play.step = env.step(play.decision.channel, play.decision.power_index);
+  SlotFeedback feedback;
+  feedback.success = play.step.success;
+  feedback.jammed = play.step.outcome != SlotOutcome::kClear;
+  feedback.channel = play.step.channel;
+  feedback.power_index = play.decision.power_index;
+  feedback.reward = play.step.reward;
+  scheme.feedback(feedback);
+  return play;
+}
+
 }  // namespace ctj::core

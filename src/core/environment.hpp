@@ -24,6 +24,7 @@
 
 #include "common/modes.hpp"
 #include "common/rng.hpp"
+#include "core/scheme.hpp"
 #include "io/bytes.hpp"
 #include "jammer/registry.hpp"
 
@@ -130,5 +131,14 @@ class CompetitionEnvironment {
   int n_ = 1;  // valid when kind_ == kCounting
   std::unique_ptr<jammer::Jammer> jam_;  // null in kernel mode
 };
+
+/// One slot of the hub loop (Sec. III.C): the scheme decides, the
+/// environment runs the slot, and the scheme gets the ACK feedback.
+struct SlotPlay {
+  SchemeDecision decision;
+  EnvStep step;
+};
+
+SlotPlay play_slot(AntiJammingScheme& scheme, CompetitionEnvironment& env);
 
 }  // namespace ctj::core

@@ -1,5 +1,7 @@
 #include "core/experiment.hpp"
 
+#include <span>
+
 #include "common/check.hpp"
 #include "core/vector_env.hpp"
 
@@ -10,18 +12,8 @@ MetricsReport evaluate(AntiJammingScheme& scheme, CompetitionEnvironment& env,
   CTJ_CHECK(slots > 0);
   MetricsAccumulator metrics;
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    const SchemeDecision decision = scheme.decide();
-    const EnvStep step = env.step(decision.channel, decision.power_index);
-
-    SlotFeedback feedback;
-    feedback.success = step.success;
-    feedback.jammed = step.outcome != SlotOutcome::kClear;
-    feedback.channel = step.channel;
-    feedback.power_index = decision.power_index;
-    feedback.reward = step.reward;
-    scheme.feedback(feedback);
-
-    metrics.record(step, decision.power_index);
+    const SlotPlay play = play_slot(scheme, env);
+    metrics.record(play.step, play.decision.power_index);
   }
   return metrics.report();
 }
@@ -33,16 +25,9 @@ MetricsReport evaluate_batched(const DqnScheme& scheme,
   CTJ_CHECK(slots_per_replica > 0);
   CTJ_CHECK_MSG(!scheme.training(),
                 "evaluate_batched expects a frozen (deployed) policy");
-  const DqnScheme::Config& sc = scheme.config();
   const rl::DqnAgent& agent = scheme.agent();
   const std::size_t num_actions = agent.config().num_actions;
-  const std::size_t pl = sc.num_power_levels;
-
-  VectorEnv venv(env_config, replicas);
-  ObservationWindows windows(replicas, sc.history, sc.num_channels, pl);
-  std::vector<std::size_t> actions(replicas);
-  std::vector<int> channels(replicas);
-  std::vector<std::size_t> powers(replicas);
+  DqnRollout rollout(env_config, scheme.config(), replicas);
   // Deployed ε-greedy for the batch: one stream for all replicas, seeded
   // from the evaluation environment (not the scheme's deploy RNG, which
   // stays untouched — the scheme is const here).
@@ -50,22 +35,23 @@ MetricsReport evaluate_batched(const DqnScheme& scheme,
   const double eps = scheme.deploy_epsilon();
 
   MetricsAccumulator metrics;
-  for (std::size_t slot = 0; slot < slots_per_replica; ++slot) {
-    agent.act_greedy_batch(windows.states(), actions);
-    for (std::size_t r = 0; r < replicas; ++r) {
+  const auto act = [&](const rl::Matrix& states,
+                       std::span<std::size_t> actions) {
+    agent.act_greedy_batch(states, actions);
+    for (std::size_t& action : actions) {
       if (eps > 0.0 && explore_rng.bernoulli(eps)) {
-        actions[r] = explore_rng.index(num_actions);
+        action = explore_rng.index(num_actions);
       }
-      channels[r] = static_cast<int>(actions[r] / pl);
-      powers[r] = actions[r] % pl;
     }
-    venv.step(channels, powers);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      const bool success = venv.successes()[r] != 0;
-      windows.push(r, success, venv.channels()[r], powers[r]);
-      metrics.record(success, venv.hopped()[r] != 0, powers[r] > 0,
-                     venv.rewards()[r]);
-    }
+  };
+  const auto emit = [&](std::size_t r) {
+    const VectorEnv& venv = rollout.venv();
+    metrics.record(venv.successes()[r] != 0, venv.hopped()[r] != 0,
+                   rollout.powers()[r] > 0, venv.rewards()[r]);
+    return true;
+  };
+  for (std::size_t slot = 0; slot < slots_per_replica; ++slot) {
+    rollout.step(act, emit);
   }
   return metrics.report();
 }

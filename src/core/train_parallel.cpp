@@ -5,11 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -144,20 +144,12 @@ struct ActorShard {
              const DqnScheme::Config& scheme_config,
              const rl::DqnConfig& agent_config, const Resolved& r)
       : id(id_),
-        replicas(r.replicas),
-        pl(scheme_config.num_power_levels),
         state_dim(agent_config.state_dim),
         num_actions(agent_config.num_actions),
-        env(env_config, r.replicas),
-        windows(r.replicas, scheme_config.history, scheme_config.num_channels,
-                scheme_config.num_power_levels),
+        rollout(env_config, scheme_config, r.replicas),
         rng(agent_config.seed ^ (0x9E3779B97F4A7C15ULL * (id_ + 1))),
         net(make_local_net(agent_config)),
         queue(r.queue_capacity, agent_config.state_dim),
-        pre(r.replicas, agent_config.state_dim),
-        actions(r.replicas),
-        channels(r.replicas),
-        powers(r.replicas),
         weights_scratch(net.param_count()) {}
 
   void apply_snapshot() { net.copy_flat_from(weights_scratch); }
@@ -166,59 +158,50 @@ struct ActorShard {
   /// transition per replica. Returns false when `stop` fired while
   /// waiting for queue space.
   bool run_round(const std::atomic<bool>& stop) {
-    net.forward_scratch(windows.states(), q, scratch_a, scratch_b);
-    const auto& kernels = kern::ops();
-    for (std::size_t r = 0; r < replicas; ++r) {
-      std::size_t a =
-          kernels.row_argmax(q.data() + r * num_actions, num_actions);
-      // Same per-replica draw order as DqnAgent::act_batch: a bernoulli
-      // per replica, an index only on explore.
-      if (eps > 0.0 && rng.bernoulli(eps)) a = rng.index(num_actions);
-      actions[r] = a;
-      channels[r] = static_cast<int>(a / pl);
-      powers[r] = a % pl;
-      const auto row = windows.row(r);
-      std::copy(row.begin(), row.end(), pre.data() + r * state_dim);
-    }
-    env.step(channels, powers);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      windows.push(r, env.successes()[r] != 0, env.channels()[r], powers[r]);
+    const auto act = [&](const rl::Matrix& states,
+                         std::span<std::size_t> actions) {
+      net.forward_scratch(states, q, scratch_a, scratch_b);
+      const auto& kernels = kern::ops();
+      for (std::size_t r = 0; r < actions.size(); ++r) {
+        std::size_t a =
+            kernels.row_argmax(q.data() + r * num_actions, num_actions);
+        // Same per-replica draw order as DqnAgent::act_batch: a bernoulli
+        // per replica, an index only on explore.
+        if (eps > 0.0 && rng.bernoulli(eps)) a = rng.index(num_actions);
+        actions[r] = a;
+      }
+    };
+    const auto emit = [&](std::size_t r) {
       double* rec;
       while ((rec = queue.try_acquire()) == nullptr) {
         if (stop.load(std::memory_order_acquire)) return false;
         std::this_thread::yield();
       }
-      rec[rl::kTransAction] = static_cast<double>(actions[r]);
-      rec[rl::kTransReward] = env.rewards()[r];
+      rec[rl::kTransAction] = static_cast<double>(rollout.actions()[r]);
+      rec[rl::kTransReward] = rollout.venv().rewards()[r];
       rec[rl::kTransDone] = 0.0;  // continuing competition
-      std::copy(pre.data() + r * state_dim, pre.data() + (r + 1) * state_dim,
-                rec + rl::kTransState);
-      const auto next_row = windows.row(r);
-      std::copy(next_row.begin(), next_row.end(),
+      const auto state = rollout.pre_state(r);
+      std::copy(state.begin(), state.end(), rec + rl::kTransState);
+      const auto next_state = rollout.windows().row(r);
+      std::copy(next_state.begin(), next_state.end(),
                 rec + rl::kTransState + state_dim);
       queue.commit();
-    }
-    return true;
+      return true;
+    };
+    return rollout.step(act, emit);
   }
 
   const std::size_t id;
-  const std::size_t replicas;
-  const std::size_t pl;
   const std::size_t state_dim;
   const std::size_t num_actions;
-  VectorEnv env;
-  ObservationWindows windows;
+  DqnRollout rollout;
   Rng rng;
   rl::Mlp net;
   rl::TransitionQueue queue;
   double eps = 0.0;
   std::uint64_t last_seen = 0;  // bus version currently applied
-  // Per-round scratch (worker-thread only).
+  // Per-round forward scratch (worker-thread only).
   rl::Matrix q, scratch_a, scratch_b;
-  rl::Matrix pre;  // [replicas × state_dim] pre-step observations
-  std::vector<std::size_t> actions;
-  std::vector<int> channels;
-  std::vector<std::size_t> powers;
   std::vector<double> weights_scratch;
 };
 
@@ -233,6 +216,9 @@ class ParallelRun {
         bus_(agent_.param_count()),
         replay_(r.actors, r.replay_per_actor, agent_.config().state_dim),
         flat_(agent_.param_count()),
+        progress_{.mode = 2,
+                  .replicas = r.total_replicas(),
+                  .window = RewardWindow(config.reward_window)},
         learner_rng_(agent_.config().seed ^ 0xD1B54A32D192ED03ULL) {
     shards_.reserve(r_.actors);
     for (std::size_t s = 0; s < r_.actors; ++s) {
@@ -251,14 +237,15 @@ class ParallelRun {
 
     if (should_resume_checkpoint(config_)) load_checkpoint();
     next_step_at_ =
-        (stats_.slots_trained / r_.train_every + 1) * r_.train_every;
+        (progress_.slots_trained / r_.train_every + 1) * r_.train_every;
     // Restore the bus to the snapshot actors held at the cut. Deterministic
     // mid-epoch resumes gate on it; throughput resumes start from it.
     if (published_version_ > 0) {
       bus_.publish(flat_, eps_pub_, published_version_);
     }
 
-    if (!stats_.early_stopped && stats_.slots_trained < config_.max_slots) {
+    if (!progress_.early_stopped &&
+        progress_.slots_trained < config_.max_slots) {
       try {
         if (r_.deterministic) {
           run_deterministic();
@@ -281,13 +268,7 @@ class ParallelRun {
     }
 
     if (config_.checkpoint) save_checkpoint();
-    stats_.final_mean_reward =
-        window_.empty() ? 0.0
-                        : window_sum_ / static_cast<double>(window_.size());
-    stats_.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return stats_;
+    return progress_.stats(t0);
   }
 
  private:
@@ -299,18 +280,19 @@ class ParallelRun {
     spawn_workers();
     const std::size_t every =
         config_.checkpoint ? config_.checkpoint->every_slots : 0;
-    std::size_t next_save = next_checkpoint_after(stats_.slots_trained, every);
+    std::size_t next_save =
+        next_checkpoint_after(progress_.slots_trained, every);
     for (std::uint64_t k = start_round_; k < total_rounds; ++k) {
       if (k % r_.sync == 0) {
         if (config_.checkpoint && k > start_round_ &&
-            stats_.slots_trained >= next_save &&
-            stats_.slots_trained < config_.max_slots) {
+            progress_.slots_trained >= next_save &&
+            progress_.slots_trained < config_.max_slots) {
           // Every worker is (or is about to be) parked at this epoch's
           // gate with all prior rounds consumed, so the queues are empty
           // and all shard state is quiescent — a clean cut.
           if (bus_.wait_waiters(num_workers_)) {
             save_checkpoint();
-            next_save = next_checkpoint_after(stats_.slots_trained, every);
+            next_save = next_checkpoint_after(progress_.slots_trained, every);
           }
         }
         publish(k / r_.sync + 1);
@@ -321,7 +303,7 @@ class ParallelRun {
           if (rec == nullptr) return;  // stop / worker failure
           consume_slot(a, rec);
           shards_[a]->queue.pop();
-          if (stats_.early_stopped) {
+          if (progress_.early_stopped) {
             initiate_stop();
             return;
           }
@@ -335,24 +317,26 @@ class ParallelRun {
     spawn_workers();
     const std::size_t every =
         config_.checkpoint ? config_.checkpoint->every_slots : 0;
-    std::size_t next_save = next_checkpoint_after(stats_.slots_trained, every);
+    std::size_t next_save =
+        next_checkpoint_after(progress_.slots_trained, every);
     const std::size_t publish_every = r_.sync * r_.total_replicas();
-    std::size_t next_publish = stats_.slots_trained + publish_every;
-    while (stats_.slots_trained < config_.max_slots &&
-           !stats_.early_stopped) {
+    std::size_t next_publish = progress_.slots_trained + publish_every;
+    while (progress_.slots_trained < config_.max_slots &&
+           !progress_.early_stopped) {
       if (stop_.load(std::memory_order_acquire)) return;  // worker failure
       const bool any = drain_queues(r_.replicas);
-      if (stats_.early_stopped || stats_.slots_trained >= config_.max_slots) {
+      if (progress_.early_stopped ||
+          progress_.slots_trained >= config_.max_slots) {
         break;
       }
-      if (stats_.slots_trained >= next_publish) {
+      if (progress_.slots_trained >= next_publish) {
         publish(published_version_ + 1);
-        next_publish = stats_.slots_trained + publish_every;
+        next_publish = progress_.slots_trained + publish_every;
       }
-      if (config_.checkpoint && stats_.slots_trained >= next_save &&
-          stats_.slots_trained < config_.max_slots) {
+      if (config_.checkpoint && progress_.slots_trained >= next_save &&
+          progress_.slots_trained < config_.max_slots) {
         if (quiesce_checkpoint()) {
-          next_save = next_checkpoint_after(stats_.slots_trained, every);
+          next_save = next_checkpoint_after(progress_.slots_trained, every);
         }
       }
       if (!any) std::this_thread::yield();
@@ -366,8 +350,8 @@ class ParallelRun {
   bool quiesce_checkpoint() {
     gate_.request_pause();
     while (!gate_.all_parked(num_workers_)) {
-      if (stop_.load(std::memory_order_acquire) || stats_.early_stopped ||
-          stats_.slots_trained >= config_.max_slots) {
+      if (stop_.load(std::memory_order_acquire) || progress_.early_stopped ||
+          progress_.slots_trained >= config_.max_slots) {
         gate_.resume();
         return false;
       }
@@ -377,7 +361,8 @@ class ParallelRun {
       std::this_thread::yield();
     }
     for (;;) {
-      if (stats_.early_stopped || stats_.slots_trained >= config_.max_slots) {
+      if (progress_.early_stopped ||
+          progress_.slots_trained >= config_.max_slots) {
         gate_.resume();
         return false;
       }
@@ -394,8 +379,8 @@ class ParallelRun {
     bool any = false;
     for (std::size_t a = 0; a < r_.actors; ++a) {
       for (std::size_t i = 0; i < budget; ++i) {
-        if (stats_.slots_trained >= config_.max_slots ||
-            stats_.early_stopped) {
+        if (progress_.slots_trained >= config_.max_slots ||
+            progress_.early_stopped) {
           return any;
         }
         const double* rec = shards_[a]->queue.try_front();
@@ -413,22 +398,8 @@ class ParallelRun {
   /// at fixed consumed-slot counts.
   void consume_slot(std::size_t shard, const double* rec) {
     replay_.append(shard, rec);
-    const double reward = rec[rl::kTransReward];
-    window_.push_back(reward);
-    window_sum_ += reward;
-    if (window_.size() > config_.reward_window) {
-      window_sum_ -= window_.front();
-      window_.pop_front();
-    }
-    ++stats_.slots_trained;
-    if (config_.on_slot) config_.on_slot(stats_.slots_trained - 1, reward);
-    if (config_.target_mean_reward &&
-        window_.size() == config_.reward_window &&
-        window_sum_ / static_cast<double>(window_.size()) >=
-            *config_.target_mean_reward) {
-      stats_.early_stopped = true;
-    }
-    if (stats_.slots_trained >= next_step_at_) {
+    progress_.record(rec[rl::kTransReward], config_);
+    if (progress_.slots_trained >= next_step_at_) {
       if (replay_.size() >= r_.min_replay) {
         replay_.sample_into(r_.batch, learner_rng_, batch_states_,
                             batch_next_, batch_actions_, batch_rewards_,
@@ -443,7 +414,7 @@ class ParallelRun {
   void publish(std::uint64_t version) {
     agent_.online_network().copy_flat_to(flat_);
     eps_pub_ = rl::DqnAgent::epsilon_for(agent_.config(),
-                                         stats_.slots_trained);
+                                         progress_.slots_trained);
     bus_.publish(flat_, eps_pub_, version);
     published_version_ = version;
   }
@@ -529,18 +500,8 @@ class ParallelRun {
   }
 
   void save_checkpoint() {
-    io::ContainerWriter out;
-    add_meta_chunk(out, "trainer");
-    TrainProgress progress;
-    progress.mode = 2;
-    progress.replicas = r_.total_replicas();
-    progress.slots_trained = stats_.slots_trained;
-    progress.early_stopped = stats_.early_stopped;
-    progress.window_sum = window_sum_;
-    progress.window = window_;
-    write_train_progress(out, progress, config_);
-    write_jammer_config(out, shards_.front()->env.env(0).config().jammer);
-    scheme_.save_state(out);
+    io::ContainerWriter out = begin_trainer_checkpoint(
+        progress_, config_, shards_.front()->rollout.jammer_spec(), scheme_);
 
     io::ByteWriter pw;
     pw.u64(r_.actors);
@@ -566,8 +527,8 @@ class ParallelRun {
     io::ByteWriter sw;
     sw.u64(r_.actors);
     for (const auto& shard : shards_) {
-      shard->env.save_state(sw);
-      shard->windows.save_state(sw);
+      shard->rollout.venv().save_state(sw);
+      shard->rollout.windows().save_state(sw);
       sw.str(shard->rng.serialize_state());
     }
     out.add_chunk(io::tags::kActorShards, sw.take());
@@ -577,17 +538,12 @@ class ParallelRun {
   void load_checkpoint() {
     const io::ContainerReader in =
         io::ContainerReader::from_file(config_.checkpoint->path);
-    TrainProgress progress =
+    progress_ =
         read_train_progress(in, /*mode=*/2, r_.total_replicas(), config_);
-    check_jammer_config(in, shards_.front()->env.env(0).config().jammer);
-    stats_.slots_trained =
-        static_cast<std::size_t>(progress.slots_trained);
-    stats_.early_stopped = progress.early_stopped;
-    window_ = std::move(progress.window);
-    window_sum_ = progress.window_sum;
+    check_jammer_config(in, shards_.front()->rollout.jammer_spec());
     // An early-stopped checkpoint is the final cut of a finished run:
     // nothing to rebuild, the resumed call reports stats and returns.
-    if (stats_.early_stopped) return;
+    if (progress_.early_stopped) return;
 
     const auto mismatch = [](const std::string& what) -> io::IoError {
       return io::IoError(io::ErrorKind::kStateMismatch,
@@ -617,8 +573,8 @@ class ParallelRun {
     io::ByteReader sr(in.chunk(io::tags::kActorShards));
     if (sr.u64() != r_.actors) throw mismatch("actor count");
     for (auto& shard : shards_) {
-      shard->env.load_state(sr);
-      shard->windows.load_state(sr);
+      shard->rollout.venv().load_state(sr);
+      shard->rollout.windows().load_state(sr);
       const std::string rng_text = sr.str();
       try {
         shard->rng.restore_state(rng_text);
@@ -638,11 +594,11 @@ class ParallelRun {
       // Deterministic cuts happen only at round boundaries (periodic cuts
       // at epoch gates, the final cut at the budget end), so the consumed
       // slot count identifies the resume round exactly.
-      if (stats_.slots_trained % r_.total_replicas() != 0) {
+      if (progress_.slots_trained % r_.total_replicas() != 0) {
         throw io::IoError(io::ErrorKind::kBadPayload,
                           "deterministic checkpoint not at a round boundary");
       }
-      start_round_ = stats_.slots_trained / r_.total_replicas();
+      start_round_ = progress_.slots_trained / r_.total_replicas();
       // At an epoch-gate cut the epoch's publish has not happened yet
       // (stored version = start/sync, republished fresh at the gate);
       // mid-epoch (budget extension from a final cut), workers re-apply
@@ -672,9 +628,7 @@ class ParallelRun {
   std::mutex error_mutex_;
   std::exception_ptr error_;  // first worker failure
 
-  TrainingStats stats_;
-  std::deque<double> window_;
-  double window_sum_ = 0.0;
+  TrainProgress progress_;
   Rng learner_rng_;
   std::uint64_t published_version_ = 0;
   double eps_pub_ = 0.0;  // ε of the last published snapshot

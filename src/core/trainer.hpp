@@ -67,7 +67,11 @@ TrainingStats train(DqnScheme& scheme, CompetitionEnvironment& env,
 /// comparable to a sequential run of the same budget; the reward window and
 /// early-stop test also run over the per-transition reward stream. With
 /// replicas == 1 this consumes the agent's RNG in exactly the order the
-/// sequential trainer does, and reproduces train() slot for slot.
+/// sequential trainer does, and reproduces train() slot for slot provided
+/// train() gets a fresh environment built from the same config and a fresh
+/// scheme: train_batched always starts from new environments and all-zero
+/// observation windows, while train() continues whatever environment state
+/// and observation history it is handed.
 TrainingStats train_batched(DqnScheme& scheme,
                             const EnvironmentConfig& env_config,
                             const TrainerConfig& config,

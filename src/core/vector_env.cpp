@@ -145,4 +145,46 @@ void ObservationWindows::load_state(io::ByteReader& in) {
   std::copy(values.begin(), values.end(), states_.data());
 }
 
+DqnRollout::DqnRollout(const EnvironmentConfig& env_config,
+                       const DqnScheme::Config& scheme_config,
+                       std::size_t replicas)
+    : venv_(env_config, replicas),
+      windows_(replicas, scheme_config.history, scheme_config.num_channels,
+               scheme_config.num_power_levels),
+      power_levels_(scheme_config.num_power_levels),
+      actions_(replicas),
+      channels_(replicas),
+      powers_(replicas),
+      pre_(replicas, 3 * scheme_config.history) {}
+
+rl::Transition DqnRollout::transition(std::size_t r) const {
+  rl::Transition transition;
+  const auto state = pre_state(r);
+  transition.state.assign(state.begin(), state.end());
+  transition.action = actions_[r];
+  transition.reward = venv_.rewards()[r];
+  const auto next_state = windows_.row(r);
+  transition.next_state.assign(next_state.begin(), next_state.end());
+  transition.done = false;  // continuing competition
+  return transition;
+}
+
+void DqnRollout::save_state(io::ContainerWriter& out) const {
+  io::ByteWriter env_out;
+  venv_.save_state(env_out);
+  out.add_chunk(io::tags::kEnvState, env_out.take());
+  io::ByteWriter win_out;
+  windows_.save_state(win_out);
+  out.add_chunk(io::tags::kObsWindows, win_out.take());
+}
+
+void DqnRollout::load_state(const io::ContainerReader& in) {
+  io::ByteReader env_in(in.chunk(io::tags::kEnvState));
+  venv_.load_state(env_in);
+  env_in.expect_end();
+  io::ByteReader win_in(in.chunk(io::tags::kObsWindows));
+  windows_.load_state(win_in);
+  win_in.expect_end();
+}
+
 }  // namespace ctj::core

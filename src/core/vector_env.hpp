@@ -13,13 +13,20 @@
 // 3×I observation windows kept as one [R × 3I] matrix that feeds the batched
 // forward directly. Row r reproduces DqnScheme::observation() bit for bit
 // (per slot, oldest first: success flag, channel/(C−1), power/(PL−1)).
+//
+// DqnRollout puts the two together into the one lockstep DQN rollout that
+// train_batched, evaluate_batched, the serve DqnTenant and train_parallel's
+// actor shards all step.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/environment.hpp"
+#include "core/rl_fh.hpp"
+#include "io/container.hpp"
 #include "rl/matrix.hpp"
 
 namespace ctj::core {
@@ -105,6 +112,75 @@ class ObservationWindows {
   int num_channels_;
   std::size_t num_power_levels_;
   rl::Matrix states_;  // [R × 3·history]
+};
+
+/// R environment replicas and their observation windows, stepped in
+/// lockstep by one batched policy. A round is: act on all windows at once,
+/// split each action into (channel = a / PL, power = a % PL), step every
+/// replica, then per replica in order push its window and emit the slot.
+class DqnRollout {
+ public:
+  /// Replica r runs env_config with seed env_config.seed + r; the windows
+  /// take history and dimensions from the scheme config.
+  DqnRollout(const EnvironmentConfig& env_config,
+             const DqnScheme::Config& scheme_config, std::size_t replicas);
+
+  std::size_t size() const { return venv_.size(); }
+
+  /// One round. `act(states, actions)` fills one action per replica from
+  /// the [R × 3I] window matrix; `emit(r)` runs after replica r's window
+  /// push and returns false to end the round early (the remaining replicas
+  /// are stepped but not emitted). Returns false when emit ended the round.
+  template <class Act, class Emit>
+  bool step(Act&& act, Emit&& emit) {
+    act(windows_.states(), std::span<std::size_t>(actions_));
+    for (std::size_t r = 0; r < actions_.size(); ++r) {
+      channels_[r] = static_cast<int>(actions_[r] / power_levels_);
+      powers_[r] = actions_[r] % power_levels_;
+    }
+    const rl::Matrix& states = windows_.states();
+    std::copy(states.data(), states.data() + states.size(), pre_.data());
+    venv_.step(channels_, powers_);
+    for (std::size_t r = 0; r < actions_.size(); ++r) {
+      windows_.push(r, venv_.successes()[r] != 0, venv_.channels()[r],
+                    powers_[r]);
+      if (!emit(r)) return false;
+    }
+    return true;
+  }
+
+  // Views of the most recent round.
+  std::span<const std::size_t> actions() const { return actions_; }
+  std::span<const std::size_t> powers() const { return powers_; }
+  /// Replica r's observation before the round (the transition's state);
+  /// windows().row(r) is the one after (its next_state).
+  std::span<const double> pre_state(std::size_t r) const {
+    return pre_.row_span(r);
+  }
+  /// Replica r's slot as a replay transition (continuing task: done=false).
+  rl::Transition transition(std::size_t r) const;
+
+  VectorEnv& venv() { return venv_; }
+  const VectorEnv& venv() const { return venv_; }
+  ObservationWindows& windows() { return windows_; }
+  const ObservationWindows& windows() const { return windows_; }
+  /// The adversary as the live environments carry it (post geometry sync).
+  const jammer::JammerSpec& jammer_spec() const {
+    return venv_.env(0).config().jammer;
+  }
+
+  /// Append / restore the ENVSTATE and OBSWIN chunks.
+  void save_state(io::ContainerWriter& out) const;
+  void load_state(const io::ContainerReader& in);
+
+ private:
+  VectorEnv venv_;
+  ObservationWindows windows_;
+  std::size_t power_levels_;
+  std::vector<std::size_t> actions_;
+  std::vector<int> channels_;
+  std::vector<std::size_t> powers_;
+  rl::Matrix pre_;  // [R × 3I] windows before the round's push
 };
 
 }  // namespace ctj::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -17,81 +18,51 @@ namespace ctj::serve {
 
 namespace {
 
-/// DQN tenant: VectorEnv lockstep rollout sharing one agent — the exact
-/// inner loop of core::train_batched, so a serve tenant's trajectory equals
-/// the standalone trainer's stream for stream (test-asserted).
+/// DQN tenant: the lockstep core::DqnRollout sharing one agent that
+/// core::train_batched steps, so a serve tenant's trajectory equals the
+/// standalone trainer's stream for stream (test-asserted).
 class DqnTenant final : public TenantRunner {
  public:
   explicit DqnTenant(const JobSpec& spec)
       : TenantRunner(spec),
         scheme_(spec.dqn_config()),
-        venv_(spec.env_config(), static_cast<std::size_t>(spec.replicas)),
-        windows_(static_cast<std::size_t>(spec.replicas),
-                 scheme_.config().history, scheme_.config().num_channels,
-                 scheme_.config().num_power_levels),
-        actions_(venv_.size()),
-        channels_(venv_.size()),
-        powers_(venv_.size()),
-        pre_states_(venv_.size()) {
+        rollout_(spec.env_config(), scheme_.config(),
+                 static_cast<std::size_t>(spec.replicas)) {
     scheme_.set_training(true);
   }
 
-  std::size_t round_slots() const override { return venv_.size(); }
+  std::size_t round_slots() const override { return rollout_.size(); }
 
   void step_slots(std::size_t slots) override {
     rl::DqnAgent& agent = scheme_.agent();
-    const std::size_t pl = scheme_.config().num_power_levels;
-    const std::size_t replicas = venv_.size();
-    for (std::size_t s = 0; s < slots; s += replicas) {
-      agent.act_batch(windows_.states(), actions_);
-      for (std::size_t r = 0; r < replicas; ++r) {
-        channels_[r] = static_cast<int>(actions_[r] / pl);
-        powers_[r] = actions_[r] % pl;
-        const auto row = windows_.row(r);
-        pre_states_[r].assign(row.begin(), row.end());
-      }
-      venv_.step(channels_, powers_);
-      for (std::size_t r = 0; r < replicas; ++r) {
-        const bool success = venv_.successes()[r] != 0;
-        windows_.push(r, success, venv_.channels()[r], powers_[r]);
-
-        rl::Transition transition;
-        transition.state = std::move(pre_states_[r]);
-        transition.action = actions_[r];
-        transition.reward = venv_.rewards()[r];
-        const auto next_row = windows_.row(r);
-        transition.next_state.assign(next_row.begin(), next_row.end());
-        transition.done = false;  // continuing competition
-        agent.observe(std::move(transition));
-
-        record_slot(venv_.rewards()[r], success, venv_.jammed()[r] != 0,
-                    venv_.hopped()[r] != 0);
-      }
+    const auto act = [&](const rl::Matrix& states,
+                         std::span<std::size_t> actions) {
+      agent.act_batch(states, actions);
+    };
+    const auto emit = [&](std::size_t r) {
+      agent.observe(rollout_.transition(r));
+      const core::VectorEnv& venv = rollout_.venv();
+      record_slot(venv.rewards()[r], venv.successes()[r] != 0,
+                  venv.jammed()[r] != 0, venv.hopped()[r] != 0);
+      return true;
+    };
+    for (std::size_t s = 0; s < slots; s += rollout_.size()) {
+      rollout_.step(act, emit);
     }
   }
 
   void save_state_chunks(io::ContainerWriter& out) const override {
     scheme_.save_state(out);
-    io::ByteWriter env_out;
-    venv_.save_state(env_out);
-    out.add_chunk(io::tags::kEnvState, env_out.take());
-    io::ByteWriter win_out;
-    windows_.save_state(win_out);
-    out.add_chunk(io::tags::kObsWindows, win_out.take());
+    rollout_.save_state(out);
   }
 
   void load_state_chunks(const io::ContainerReader& in) override {
     scheme_.load_state(in);
-    io::ByteReader env_in(in.chunk(io::tags::kEnvState));
-    venv_.load_state(env_in);
-    env_in.expect_end();
-    io::ByteReader win_in(in.chunk(io::tags::kObsWindows));
-    windows_.load_state(win_in);
-    win_in.expect_end();
+    rollout_.load_state(in);
   }
 
   const jammer::JammerSpec& live_jammer_spec() const override {
-    return venv_.env(0).config().jammer;
+    return rollout_.jammer_spec();
   }
 
   std::string scheme_state_bytes() const override {
@@ -102,12 +73,7 @@ class DqnTenant final : public TenantRunner {
 
  private:
   core::DqnScheme scheme_;
-  core::VectorEnv venv_;
-  core::ObservationWindows windows_;
-  std::vector<std::size_t> actions_;
-  std::vector<int> channels_;
-  std::vector<std::size_t> powers_;
-  std::vector<std::vector<double>> pre_states_;
+  core::DqnRollout rollout_;
 };
 
 /// Per-slot tenant for the classic schemes (QL and the FH baselines): one
@@ -143,17 +109,7 @@ class SlotTenant final : public TenantRunner {
 
   void step_slots(std::size_t slots) override {
     for (std::size_t s = 0; s < slots; ++s) {
-      const core::SchemeDecision decision = scheme_->decide();
-      const core::EnvStep step = env_.step(decision.channel,
-                                           decision.power_index);
-      core::SlotFeedback feedback;
-      feedback.success = step.success;
-      feedback.jammed = step.outcome != core::SlotOutcome::kClear;
-      feedback.channel = step.channel;
-      feedback.power_index = decision.power_index;
-      feedback.reward = step.reward;
-      scheme_->feedback(feedback);
-
+      const core::EnvStep step = core::play_slot(*scheme_, env_).step;
       record_slot(step.reward, step.success,
                   step.outcome != core::SlotOutcome::kClear, step.hopped);
     }
@@ -238,12 +194,7 @@ std::size_t TenantRunner::run(std::size_t max_slots) {
 
 void TenantRunner::record_slot(double reward, bool success, bool jammed,
                                bool hopped) {
-  window_.push_back(reward);
-  window_sum_ += reward;
-  if (window_.size() > spec_.reward_window) {
-    window_sum_ -= window_.front();
-    window_.pop_front();
-  }
+  window_.push(reward);
   ++slots_done_;
   reward_sum_ += reward;
   unsigned char le[8];
@@ -261,9 +212,7 @@ void TenantRunner::record_slot(double reward, bool success, bool jammed,
 JobResult TenantRunner::result() const {
   JobResult result;
   result.slots_run = slots_done_;
-  result.final_mean_reward =
-      window_.empty() ? 0.0
-                      : window_sum_ / static_cast<double>(window_.size());
+  result.final_mean_reward = window_.mean();
   result.reward_sum = reward_sum_;
   result.successes = successes_;
   result.jammed_slots = jammed_slots_;
@@ -277,9 +226,7 @@ JobResult TenantRunner::result() const {
 void TenantRunner::save_progress(io::ContainerWriter& out) const {
   io::ByteWriter progress;
   progress.u64(slots_done_);
-  progress.f64(window_sum_);
-  progress.u64(window_.size());
-  for (double r : window_) progress.f64(r);
+  window_.encode(progress);
   progress.f64(reward_sum_);
   progress.u64(successes_);
   progress.u64(jammed_slots_);
@@ -292,15 +239,13 @@ void TenantRunner::save_progress(io::ContainerWriter& out) const {
 void TenantRunner::load_progress(const io::ContainerReader& in) {
   io::ByteReader progress(in.chunk(io::tags::kServeProgress));
   const std::uint64_t slots_done = progress.u64();
-  const double window_sum = progress.f64();
-  const std::uint64_t window_len = progress.u64();
-  if (slots_done > spec_.slots || window_len > spec_.reward_window ||
-      window_len > slots_done) {
+  if (slots_done > spec_.slots) {
     throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "tenant progress exceeds the job's budget/window");
+                      "tenant progress exceeds the job's budget");
   }
-  std::deque<double> window;
-  for (std::uint64_t i = 0; i < window_len; ++i) window.push_back(progress.f64());
+  core::RewardWindow window = core::RewardWindow::decode(
+      progress, static_cast<std::size_t>(spec_.reward_window), slots_done,
+      io::ErrorKind::kStateMismatch);
   const double reward_sum = progress.f64();
   const std::uint64_t successes = progress.u64();
   const std::uint64_t jammed = progress.u64();
@@ -314,7 +259,6 @@ void TenantRunner::load_progress(const io::ContainerReader& in) {
   }
 
   slots_done_ = slots_done;
-  window_sum_ = window_sum;
   window_ = std::move(window);
   reward_sum_ = reward_sum;
   successes_ = successes;

@@ -9,9 +9,10 @@
 //  * Stepping is deterministic and cut-independent: the runner holds no
 //    state outside itself, and run() consumes RNG exactly as an
 //    uninterrupted loop would, so any sequence of quanta produces the same
-//    trajectory bit for bit. DQN tenants replicate core::train_batched's
-//    inner loop exactly (same act_batch/observe order), which the serve
-//    tests assert stream-for-stream.
+//    trajectory bit for bit. DQN tenants step a core::DqnRollout
+//    (core/vector_env.hpp), the lockstep core core::train_batched runs,
+//    with the same act_batch/observe order; the serve tests assert the two
+//    agree stream for stream.
 //
 //  * save()/load() round-trip the complete state through a CTJS container
 //    (SRVJOB + JAMRCFG + SRVPRG + the scheme/env chunks), so an evicted
@@ -22,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/reward_window.hpp"
 #include "io/container.hpp"
 #include "serve/job.hpp"
 
@@ -63,7 +64,9 @@ class TenantRunner {
   void save(const std::string& path) const;
 
  protected:
-  explicit TenantRunner(const JobSpec& spec) : spec_(spec) {}
+  explicit TenantRunner(const JobSpec& spec)
+      : spec_(spec),
+        window_(static_cast<std::size_t>(spec.reward_window)) {}
 
   /// Advance exactly `slots` slots (pre-rounded by run()).
   virtual void step_slots(std::size_t slots) = 0;
@@ -80,7 +83,7 @@ class TenantRunner {
   virtual std::string scheme_state_bytes() const = 0;
 
   /// Per-slot bookkeeping shared by every scheme: reward window, stream
-  /// CRC, outcome counters. Mirrors the trainer's window updates exactly.
+  /// CRC, outcome counters. The window is the trainers' core::RewardWindow.
   void record_slot(double reward, bool success, bool jammed, bool hopped);
 
   JobSpec spec_;
@@ -90,10 +93,7 @@ class TenantRunner {
   void load_progress(const io::ContainerReader& in);
 
   std::uint64_t slots_done_ = 0;
-  std::deque<double> window_;
-  // Raw running sum (not recomputed on load): bit-identical revive needs
-  // the exact value the uninterrupted run would carry.
-  double window_sum_ = 0.0;
+  core::RewardWindow window_;
   double reward_sum_ = 0.0;
   std::uint64_t successes_ = 0;
   std::uint64_t jammed_slots_ = 0;

@@ -506,3 +506,102 @@ TEST(TrainerCheckpoint, ResumeValidatesTrainerConfig) {
   }
   std::filesystem::remove(path);
 }
+
+TEST(TrainerCheckpoint, TrainProgressChunkLayout) {
+  // TRAINPRG, field by field: mode u8, replicas u64, slots_trained u64,
+  // early_stopped u8, reward_window u64, has_target u8, target f64, then the
+  // reward window (running sum f64, length u64, values f64 oldest first).
+  const std::string path = temp_path("ctj_trainprg_layout.ctjs");
+  std::filesystem::remove(path);
+  TrainerConfig config;
+  config.max_slots = 300;
+  config.reward_window = 50;
+  config.target_mean_reward = 1e9;  // never reached: rewards are negative
+  config.checkpoint = CheckpointOptions{path, 0, false};
+  std::vector<double> rewards;
+  config.on_slot = [&](std::size_t, double r) { rewards.push_back(r); };
+  DqnScheme scheme(small_scheme_config());
+  const auto stats = train_batched(scheme, small_env_config(), config, 3);
+
+  const io::ContainerReader in = io::ContainerReader::from_file(path);
+  io::ByteReader r(in.chunk(io::tags::kTrainProgress));
+  EXPECT_EQ(r.u8(), 1u);  // train_batched
+  EXPECT_EQ(r.u64(), 3u);
+  EXPECT_EQ(r.u64(), stats.slots_trained);
+  EXPECT_EQ(r.u8() != 0, stats.early_stopped);
+  EXPECT_EQ(r.u64(), config.reward_window);
+  EXPECT_EQ(r.u8(), 1u);
+  EXPECT_EQ(r.f64(), 1e9);
+  const double window_sum = r.f64();
+  ASSERT_EQ(r.u64(), config.reward_window);
+  const std::vector<double> tail(rewards.end() - 50, rewards.end());
+  for (double expect : tail) EXPECT_EQ(r.f64(), expect);
+  r.expect_end();
+  EXPECT_EQ(window_sum / 50.0, stats.final_mean_reward);
+  std::filesystem::remove(path);
+}
+
+TEST(TrainerCheckpoint, WindowLongerThanSlotsTrainedIsRejected) {
+  // A TRAINPRG whose window holds more rewards than slots were trained is
+  // corrupt even when the window fits reward_window: resume must throw a
+  // typed IoError before touching the scheme.
+  const std::string path = temp_path("ctj_trainprg_window.ctjs");
+  std::filesystem::remove(path);
+  TrainerConfig config;
+  config.max_slots = 150;
+  config.reward_window = 50;
+  config.checkpoint = CheckpointOptions{path, 0, true};
+  {
+    DqnScheme scheme(small_scheme_config());
+    CompetitionEnvironment env(small_env_config());
+    train(scheme, env, config);
+  }
+
+  // The written checkpoint with its TRAINPRG replaced by a hand-built one
+  // whose 20-reward window claims `slots_trained` slots.
+  const io::ContainerReader written = io::ContainerReader::from_file(path);
+  const auto forge = [&](std::uint64_t slots_trained) {
+    io::ContainerWriter out;
+    for (const io::ChunkInfo& chunk : written.chunks()) {
+      if (chunk.tag != io::tags::kTrainProgress) {
+        out.add_chunk(chunk.tag, std::string(written.chunk(chunk.tag)));
+        continue;
+      }
+      io::ByteWriter w;
+      w.u8(0);  // sequential train()
+      w.u64(1);
+      w.u64(slots_trained);
+      w.u8(0);
+      w.u64(config.reward_window);
+      w.u8(0);
+      w.f64(0.0);
+      w.f64(-200.0);
+      w.u64(20);  // fits reward_window = 50
+      for (int i = 0; i < 20; ++i) w.f64(-10.0);
+      out.add_chunk(chunk.tag, w.take());
+    }
+    return out;
+  };
+  const auto decode = [&](std::uint64_t slots_trained) {
+    return read_train_progress(
+        io::ContainerReader::from_bytes(forge(slots_trained).to_bytes()), 0,
+        1, config);
+  };
+  EXPECT_EQ(decode(20).window.size(), 20u);
+  try {
+    decode(10);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kBadPayload);
+  }
+
+  // The same bytes on disk, through a resuming train(): typed error, and
+  // the scheme is left exactly as constructed.
+  forge(10).write_file(path);
+  DqnScheme scheme(small_scheme_config());
+  const std::string before = scheme_bytes(scheme);
+  CompetitionEnvironment env(small_env_config());
+  EXPECT_THROW(train(scheme, env, config), io::IoError);
+  EXPECT_EQ(scheme_bytes(scheme), before);
+  std::filesystem::remove(path);
+}

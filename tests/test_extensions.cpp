@@ -94,15 +94,7 @@ TEST(QLearningScheme, DqnOutlearnsTabularOnEqualBudget) {
     env_config.seed = 71;
     core::CompetitionEnvironment env(env_config);
     for (std::size_t slot = 0; slot < budget; ++slot) {
-      const auto d = ql.decide();
-      const auto step = env.step(d.channel, d.power_index);
-      core::SlotFeedback fb;
-      fb.success = step.success;
-      fb.jammed = step.outcome != core::SlotOutcome::kClear;
-      fb.channel = step.channel;
-      fb.power_index = d.power_index;
-      fb.reward = step.reward;
-      ql.feedback(fb);
+      core::play_slot(ql, env);
     }
     ql.set_training(false);
   }

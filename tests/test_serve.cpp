@@ -390,6 +390,43 @@ TEST(TenantRunner, LoadRejectsTamperedJammerConfig) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TenantRunner, ServeProgressChunkLayout) {
+  // SRVPRG, field by field: slots_done u64, the reward window (running sum
+  // f64, length u64, values f64 oldest first), reward_sum f64, successes,
+  // jammed_slots and hops u64, reward_crc u32, recorded rewards f64_vec.
+  const std::string dir = scratch_dir("srvprg");
+  for (const char* scheme : {"dqn", "ql"}) {
+    SCOPED_TRACE(scheme);
+    const serve::JobSpec spec = small_spec(scheme, 41);
+    auto runner = serve::TenantRunner::create(spec);
+    runner->run(static_cast<std::size_t>(spec.slots) / 2);
+    const std::string path = dir + "/" + scheme + ".ctjs";
+    runner->save(path);
+    const serve::JobResult result = runner->result();
+
+    const auto in = io::ContainerReader::from_file(path);
+    io::ByteReader r(in.chunk(io::tags::kServeProgress));
+    EXPECT_EQ(r.u64(), result.slots_run);
+    const double window_sum = r.f64();
+    const std::uint64_t window_len = r.u64();
+    ASSERT_EQ(window_len, spec.reward_window);
+    const std::size_t first = result.rewards.size() - window_len;
+    for (std::size_t i = first; i < result.rewards.size(); ++i) {
+      EXPECT_EQ(r.f64(), result.rewards[i]) << "slot " << i;
+    }
+    EXPECT_EQ(window_sum / static_cast<double>(window_len),
+              result.final_mean_reward);
+    EXPECT_EQ(r.f64(), result.reward_sum);
+    EXPECT_EQ(r.u64(), result.successes);
+    EXPECT_EQ(r.u64(), result.jammed_slots);
+    EXPECT_EQ(r.u64(), result.hops);
+    EXPECT_EQ(r.u32(), result.reward_crc);
+    EXPECT_EQ(r.f64_vec(), result.rewards);
+    r.expect_end();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 

@@ -125,29 +125,36 @@ TEST(BatchedInference, ActGreedyBatchMatchesPerStateActGreedy) {
 }
 
 TEST(BatchedEvaluate, SingleReplicaGreedyMatchesSequentialEvaluate) {
-  DqnScheme::Config sc;
-  sc.training = false;
-  sc.deploy_epsilon = 0.0;
-  sc.seed = 41;
-  DqnScheme scheme(sc);
-
+  // With the scheme seeded like the environment, DqnScheme's deploy RNG and
+  // evaluate_batched's exploration stream both start at seed ^ 0xD09 and
+  // draw in the same order (a bernoulli per slot, an index on explore), so
+  // the match is exact at any deploy ε, the default 0.05 included.
   const EnvironmentConfig env_config = test_env_config(97);
   const std::size_t slots = 600;
+  for (const double eps : {0.0, 0.05, 0.3}) {
+    SCOPED_TRACE(eps);
+    DqnScheme::Config sc;
+    sc.training = false;
+    sc.deploy_epsilon = eps;
+    sc.seed = env_config.seed;
+    DqnScheme scheme(sc);
 
-  CompetitionEnvironment env(env_config);
-  scheme.reset();
-  const MetricsReport sequential = evaluate(scheme, env, slots);
+    CompetitionEnvironment env(env_config);
+    scheme.reset();
+    const MetricsReport sequential = evaluate(scheme, env, slots);
 
-  scheme.reset();
-  const MetricsReport batched = evaluate_batched(scheme, env_config, slots, 1);
+    scheme.reset();
+    const MetricsReport batched =
+        evaluate_batched(scheme, env_config, slots, 1);
 
-  EXPECT_EQ(batched.slots, sequential.slots);
-  EXPECT_EQ(batched.st, sequential.st);
-  EXPECT_EQ(batched.ah, sequential.ah);
-  EXPECT_EQ(batched.sh, sequential.sh);
-  EXPECT_EQ(batched.ap, sequential.ap);
-  EXPECT_EQ(batched.sp, sequential.sp);
-  EXPECT_EQ(batched.mean_reward, sequential.mean_reward);
+    EXPECT_EQ(batched.slots, sequential.slots);
+    EXPECT_EQ(batched.st, sequential.st);
+    EXPECT_EQ(batched.ah, sequential.ah);
+    EXPECT_EQ(batched.sh, sequential.sh);
+    EXPECT_EQ(batched.ap, sequential.ap);
+    EXPECT_EQ(batched.sp, sequential.sp);
+    EXPECT_EQ(batched.mean_reward, sequential.mean_reward);
+  }
 }
 
 TEST(BatchedEvaluate, MultiReplicaAggregatesIndependentRollouts) {
