@@ -516,7 +516,7 @@ class ParallelRun {
     // exact snapshot, not a fresh flatten, for actors to match.
     pw.u64(published_version_);
     pw.f64(eps_pub_);
-    for (double v : flat_) pw.f64(v);
+    pw.f64_array(flat_);
     pw.str(learner_rng_.serialize_state());
     out.add_chunk(io::tags::kParallelTrain, pw.take());
 
@@ -560,7 +560,7 @@ class ParallelRun {
     if (pr.u64() != r_.replay_per_actor) throw mismatch("replay capacity");
     published_version_ = pr.u64();
     eps_pub_ = pr.f64();
-    for (double& v : flat_) v = pr.f64();
+    pr.f64_array(flat_);
     const std::string learner_rng_text = pr.str();
     pr.expect_end();
 

@@ -6,10 +6,16 @@
 // yield silently wrong values. Doubles travel as their IEEE-754 bit
 // patterns, so serialization is exact: save → load → save is byte-identical
 // and restored training state is bit-identical, not merely close.
+//
+// Arrays of doubles (f64_array / f64_vec) are encoded in bulk: on a
+// little-endian host the wire layout is the in-memory layout, so a whole
+// array is one append or one memcpy rather than a loop over bytes.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +23,9 @@
 #include "io/format.hpp"
 
 namespace ctj::io {
+
+inline constexpr bool kLittleEndianHost =
+    std::endian::native == std::endian::little;
 
 class ByteWriter {
  public:
@@ -37,10 +46,20 @@ class ByteWriter {
     buf_.append(s.data(), s.size());
   }
 
+  /// Doubles back to back with no length prefix: the same bytes as calling
+  /// f64() on each element.
+  void f64_array(std::span<const double> v) {
+    if constexpr (kLittleEndianHost) {
+      bytes(v.data(), v.size_bytes());
+    } else {
+      for (double x : v) f64(x);
+    }
+  }
+
   /// Length-prefixed vector of doubles.
   void f64_vec(const std::vector<double>& v) {
     u64(v.size());
-    for (double x : v) f64(x);
+    f64_array(v);
   }
 
   const std::string& buffer() const { return buf_; }
@@ -49,9 +68,11 @@ class ByteWriter {
  private:
   template <typename T>
   void put_le(T v) {
+    char le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+      le[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
     }
+    buf_.append(le, sizeof(T));
   }
 
   std::string buf_;
@@ -82,10 +103,28 @@ class ByteReader {
                         " elements exceeds remaining payload " +
                         std::to_string(remaining()));
     }
-    std::vector<double> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+    std::vector<double> v(static_cast<std::size_t>(n));
+    f64_array(v);
     return v;
+  }
+
+  /// Fill `out` with the next out.size() doubles (written by
+  /// ByteWriter::f64_array).
+  void f64_array(std::span<double> out) {
+    if (out.size() > remaining() / 8) {
+      throw IoError(ErrorKind::kBadPayload,
+                    "f64 array of " + std::to_string(out.size()) +
+                        " elements exceeds remaining payload " +
+                        std::to_string(remaining()));
+    }
+    if constexpr (kLittleEndianHost) {
+      if (!out.empty()) {
+        std::memcpy(out.data(), next(out.size_bytes()).data(),
+                    out.size_bytes());
+      }
+    } else {
+      for (double& x : out) x = f64();
+    }
   }
 
   std::size_t remaining() const { return bytes_.size() - pos_; }

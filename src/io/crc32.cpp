@@ -1,31 +1,67 @@
 #include "io/crc32.hpp"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace ctj::io {
 namespace {
 
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables: tables[0] is the classic bytewise table; tables[k][i]
+// is the CRC of byte i followed by k zero bytes, so eight table lookups
+// advance the CRC over eight input bytes at once.
+constexpr Tables make_tables() {
+  Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Tables kTables = make_tables();
+
+/// The next four input bytes as a little-endian word, whatever the host.
+std::uint32_t load_le32(const unsigned char* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  }
 }
 
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_table();
+  const auto& t = kTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ crc;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -1,5 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-chunk
-// integrity check of the CTJS container format.
+// integrity check of the CTJS container format and the serve layer's state
+// and reward-stream digests. Computed slicing-by-8 (eight table lookups per
+// eight input bytes); the value is the standard one, whatever the host.
 #pragma once
 
 #include <cstddef>

@@ -8,8 +8,7 @@ void write_tensors(ByteWriter& out, const std::vector<NamedTensor>& tensors) {
     out.str(t.name);
     out.u64(t.rows);
     out.u64(t.cols);
-    out.u64(t.data.size());
-    for (double v : t.data) out.f64(v);
+    out.f64_vec(t.data);
   }
 }
 

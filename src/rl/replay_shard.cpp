@@ -84,7 +84,7 @@ void ShardedReplay::save_state(io::ByteWriter& out) const {
   for (const Shard& shard : shards_) {
     out.u64(shard.size);
     out.u64(shard.cursor);
-    for (double v : shard.records) out.f64(v);
+    out.f64_array(shard.records);
   }
 }
 
@@ -108,7 +108,7 @@ void ShardedReplay::load_state(io::ByteReader& in) {
                         "sharded replay ring size/cursor invariant");
     }
     shard.records.resize(shard.size * stride_);
-    for (double& v : shard.records) v = in.f64();
+    in.f64_array(shard.records);
     total += shard.size;
   }
   shards_ = std::move(loaded);

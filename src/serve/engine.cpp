@@ -63,6 +63,7 @@ std::uint64_t ServeEngine::submit(const JobSpec& spec) {
     std::lock_guard<std::mutex> lock(mutex_);
     id = next_id_++;
     auto tenant = std::make_unique<Tenant>();
+    tenant->id = id;
     tenant->spec = spec;
     tenants_.emplace(id, std::move(tenant));
     ++submitted_;
@@ -187,13 +188,14 @@ void ServeEngine::worker_loop() {
       continue;
     }
 
-    // All I/O and stepping happens outside the lock; `busy` keeps everyone
-    // else away from this tenant.
+    // Stepping, spool I/O and finishing all happen outside the lock; `busy`
+    // keeps everyone else away from this tenant and its runner.
     bool failed = false;
     std::string error;
     bool revived = false;
     std::unique_ptr<TenantRunner> fresh;
-    std::size_t ran = 0;
+    std::uint64_t slots_done = 0;
+    std::optional<JobResult> result;
     try {
       if (tenant->runner == nullptr) {
         if (tenant->spooled) {
@@ -204,18 +206,25 @@ void ServeEngine::worker_loop() {
         }
       }
       TenantRunner* runner = fresh ? fresh.get() : tenant->runner.get();
-      ran = runner->run(config_.quantum_slots);
-      slots_total_.fetch_add(ran, std::memory_order_relaxed);
+      slots_total_.fetch_add(runner->run(config_.quantum_slots),
+                             std::memory_order_relaxed);
+      slots_done = runner->slots_done();
+      // result() digests the whole scheme state — for a short QL job it
+      // costs more than the stepping — so it runs here, not in the locked
+      // hand-back below.
+      if (runner->done()) result = runner->result();
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
     }
 
     Tenant* victim = nullptr;
-    std::uint64_t victim_id = 0;
     bool requeue = false;
     bool done = false;
     bool drop_spool = false;
+    // A finished tenant's runner leaves the table under the lock but is
+    // destroyed after it is released.
+    std::unique_ptr<TenantRunner> retired;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (fresh) {
@@ -224,26 +233,22 @@ void ServeEngine::worker_loop() {
         if (revived) ++revivals_;
       }
       tenant->busy = false;
+      if (failed || result) {
+        retired = std::move(tenant->runner);
+        if (retired) --resident_;
+        ++completed_;
+        done = true;
+      }
       if (failed) {
         tenant->state = JobState::kFailed;
         tenant->error = error;
-        if (tenant->runner) {
-          tenant->runner.reset();
-          --resident_;
-        }
-        ++completed_;
         ++failed_;
       } else {
-        tenant->slots_done = tenant->runner->slots_done();
-        if (tenant->runner->done()) {
-          JobResult result = tenant->runner->result();
-          result.evictions = tenant->evictions;
+        tenant->slots_done = slots_done;
+        if (result) {
+          result->evictions = tenant->evictions;
           tenant->result = std::move(result);
           tenant->state = JobState::kDone;
-          tenant->runner.reset();
-          --resident_;
-          ++completed_;
-          done = true;
           drop_spool = tenant->spooled;
         } else {
           tenant->state = JobState::kQueued;
@@ -254,16 +259,9 @@ void ServeEngine::worker_loop() {
       // Enforce the residency cap: pick (and claim) the LRU idle tenant;
       // the save happens below, outside the lock.
       victim = pick_eviction_victim_locked();
-      if (victim != nullptr) {
-        for (const auto& [vid, cand] : tenants_) {
-          if (cand.get() == victim) {
-            victim_id = vid;
-            break;
-          }
-        }
-      }
     }
-    if (failed || done) {
+    retired.reset();
+    if (done) {
       done_cv_.notify_all();
       if (drop_spool) {
         std::error_code ec;
@@ -277,7 +275,7 @@ void ServeEngine::worker_loop() {
       std::string evict_error;
       try {
         std::filesystem::create_directories(config_.spool_dir);
-        victim->runner->save(spool_path(victim_id));
+        victim->runner->save(spool_path(victim->id));
       } catch (const std::exception& e) {
         evict_ok = false;
         evict_error = e.what();
@@ -285,23 +283,22 @@ void ServeEngine::worker_loop() {
       {
         std::lock_guard<std::mutex> lock(mutex_);
         victim->busy = false;
+        retired = std::move(victim->runner);
+        --resident_;
         if (evict_ok) {
-          victim->runner.reset();
           victim->spooled = true;
-          --resident_;
           ++victim->evictions;
           ++evictions_;
         } else {
-          // Could not spool (disk full, ...): keep the runner resident and
-          // fail the tenant so the error is visible rather than silent.
+          // Could not spool (disk full, ...): fail the tenant so the error
+          // is visible rather than silent.
           victim->state = JobState::kFailed;
           victim->error = "eviction failed: " + evict_error;
-          victim->runner.reset();
-          --resident_;
           ++completed_;
           ++failed_;
         }
       }
+      retired.reset();
       if (!evict_ok) done_cv_.notify_all();
     }
   }

@@ -16,6 +16,13 @@
 // serve tests compare full reward streams and final scheme state across
 // max_resident = 2 vs unbounded, and across worker counts 1/2/4, bitwise.
 //
+// Locking: one mutex guards the tenant table and counters, and is held only
+// for bookkeeping, so submit()/status()/try_result() never wait behind a
+// tenant's work. Creating, reviving, stepping and spooling a runner, and
+// finishing it (JobResult, whose state_crc digests the whole scheme state),
+// happen outside the lock while the tenant's `busy` flag keeps other workers
+// away; a released runner is destroyed after the lock is dropped.
+//
 // Determinism: every tenant's trajectory depends only on its JobSpec (all
 // state is tenant-local; workers never share RNG or model state), so
 // scheduling order, worker placement, quantum size and eviction cannot
@@ -107,6 +114,7 @@ class ServeEngine {
 
  private:
   struct Tenant {
+    std::uint64_t id = 0;
     JobSpec spec;
     JobState state = JobState::kQueued;
     /// A worker is stepping, creating, evicting or reviving this tenant;

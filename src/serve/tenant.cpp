@@ -65,10 +65,10 @@ class DqnTenant final : public TenantRunner {
     return rollout_.jammer_spec();
   }
 
-  std::string scheme_state_bytes() const override {
+  std::uint32_t scheme_state_crc() const override {
     io::ContainerWriter out;
     scheme_.save_state(out);
-    return out.to_bytes();
+    return io::crc32(out.to_bytes());
   }
 
  private:
@@ -146,10 +146,10 @@ class SlotTenant final : public TenantRunner {
     return env_.config().jammer;
   }
 
-  std::string scheme_state_bytes() const override {
+  std::uint32_t scheme_state_crc() const override {
     io::ByteWriter out;
     write_scheme(out);
-    return out.buffer();
+    return io::crc32(out.buffer());
   }
 
  private:
@@ -218,7 +218,7 @@ JobResult TenantRunner::result() const {
   result.jammed_slots = jammed_slots_;
   result.hops = hops_;
   result.reward_crc = reward_crc_;
-  result.state_crc = io::crc32(scheme_state_bytes());
+  result.state_crc = scheme_state_crc();
   result.rewards = rewards_;
   return result;
 }

@@ -79,8 +79,10 @@ class TenantRunner {
   /// The adversary spec as the live environment carries it (post geometry
   /// sync) — what JAMRCFG records and checks.
   virtual const jammer::JammerSpec& live_jammer_spec() const = 0;
-  /// The scheme's serialized state bytes (for JobResult::state_crc).
-  virtual std::string scheme_state_bytes() const = 0;
+  /// JobResult::state_crc: the CRC-32 of the scheme's serialized state —
+  /// the CTJS container of its chunks for DQN, the QLSTATE/FHSTATE payload
+  /// otherwise.
+  virtual std::uint32_t scheme_state_crc() const = 0;
 
   /// Per-slot bookkeeping shared by every scheme: reward window, stream
   /// CRC, outcome counters. The window is the trainers' core::RewardWindow.

@@ -12,6 +12,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
@@ -62,6 +63,83 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   std::uint32_t crc = 0;
   for (char c : data) crc = crc32_update(crc, &c, 1);
   EXPECT_EQ(crc, crc32(data));
+  // Two pieces split anywhere, so both pieces cross 8-byte steps at every
+  // alignment.
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::uint32_t head = crc32(data.data(), split);
+    EXPECT_EQ(crc32_update(head, data.data() + split, data.size() - split),
+              crc32(data))
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32, SlicingMatchesBitwiseReference) {
+  // The CRC consumes eight bytes per step plus a bytewise tail, so sweep
+  // every length across several steps at every start alignment.
+  const auto bitwise = [](const unsigned char* data, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return ~crc;
+  };
+  std::vector<unsigned char> data(96);
+  std::uint32_t x = 12345;
+  for (unsigned char& c : data) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; offset + size <= data.size(); ++size) {
+      EXPECT_EQ(crc32(data.data() + offset, size),
+                bitwise(data.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+TEST(Bytes, F64ArrayIsLittleEndianIeee754) {
+  // The bulk path must produce exactly the per-element layout: a u64 count,
+  // then each double's IEEE-754 bit pattern, least significant byte first.
+  ByteWriter w;
+  w.f64_vec({1.0, -2.0});
+  const unsigned char expected[] = {
+      2, 0, 0, 0, 0, 0, 0,    0,     // count
+      0, 0, 0, 0, 0, 0, 0xF0, 0x3F,  // 1.0
+      0, 0, 0, 0, 0, 0, 0x00, 0xC0,  // -2.0
+  };
+  ASSERT_EQ(w.buffer().size(), sizeof(expected));
+  for (std::size_t i = 0; i < sizeof(expected); ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(w.buffer()[i]), expected[i])
+        << "byte " << i;
+  }
+  ByteWriter scalar;
+  scalar.u64(2);
+  scalar.f64(1.0);
+  scalar.f64(-2.0);
+  EXPECT_EQ(w.buffer(), scalar.buffer());
+}
+
+TEST(Bytes, F64ArrayReadIsAllOrNothing) {
+  ByteWriter w;
+  w.f64(1.5);
+  w.f64(2.5);
+  ByteReader r(w.buffer());
+  std::vector<double> out(3, 9.0);
+  try {
+    r.f64_array(out);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kBadPayload);
+  }
+  EXPECT_EQ(out, (std::vector<double>(3, 9.0)));  // nothing half-written
+  out.resize(2);
+  r.f64_array(out);
+  EXPECT_EQ(out, (std::vector<double>{1.5, 2.5}));
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Bytes, PrimitivesRoundTrip) {

@@ -427,6 +427,25 @@ TEST(TenantRunner, ServeProgressChunkLayout) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TenantRunner, StateCrcIsCrcOfSchemeChunk) {
+  // Pin state_crc to the CRC of the scheme chunk a spool stores. (DQN's is
+  // pinned by DqnTenantMatchesTrainBatched.)
+  const std::string dir = scratch_dir("statecrc");
+  for (const char* scheme : {"ql", "passive", "random"}) {
+    SCOPED_TRACE(scheme);
+    const serve::JobSpec spec = small_spec(scheme, 51);
+    auto runner = serve::TenantRunner::create(spec);
+    runner->run(1u << 30);
+    const std::string path = dir + "/" + scheme + ".ctjs";
+    runner->save(path);
+    const auto in = io::ContainerReader::from_file(path);
+    const char* tag = spec.scheme == "ql" ? io::tags::kQlState
+                                          : io::tags::kFhState;
+    EXPECT_EQ(runner->result().state_crc, io::crc32(in.chunk(tag)));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 
@@ -490,7 +509,49 @@ TEST(ServeEngine, EvictionIsInvisibleInResults) {
   }
   EXPECT_EQ(evictions_reported, capped_stats.evictions);
   EXPECT_EQ(capped_stats.resident, 0u);  // everything finished and released
+  // Workers finish tenants (result(), the state CRC) outside the engine
+  // lock; what they hand back must equal an uninterrupted direct run.
+  const auto jobs = mixed_fleet();
+  ASSERT_EQ(capped.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].scheme);
+    auto direct = serve::TenantRunner::create(jobs[i]);
+    direct->run(1u << 30);
+    expect_results_identical(direct->result(), capped[i]);
+  }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEngine, PolledStatusNeverSeesAHalfFinishedJob) {
+  // A reader polling while workers finish tenants must see kDone only with
+  // the final slot count, the runner released and the result in place, and
+  // slots_done must never go backwards.
+  serve::ServeConfig config;
+  config.workers = 2;
+  config.quantum_slots = 64;
+  config.spool_dir = scratch_dir("poll");
+  serve::ServeEngine engine(config);
+  std::vector<std::uint64_t> ids;
+  for (const auto& spec : mixed_fleet()) ids.push_back(engine.submit(spec));
+  std::vector<std::uint64_t> seen(ids.size(), 0);
+  for (std::size_t done = 0; done < ids.size();) {
+    done = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const serve::JobStatus status = engine.status(ids[i]);
+      EXPECT_GE(status.slots_done, seen[i]);
+      seen[i] = status.slots_done;
+      ASSERT_NE(status.state, serve::JobState::kFailed);
+      if (status.state != serve::JobState::kDone) continue;
+      ++done;
+      EXPECT_EQ(status.slots_done, status.slots_total);
+      EXPECT_FALSE(status.resident);
+      const auto result = engine.try_result(ids[i]);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->slots_run, status.slots_total);
+    }
+    std::this_thread::yield();
+  }
+  std::filesystem::remove_all(config.spool_dir);
 }
 
 TEST(ServeEngine, RejectsInvalidSpecAndUnknownIds) {

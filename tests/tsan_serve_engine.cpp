@@ -1,5 +1,6 @@
 // ThreadSanitizer driver for the serve engine: the worker pool, MPMC ready
-// ring, wake protocol and eviction path all exercised under contention, with
+// ring, wake protocol, eviction path and unlocked tenant finishing all
+// exercised under contention while a reader polls status and results, with
 // a determinism check on top. Built with TSan instrumentation (and
 // engine.cpp compiled into this binary so the scheduler itself is
 // instrumented) whenever the toolchain supports it — see tests/CMakeLists.
@@ -8,6 +9,7 @@
 // counts; TSan itself fails the process on a race.
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -42,8 +44,19 @@ std::vector<serve::JobResult> run_fleet(std::size_t workers,
   serve::ServeEngine engine(config);
   std::vector<std::uint64_t> ids;
   for (const auto& spec : make_jobs()) ids.push_back(engine.submit(spec));
+  // A reader polls every job while workers step, spool and finish tenants
+  // outside the engine lock.
+  std::thread poller([&] {
+    while (engine.stats().completed < ids.size()) {
+      for (std::uint64_t id : ids) {
+        (void)engine.status(id);
+        (void)engine.try_result(id);
+      }
+    }
+  });
   std::vector<serve::JobResult> results;
   for (std::uint64_t id : ids) results.push_back(engine.wait(id));
+  poller.join();
   return results;
 }
 
