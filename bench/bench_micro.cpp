@@ -148,9 +148,9 @@ void BM_MlpForwardEval(benchmark::State& state) {
   Rng rng(7);
   rl::Mlp mlp({24, 45, 45, 160}, rng);
   const auto x = random_matrix(32, 24, rng);
-  rl::Matrix y;
+  rl::Matrix y, scratch_a, scratch_b;
   for (auto _ : state) {
-    mlp.forward_eval(x, y);
+    mlp.forward_scratch(x, y, scratch_a, scratch_b);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -490,6 +490,19 @@ void register_kernel_benches() {
   std::vector<double> qam_iq(2 * 480);
   for (auto& v : qam_iq) v = rng.normal();
 
+  // The Adam step is one scalar kernel at every level: a single row.
+  benchmark::RegisterBenchmark(
+      "BM_KernAdamUpdate", [grad_flat, adam_n](benchmark::State& state) {
+        std::vector<double> p(adam_n, 0.1);
+        std::vector<double> m(adam_n, 0.0);
+        std::vector<double> v(adam_n, 0.0);
+        for (auto _ : state) {
+          kern::adam_update(p.data(), m.data(), v.data(), grad_flat.data(),
+                            adam_n, 0.9, 0.999, 1e-3, 0.5, 0.3, 1e-8);
+          benchmark::DoNotOptimize(p.data());
+        }
+      });
+
   for (const Level& level : levels) {
     const kern::KernelOps* ops = level.ops;
     const std::string suffix = std::string("_") + level.name;
@@ -563,19 +576,6 @@ void register_kernel_benches() {
             const double loss = ops->td_huber_batch(args, grad.data());
             benchmark::DoNotOptimize(loss);
             benchmark::DoNotOptimize(grad.data());
-          }
-        });
-
-    benchmark::RegisterBenchmark(
-        ("BM_KernAdamUpdate" + suffix).c_str(),
-        [ops, grad_flat, adam_n](benchmark::State& state) {
-          std::vector<double> p(adam_n, 0.1);
-          std::vector<double> m(adam_n, 0.0);
-          std::vector<double> v(adam_n, 0.0);
-          for (auto _ : state) {
-            ops->adam_update(p.data(), m.data(), v.data(), grad_flat.data(),
-                             adam_n, 0.9, 0.999, 1e-3, 0.5, 0.3, 1e-8);
-            benchmark::DoNotOptimize(p.data());
           }
         });
 
@@ -670,8 +670,6 @@ void write_report(bench::BenchReport& report,
       {"speedup_row_max_avx2", "BM_KernRowMax_scalar", "BM_KernRowMax_avx2"},
       {"speedup_td_huber_avx2", "BM_KernTdHuberBatch_scalar",
        "BM_KernTdHuberBatch_avx2"},
-      {"speedup_adam_avx2", "BM_KernAdamUpdate_scalar",
-       "BM_KernAdamUpdate_avx2"},
       {"speedup_matmul_avx512", "BM_KernMatmul_scalar",
        "BM_KernMatmul_avx512"},
       {"speedup_saxpy_avx512", "BM_KernSaxpy_scalar", "BM_KernSaxpy_avx512"},

@@ -85,19 +85,6 @@ double td_huber_batch_scalar(const TdHuberArgs& args, double* grad) {
                                    row_argmax_scalar);
 }
 
-void adam_update_scalar(double* p, double* m, double* v, const double* g,
-                        std::size_t n, double beta1, double beta2, double lr,
-                        double bc1, double bc2, double epsilon) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double gk = g[k];
-    m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
-    v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
-    const double mhat = m[k] / bc1;
-    const double vhat = v[k] / bc2;
-    p[k] -= lr * mhat / (std::sqrt(vhat) + epsilon);
-  }
-}
-
 void viterbi_acs_hard_scalar(const std::int32_t* metric,
                              const std::int32_t* cost0,
                              const std::int32_t* cost1, std::int32_t* next,
@@ -160,10 +147,23 @@ const KernelOps& scalar_ops() {
   static constexpr KernelOps kOps{
       "scalar",         matmul_acc_scalar, saxpy_scalar,
       bias_act_scalar,  row_max_scalar,    row_argmax_scalar,
-      td_huber_batch_scalar, adam_update_scalar,
+      td_huber_batch_scalar,
       viterbi_acs_hard_scalar, viterbi_acs_soft_scalar, qam64_error_scalar,
   };
   return kOps;
+}
+
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, double beta1, double beta2, double lr,
+                 double bc1, double bc2, double epsilon) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double gk = g[k];
+    m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
+    v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
+    const double mhat = m[k] / bc1;
+    const double vhat = v[k] / bc2;
+    p[k] -= lr * mhat / (std::sqrt(vhat) + epsilon);
+  }
 }
 
 // ------------------------------------------------------------- dispatch ----

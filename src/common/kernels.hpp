@@ -1,16 +1,21 @@
 // Runtime-dispatched SIMD kernel layer for the NN/DSP hot paths.
 //
-// Every kernel exists twice: a portable scalar reference — the same loops
-// and accumulation order as the pre-kernel-layer implementations, compiled
-// with FP contraction disabled so the arithmetic is plain IEEE mul/add and
-// bit-identical across native and portable builds (the determinism
-// baseline) — and an AVX2/FMA variant compiled into its own translation
-// unit with -mavx2 -mfma so even a portable (-DCTJ_NATIVE=OFF) build
-// carries the fast path and selects it at run time from CPUID. The AVX2 kernels preserve the
-// scalar per-element accumulation *order* — register blocking only tiles the
-// data-parallel dimensions — so the only numeric divergence from the scalar
-// reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
-// row_max / row_argmax / bias_act contain no FMA and match bit for bit.
+// Every dispatched kernel exists at least twice: a portable scalar
+// reference — the same loops and accumulation order as the pre-kernel-layer
+// implementations, compiled with FP contraction disabled so the arithmetic
+// is plain IEEE mul/add and bit-identical across native and portable builds
+// (the determinism baseline) — and an AVX2/FMA variant compiled into its own
+// translation unit with -mavx2 -mfma so even a portable (-DCTJ_NATIVE=OFF)
+// build carries the fast path and selects it at run time from CPUID. An
+// AVX-512 level widens matmul, saxpy and the PHY kernels and inherits the
+// rest from AVX2. The SIMD kernels preserve the scalar per-element
+// accumulation *order* — register blocking only tiles the data-parallel
+// dimensions — so the only numeric divergence from the scalar reference is
+// FMA contraction (verified ULP-bounded by tests/test_kernels); row_max /
+// row_argmax / bias_act contain no FMA and match bit for bit.
+//
+// The Adam step is not dispatched: kern::adam_update is one scalar loop
+// (see below), because no SIMD variant beat it.
 //
 // Selection: CTJ_SIMD=off|scalar|avx2|avx512 overrides, otherwise the best
 // level the CPU supports. The choice is resolved once, on first use, for the
@@ -75,14 +80,6 @@ struct KernelOps {
   /// loss (callers divide by the batch size for the mean).
   double (*td_huber_batch)(const TdHuberArgs& args, double* grad);
 
-  /// One Adam update over n parameters: moment EMAs, bias correction by
-  /// division with (1−βᵗ), and the sqrt-damped step. Elementwise with no
-  /// reductions and no FMA, so every level is bit-exact with the scalar
-  /// reference (div/sqrt are correctly rounded under IEEE-754).
-  void (*adam_update)(double* p, double* m, double* v, const double* g,
-                      std::size_t n, double beta1, double beta2, double lr,
-                      double bc1, double bc2, double epsilon);
-
   /// One hard-decision add-compare-select step over the 64-state K=7
   /// convolutional trellis in butterfly order. For next state ns the two
   /// predecessors are 2·(ns & 31) and 2·(ns & 31)+1, so
@@ -116,6 +113,15 @@ struct KernelOps {
 
 /// The portable reference kernels (always available).
 const KernelOps& scalar_ops();
+
+/// One Adam update over n parameters: moment EMAs, bias correction by
+/// division with (1−βᵗ), and the sqrt-damped step. Not dispatched: the
+/// step is elementwise and memory-bound, and an AVX2 variant measured no
+/// faster than this loop. It lives in the scalar TU (no FP contraction), so
+/// it gives the same bits on every build and at every CTJ_SIMD level.
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, double beta1, double beta2, double lr,
+                 double bc1, double bc2, double epsilon);
 
 /// The AVX2/FMA kernels, or nullptr when the build targets a non-x86
 /// architecture or the compiler cannot emit AVX2.

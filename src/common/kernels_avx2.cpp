@@ -6,10 +6,9 @@
 // Numerics: the matmul/saxpy kernels contract multiply-add into FMA (one
 // rounding instead of two) while keeping the scalar k-accumulation order, so
 // they are ULP-close but not bit-identical to the scalar reference. The
-// max/argmax reductions, bias_act and adam_update contain no FMA: max is
-// order-independent for non-NaN input and the Adam step is elementwise over
-// correctly rounded operations, so those kernels are bit-exact against the
-// scalar level.
+// max/argmax reductions and bias_act contain no FMA and max is
+// order-independent for non-NaN input, so those kernels are bit-exact
+// against the scalar level.
 #include "common/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -242,48 +241,6 @@ double td_huber_batch_avx2(const TdHuberArgs& args, double* grad) {
   return detail::td_huber_epilogue(args, grad, row_max_avx2, row_argmax_avx2);
 }
 
-// Elementwise Adam step. Deliberately FMA-free — mul+add, _mm256_div_pd and
-// _mm256_sqrt_pd are all correctly rounded, so this path is bit-exact with
-// the scalar reference while retiring the per-parameter sqrt + three
-// divisions four lanes at a time (they dominate the optimizer cost).
-void adam_update_avx2(double* p, double* m, double* v, const double* g,
-                      std::size_t n, double beta1, double beta2, double lr,
-                      double bc1, double bc2, double epsilon) {
-  const __m256d vb1 = _mm256_set1_pd(beta1);
-  const __m256d vb2 = _mm256_set1_pd(beta2);
-  const __m256d vomb1 = _mm256_set1_pd(1.0 - beta1);
-  const __m256d vomb2 = _mm256_set1_pd(1.0 - beta2);
-  const __m256d vbc1 = _mm256_set1_pd(bc1);
-  const __m256d vbc2 = _mm256_set1_pd(bc2);
-  const __m256d vlr = _mm256_set1_pd(lr);
-  const __m256d veps = _mm256_set1_pd(epsilon);
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d gk = _mm256_loadu_pd(g + k);
-    const __m256d mk = _mm256_add_pd(_mm256_mul_pd(vb1, _mm256_loadu_pd(m + k)),
-                                     _mm256_mul_pd(vomb1, gk));
-    // ((1−β₂)·g)·g, in the scalar reference's association order.
-    const __m256d vk = _mm256_add_pd(
-        _mm256_mul_pd(vb2, _mm256_loadu_pd(v + k)),
-        _mm256_mul_pd(_mm256_mul_pd(vomb2, gk), gk));
-    _mm256_storeu_pd(m + k, mk);
-    _mm256_storeu_pd(v + k, vk);
-    const __m256d mhat = _mm256_div_pd(mk, vbc1);
-    const __m256d vhat = _mm256_div_pd(vk, vbc2);
-    const __m256d step = _mm256_div_pd(
-        _mm256_mul_pd(vlr, mhat), _mm256_add_pd(_mm256_sqrt_pd(vhat), veps));
-    _mm256_storeu_pd(p + k, _mm256_sub_pd(_mm256_loadu_pd(p + k), step));
-  }
-  for (; k < n; ++k) {
-    const double gk = g[k];
-    m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
-    v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
-    const double mhat = m[k] / bc1;
-    const double vhat = v[k] / bc2;
-    p[k] -= lr * mhat / (__builtin_sqrt(vhat) + epsilon);
-  }
-}
-
 // 64-state butterfly ACS, 8 next states per ymm. The 64 predecessors split
 // into four 16-metric ranges; each range is deinterleaved once into an
 // even/odd pair (permutevar + permute2x128) and reused by the two 8-state
@@ -403,7 +360,7 @@ const KernelOps* avx2_ops() {
   static constexpr KernelOps kOps{
       "avx2",        matmul_acc_avx2, saxpy_avx2,
       bias_act_avx2, row_max_avx2,    row_argmax_avx2,
-      td_huber_batch_avx2, adam_update_avx2,
+      td_huber_batch_avx2,
       viterbi_acs_hard_avx2, viterbi_acs_soft_avx2, qam64_error_avx2,
   };
   return &kOps;

@@ -9,7 +9,7 @@
 // batched inference is otherwise compute-bound), saxpy, and the PHY hot-path
 // kernels (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed
 // 64-state / long-stream shapes fill full zmm lanes. Everything else
-// (bias_act, reductions, TD/Huber, Adam) is inherited from the AVX2 table:
+// (bias_act, reductions, TD/Huber) is inherited from the AVX2 table:
 // those kernels are bandwidth-bound or tiny, so a wider vector buys nothing.
 //
 // Numerics match the AVX2 level's contract: FMA contraction only,
@@ -302,7 +302,7 @@ const KernelOps* avx512_ops() {
   const KernelOps* base = avx2_ops();
   if (base == nullptr) return nullptr;
   static const KernelOps kOps = [base] {
-    KernelOps ops = *base;  // inherit bias_act/reductions/td_huber/adam
+    KernelOps ops = *base;  // inherit bias_act/reductions/td_huber
     ops.name = "avx512";
     ops.matmul_acc = matmul_acc_avx512;
     ops.saxpy = saxpy_avx512;

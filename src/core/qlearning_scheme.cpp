@@ -25,47 +25,25 @@ rl::QLearningConfig make_agent_config(const QLearningScheme::Config& config) {
 QLearningScheme::QLearningScheme(const Config& config)
     : config_(config),
       agent_(make_agent_config(config)),
-      deploy_rng_(config.seed ^ 0x91ULL) {
+      shell_(config.history, config.num_channels, config.num_power_levels,
+             /*training=*/true, config.seed ^ 0x91ULL) {
   CTJ_CHECK(config.num_channels >= 2);
   CTJ_CHECK(config.num_power_levels > 0);
   CTJ_CHECK(config.history > 0);
-  reset();
 }
 
-void QLearningScheme::reset() {
-  history_.assign(config_.history, SlotRecord{});
-  has_pending_ = false;
-}
-
-std::vector<double> QLearningScheme::observation() const {
-  std::vector<double> obs;
-  obs.reserve(3 * config_.history);
-  for (const auto& rec : history_) {
-    obs.push_back(rec.success);
-    obs.push_back(rec.channel);
-    obs.push_back(rec.power);
-  }
-  return obs;
-}
+void QLearningScheme::reset() { shell_.reset(); }
 
 SchemeDecision QLearningScheme::decide() {
-  const std::vector<double> obs = observation();
-  std::size_t action;
-  if (training_) {
-    action = agent_.act(obs);
-  } else if (config_.deploy_epsilon > 0.0 &&
-             deploy_rng_.bernoulli(config_.deploy_epsilon)) {
-    action = deploy_rng_.index(agent_.config().num_actions);
-  } else {
-    action = agent_.act_greedy(obs);
-  }
-  pending_state_ = obs;
-  pending_action_ = action;
-  has_pending_ = true;
-  SchemeDecision decision;
-  decision.channel = static_cast<int>(action / config_.num_power_levels);
-  decision.power_index = action % config_.num_power_levels;
-  return decision;
+  return shell_.decide(agent_, config_.deploy_epsilon);
+}
+
+void QLearningScheme::feedback(const SlotFeedback& feedback) {
+  shell_.feedback(feedback, [&](const std::vector<double>& state,
+                                std::size_t action,
+                                std::span<const double> next_state) {
+    agent_.update(state, action, feedback.reward, next_state);
+  });
 }
 
 void QLearningScheme::save_state(io::ByteWriter& out) const {
@@ -81,18 +59,7 @@ void QLearningScheme::save_state(io::ByteWriter& out) const {
   out.f64(config_.deploy_epsilon);
   out.u64(config_.seed);
 
-  out.u8(training_ ? 1 : 0);
-  out.str(deploy_rng_.serialize_state());
-  out.u64(history_.size());
-  for (const SlotRecord& rec : history_) {
-    out.f64(rec.success);
-    out.f64(rec.channel);
-    out.f64(rec.power);
-  }
-  out.u8(has_pending_ ? 1 : 0);
-  out.f64_vec(pending_state_);
-  out.u64(pending_action_);
-
+  shell_.save_state(out);
   agent_.save_state(out);
 }
 
@@ -120,71 +87,13 @@ void QLearningScheme::load_state(io::ByteReader& in) {
                       "scheme");
   }
 
-  const bool training = in.u8() != 0;
-  const std::string rng_text = in.str();
-  Rng deploy_rng;
-  try {
-    deploy_rng.restore_state(rng_text);
-  } catch (const CheckFailure&) {
-    throw io::IoError(io::ErrorKind::kBadPayload, "QL scheme RNG state");
-  }
-  const std::uint64_t records = in.u64();
-  if (records != config_.history) {
-    throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "stored window has " + std::to_string(records) +
-                          " records, scheme history is " +
-                          std::to_string(config_.history));
-  }
-  std::deque<SlotRecord> history;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    SlotRecord rec;
-    rec.success = in.f64();
-    rec.channel = in.f64();
-    rec.power = in.f64();
-    history.push_back(rec);
-  }
-  const bool has_pending = in.u8() != 0;
-  std::vector<double> pending_state = in.f64_vec();
-  const std::uint64_t pending_action = in.u64();
-  if (has_pending && pending_state.size() != 3 * config_.history) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "pending state has the wrong dimension");
-  }
-  if (has_pending && pending_action >= agent_.config().num_actions) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "pending action out of range");
-  }
+  PolicyShell::Decoded shell =
+      shell_.decode_state(in, agent_.config().num_actions);
 
-  // The agent loader keeps the strong guarantee itself; loading it first
+  // The agent loader keeps the strong guarantee itself; loading it last
   // means nothing above has mutated the scheme when it throws.
   agent_.load_state(in);
-  training_ = training;
-  deploy_rng_ = deploy_rng;
-  history_ = std::move(history);
-  pending_state_ = std::move(pending_state);
-  pending_action_ = static_cast<std::size_t>(pending_action);
-  has_pending_ = has_pending;
-}
-
-void QLearningScheme::feedback(const SlotFeedback& feedback) {
-  history_.pop_front();
-  SlotRecord rec;
-  rec.success = feedback.success ? 1.0 : 0.0;
-  rec.channel = config_.num_channels <= 1
-                    ? 0.0
-                    : static_cast<double>(feedback.channel) /
-                          static_cast<double>(config_.num_channels - 1);
-  rec.power = config_.num_power_levels <= 1
-                  ? 0.0
-                  : static_cast<double>(feedback.power_index) /
-                        static_cast<double>(config_.num_power_levels - 1);
-  history_.push_back(rec);
-
-  if (has_pending_ && training_) {
-    agent_.update(pending_state_, pending_action_, feedback.reward,
-                  observation());
-  }
-  has_pending_ = false;
+  shell_.commit(std::move(shell));
 }
 
 }  // namespace ctj::core

@@ -5,9 +5,7 @@
 // high-dimensionality" the paper cites.
 #pragma once
 
-#include <deque>
-
-#include "common/rng.hpp"
+#include "core/policy_shell.hpp"
 #include "core/scheme.hpp"
 #include "rl/qlearning.hpp"
 
@@ -36,12 +34,13 @@ class QLearningScheme : public AntiJammingScheme {
   std::string name() const override { return "QL FH"; }
   void reset() override;
 
-  void set_training(bool training) { training_ = training; }
+  void set_training(bool training) { shell_.set_training(training); }
   rl::QLearningAgent& agent() { return agent_; }
 
   /// Checkpoint-format serialization (the serve layer's QLSTATE payload): a
-  /// digest of the Config, the deploy RNG, the observation window, the
-  /// pending transition and the whole agent (RNG, steps, sorted Q table).
+  /// digest of the Config, the PolicyShell state block (training flag,
+  /// deploy RNG, observation window, pending transition) and the whole
+  /// agent (RNG, steps, sorted Q table).
   /// load_state rejects a payload whose Config digest differs from this
   /// scheme's (io::IoError kStateMismatch); the scheme is unchanged on any
   /// failure.
@@ -49,22 +48,9 @@ class QLearningScheme : public AntiJammingScheme {
   void load_state(io::ByteReader& in);
 
  private:
-  struct SlotRecord {
-    double success = 0.0;
-    double channel = 0.0;
-    double power = 0.0;
-  };
-
-  std::vector<double> observation() const;
-
   Config config_;
   rl::QLearningAgent agent_;
-  Rng deploy_rng_;
-  bool training_ = true;
-  std::deque<SlotRecord> history_;
-  std::vector<double> pending_state_;
-  std::size_t pending_action_ = 0;
-  bool has_pending_ = false;
+  PolicyShell shell_;
 };
 
 }  // namespace ctj::core

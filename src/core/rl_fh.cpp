@@ -25,13 +25,12 @@ rl::DqnConfig DqnScheme::make_dqn_config(const Config& config) {
 DqnScheme::DqnScheme(const Config& config)
     : config_(config),
       agent_(make_dqn_config(config)),
-      deploy_rng_(config.seed ^ 0xD09ULL),
-      training_(config.training) {
+      shell_(config.history, config.num_channels, config.num_power_levels,
+             config.training, config.seed ^ 0xD09ULL) {
   CTJ_CHECK(config.deploy_epsilon >= 0.0 && config.deploy_epsilon < 1.0);
   CTJ_CHECK(config.num_channels >= 2);
   CTJ_CHECK(config.num_power_levels > 0);
   CTJ_CHECK(config.history > 0);
-  reset();
 }
 
 void DqnScheme::set_deploy_epsilon(double epsilon) {
@@ -39,42 +38,29 @@ void DqnScheme::set_deploy_epsilon(double epsilon) {
   config_.deploy_epsilon = epsilon;
 }
 
-void DqnScheme::reset() {
-  history_.assign(config_.history, SlotRecord{});
-  has_pending_ = false;
-}
+void DqnScheme::reset() { shell_.reset(); }
 
 std::vector<double> DqnScheme::observation() const {
-  std::vector<double> obs;
-  obs.reserve(3 * config_.history);
-  for (const auto& rec : history_) {
-    obs.push_back(rec.success);
-    obs.push_back(rec.channel);
-    obs.push_back(rec.power);
-  }
-  return obs;
+  const std::span<const double> obs = shell_.observation();
+  return {obs.begin(), obs.end()};
 }
 
 SchemeDecision DqnScheme::decide() {
-  const std::vector<double> obs = observation();
-  std::size_t action;
-  if (training_) {
-    action = agent_.act(obs);
-  } else if (config_.deploy_epsilon > 0.0 &&
-             deploy_rng_.bernoulli(config_.deploy_epsilon)) {
-    // Deployed ε-greedy (Sec. III.C): occasional random action keeps the
-    // channel pattern unpredictable to the sweeping jammer.
-    action = deploy_rng_.index(agent_.config().num_actions);
-  } else {
-    action = agent_.act_greedy(obs);
-  }
-  pending_state_ = obs;
-  pending_action_ = action;
-  has_pending_ = true;
-  SchemeDecision decision;
-  decision.channel = static_cast<int>(action / config_.num_power_levels);
-  decision.power_index = action % config_.num_power_levels;
-  return decision;
+  return shell_.decide(agent_, config_.deploy_epsilon);
+}
+
+void DqnScheme::feedback(const SlotFeedback& feedback) {
+  shell_.feedback(feedback, [&](std::vector<double>& state,
+                                std::size_t action,
+                                std::span<const double> next_state) {
+    rl::Transition transition;
+    transition.state = std::move(state);
+    transition.action = action;
+    transition.reward = feedback.reward;
+    transition.next_state.assign(next_state.begin(), next_state.end());
+    transition.done = false;  // continuing competition
+    agent_.observe(std::move(transition));
+  });
 }
 
 void DqnScheme::save_state(io::ContainerWriter& out) const {
@@ -98,17 +84,7 @@ void DqnScheme::save_state(io::ContainerWriter& out) const {
   out.add_chunk(io::tags::kSchemeCfg, cfg.take());
 
   io::ByteWriter state;
-  state.u8(training_ ? 1 : 0);
-  state.str(deploy_rng_.serialize_state());
-  state.u64(history_.size());
-  for (const SlotRecord& rec : history_) {
-    state.f64(rec.success);
-    state.f64(rec.channel);
-    state.f64(rec.power);
-  }
-  state.u8(has_pending_ ? 1 : 0);
-  state.f64_vec(pending_state_);
-  state.u64(pending_action_);
+  shell_.save_state(state);
   out.add_chunk(io::tags::kSchemeState, state.take());
 
   agent_.save_state(out);
@@ -168,78 +144,14 @@ void DqnScheme::load_state(const io::ContainerReader& in) {
   }
 
   io::ByteReader state(in.chunk(io::tags::kSchemeState));
-  const bool training = state.u8() != 0;
-  const std::string rng_text = state.str();
-  Rng deploy_rng;
-  try {
-    deploy_rng.restore_state(rng_text);
-  } catch (const CheckFailure&) {
-    throw io::IoError(io::ErrorKind::kBadPayload, "scheme RNG state");
-  }
-  const std::uint64_t records = state.u64();
-  if (records != config_.history) {
-    throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "checkpoint window has " + std::to_string(records) +
-                          " records, scheme history is " +
-                          std::to_string(config_.history));
-  }
-  std::deque<SlotRecord> history;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    SlotRecord rec;
-    rec.success = state.f64();
-    rec.channel = state.f64();
-    rec.power = state.f64();
-    history.push_back(rec);
-  }
-  const bool has_pending = state.u8() != 0;
-  std::vector<double> pending_state = state.f64_vec();
-  const std::uint64_t pending_action = state.u64();
+  PolicyShell::Decoded shell =
+      shell_.decode_state(state, agent_.config().num_actions);
   state.expect_end();
-  if (has_pending && pending_state.size() != 3 * config_.history) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "pending state has the wrong dimension");
-  }
-  if (has_pending && pending_action >= agent_.config().num_actions) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "pending action out of range");
-  }
 
   // The agent loader keeps the strong guarantee itself; putting it last
   // means nothing above has mutated the scheme yet either.
   agent_.load_state(in);
-  training_ = training;
-  deploy_rng_ = deploy_rng;
-  history_ = std::move(history);
-  pending_state_ = std::move(pending_state);
-  pending_action_ = static_cast<std::size_t>(pending_action);
-  has_pending_ = has_pending;
-}
-
-void DqnScheme::feedback(const SlotFeedback& feedback) {
-  // Slide the observation window.
-  history_.pop_front();
-  SlotRecord rec;
-  rec.success = feedback.success ? 1.0 : 0.0;
-  rec.channel = config_.num_channels <= 1
-                    ? 0.0
-                    : static_cast<double>(feedback.channel) /
-                          static_cast<double>(config_.num_channels - 1);
-  rec.power = config_.num_power_levels <= 1
-                  ? 0.0
-                  : static_cast<double>(feedback.power_index) /
-                        static_cast<double>(config_.num_power_levels - 1);
-  history_.push_back(rec);
-
-  if (has_pending_ && training_) {
-    rl::Transition transition;
-    transition.state = std::move(pending_state_);
-    transition.action = pending_action_;
-    transition.reward = feedback.reward;
-    transition.next_state = observation();
-    transition.done = false;  // continuing competition
-    agent_.observe(std::move(transition));
-  }
-  has_pending_ = false;
+  shell_.commit(std::move(shell));
 }
 
 }  // namespace ctj::core

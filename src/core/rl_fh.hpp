@@ -7,9 +7,7 @@
 // power control.
 #pragma once
 
-#include <deque>
-
-#include "common/rng.hpp"
+#include "core/policy_shell.hpp"
 #include "core/scheme.hpp"
 #include "io/container.hpp"
 #include "rl/dqn.hpp"
@@ -56,8 +54,8 @@ class DqnScheme : public AntiJammingScheme {
   double decision_time_s() const override { return 9.0e-3; }
   void reset() override;
 
-  void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
+  void set_training(bool training) { shell_.set_training(training); }
+  bool training() const { return shell_.training(); }
 
   /// Adjust the deployed exploration rate (for ablations).
   void set_deploy_epsilon(double epsilon);
@@ -73,10 +71,11 @@ class DqnScheme : public AntiJammingScheme {
   /// The current 3×I observation vector (exposed for tests).
   std::vector<double> observation() const;
 
-  /// Write the scheme's full state into a CTJS container: its Config (so a
-  /// matching scheme can be reconstructed from the file alone), the sliding
-  /// observation window + pending transition, the deploy RNG, and the whole
-  /// agent (networks, optimizer, replay, RNG, counters).
+  /// Write the scheme's full state into a CTJS container: its Config
+  /// (SCHMCFG, so a matching scheme can be reconstructed from the file
+  /// alone), the PolicyShell state block (SCHMST: window, pending
+  /// transition, deploy RNG), and the whole agent (networks, optimizer,
+  /// replay, RNG, counters).
   void save_state(io::ContainerWriter& out) const;
 
   /// Restore a state written by save_state(). The stored Config must equal
@@ -89,22 +88,11 @@ class DqnScheme : public AntiJammingScheme {
   static Config read_config(const io::ContainerReader& in);
 
  private:
-  struct SlotRecord {
-    double success = 0.0;
-    double channel = 0.0;      // normalized to [0, 1]
-    double power = 0.0;        // normalized to [0, 1]
-  };
-
   static rl::DqnConfig make_dqn_config(const Config& config);
 
   Config config_;
   rl::DqnAgent agent_;
-  Rng deploy_rng_;
-  bool training_ = true;
-  std::deque<SlotRecord> history_;
-  std::vector<double> pending_state_;
-  std::size_t pending_action_ = 0;
-  bool has_pending_ = false;
+  PolicyShell shell_;
 };
 
 }  // namespace ctj::core

@@ -9,10 +9,11 @@
 // constructed with that seed — batching R rollouts is exactly R independent
 // rollouts, just interleaved in time.
 //
-// ObservationWindows is the SoA companion on the agent side: the R sliding
+// ObservationWindows (observation_windows.hpp, included here for the
+// rollout drivers) is the SoA companion on the agent side: the R sliding
 // 3×I observation windows kept as one [R × 3I] matrix that feeds the batched
-// forward directly. Row r reproduces DqnScheme::observation() bit for bit
-// (per slot, oldest first: success flag, channel/(C−1), power/(PL−1)).
+// forward directly. DqnScheme keeps its own window in the same class, so a
+// row is DqnScheme::observation() by construction, not by a second copy.
 //
 // DqnRollout puts the two together into the one lockstep DQN rollout that
 // train_batched, evaluate_batched, the serve DqnTenant and train_parallel's
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "core/environment.hpp"
+#include "core/observation_windows.hpp"
 #include "core/rl_fh.hpp"
 #include "io/container.hpp"
 #include "rl/matrix.hpp"
@@ -76,42 +78,6 @@ class VectorEnv {
   std::vector<std::uint8_t> hopped_;
   std::vector<int> channels_;
   std::vector<SlotOutcome> outcomes_;
-};
-
-class ObservationWindows {
- public:
-  ObservationWindows(std::size_t replicas, std::size_t history,
-                     int num_channels, std::size_t num_power_levels);
-
-  std::size_t size() const { return replicas_; }
-  std::size_t history() const { return history_; }
-
-  /// All windows back to the all-zero initial history (= DqnScheme::reset).
-  void reset();
-
-  /// Slide replica r's window one slot: drop the oldest record, append
-  /// (success, channel, power) with DqnScheme's normalization.
-  void push(std::size_t r, bool success, int channel, std::size_t power_index);
-
-  /// The [R × 3I] batch of observations — feed directly to
-  /// DqnAgent::act_greedy_batch / q_values_batch.
-  const rl::Matrix& states() const { return states_; }
-
-  /// Replica r's current observation (equals DqnScheme::observation()).
-  std::span<const double> row(std::size_t r) const;
-
-  /// Checkpoint-format serialization of the window matrix (+ dimension
-  /// digest); load_state throws io::IoError kStateMismatch on any
-  /// dimension difference, leaving the windows unchanged.
-  void save_state(io::ByteWriter& out) const;
-  void load_state(io::ByteReader& in);
-
- private:
-  std::size_t replicas_;
-  std::size_t history_;
-  int num_channels_;
-  std::size_t num_power_levels_;
-  rl::Matrix states_;  // [R × 3·history]
 };
 
 /// R environment replicas and their observation windows, stepped in

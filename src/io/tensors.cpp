@@ -1,5 +1,7 @@
 #include "io/tensors.hpp"
 
+#include <algorithm>
+
 namespace ctj::io {
 
 void write_tensors(ByteWriter& out, const std::vector<NamedTensor>& tensors) {
@@ -15,7 +17,9 @@ void write_tensors(ByteWriter& out, const std::vector<NamedTensor>& tensors) {
 std::vector<NamedTensor> read_tensors(ByteReader& in) {
   const std::uint32_t count = in.u32();
   std::vector<NamedTensor> tensors;
-  tensors.reserve(count);
+  // The count is untrusted: reserve no more tensors than the payload can
+  // hold (a name length, rows, cols and an element count each).
+  tensors.reserve(std::min<std::size_t>(count, in.remaining() / 32));
   for (std::uint32_t i = 0; i < count; ++i) {
     NamedTensor t;
     t.name = in.str();

@@ -151,9 +151,11 @@ double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
             next_states.cols() == config_.state_dim);
   CTJ_CHECK(actions.size() == B && rewards.size() == B && dones.size() == B);
 
-  target_.forward_eval(next_states, next_q_);
+  target_.forward_scratch(next_states, next_q_, infer_a_, infer_b_);
   // For Double DQN the bootstrap action comes from the online network.
-  if (config_.double_dqn) online_.forward_eval(next_states, next_q_online_);
+  if (config_.double_dqn) {
+    online_.forward_scratch(next_states, next_q_online_, infer_a_, infer_b_);
+  }
   const Matrix& q = online_.forward_cached(states);
 
   // Fused batched TD-target + Huber kernel: row-max/argmax bootstrap, TD
@@ -185,11 +187,6 @@ double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
     target_.copy_parameters_from(online_);
   }
   return loss / static_cast<double>(B);
-}
-
-void DqnAgent::load_file(const std::string& path) {
-  online_.load_file(path);
-  target_.copy_parameters_from(online_);
 }
 
 namespace {

@@ -118,9 +118,6 @@ class DqnAgent {
   const DqnConfig& config() const { return config_; }
   const Mlp& online_network() const { return online_; }
 
-  void save_file(const std::string& path) const { online_.save_file(path); }
-  void load_file(const std::string& path);
-
   /// Write the agent's complete training state into a CTJS container:
   /// online/target networks, Adam moments + step counter, the replay ring
   /// and cursor, the exploration RNG stream, and the env/gradient step
@@ -164,9 +161,10 @@ class DqnAgent {
   std::vector<std::size_t> actions_scratch_;
   std::vector<double> rewards_scratch_;
   std::vector<std::uint8_t> dones_scratch_;
-  // Inference scratch for the (logically const) greedy/Q readout paths:
-  // keeps act_greedy allocation-free. Guarded by the same single-caller
-  // contract as the rest of the agent.
+  // Inference scratch for the (logically const) greedy/Q readout paths;
+  // infer_a_/infer_b_ also carry the hidden layers of train_step's target
+  // forwards. Keeps act_greedy and the learner step allocation-free, under
+  // the same single-caller contract as the rest of the agent.
   mutable Matrix infer_in_;
   mutable Matrix infer_q_;
   mutable Matrix infer_a_;

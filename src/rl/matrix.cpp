@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <istream>
-#include <ostream>
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
@@ -62,38 +59,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols, double fill) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, fill);
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  CTJ_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  kern::ops().saxpy(data_.size(), 1.0, other.data_.data(), data_.data());
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double scalar) {
-  for (double& v : data_) v *= scalar;
-  return *this;
-}
-
-void Matrix::save(std::ostream& os) const {
-  const std::uint64_t r = rows_, c = cols_;
-  os.write(reinterpret_cast<const char*>(&r), sizeof(r));
-  os.write(reinterpret_cast<const char*>(&c), sizeof(c));
-  os.write(reinterpret_cast<const char*>(data_.data()),
-           static_cast<std::streamsize>(data_.size() * sizeof(double)));
-  CTJ_CHECK_MSG(os.good(), "matrix serialization failed");
-}
-
-Matrix Matrix::load(std::istream& is) {
-  std::uint64_t r = 0, c = 0;
-  is.read(reinterpret_cast<char*>(&r), sizeof(r));
-  is.read(reinterpret_cast<char*>(&c), sizeof(c));
-  CTJ_CHECK_MSG(is.good() && r > 0 && c > 0, "corrupt matrix header");
-  Matrix m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
-  is.read(reinterpret_cast<char*>(m.data_.data()),
-          static_cast<std::streamsize>(m.data_.size() * sizeof(double)));
-  CTJ_CHECK_MSG(is.good(), "corrupt matrix payload");
-  return m;
 }
 
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -51,13 +50,6 @@ class Matrix {
   /// Reshape to rows×cols, reusing the existing allocation when possible;
   /// contents are reset to `fill`.
   void resize(std::size_t rows, std::size_t cols, double fill = 0.0);
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator*=(double scalar);
-
-  /// Serialize / deserialize (dimensions + raw doubles, little-endian host).
-  void save(std::ostream& os) const;
-  static Matrix load(std::istream& is);
 
  private:
   std::size_t rows_ = 0;

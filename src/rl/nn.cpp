@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
@@ -15,33 +15,9 @@ LinearLayer::LinearLayer(std::size_t in, std::size_t out, Rng& rng)
       gw_(in, out, 0.0),
       gb_(1, out, 0.0) {}
 
-Matrix LinearLayer::forward(const Matrix& x) {
-  cached_input_ = x;
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
-Matrix LinearLayer::forward_const(const Matrix& x) const {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
-void LinearLayer::forward_into(const Matrix& x, Matrix& y) const {
-  forward_into(x, y, /*relu=*/false);
-}
-
 void LinearLayer::forward_into(const Matrix& x, Matrix& y, bool relu) const {
   matmul_into(y, x, w_);
   kern::ops().bias_act(y.data(), b_.data(), y.rows(), y.cols(), relu);
-}
-
-Matrix LinearLayer::backward(const Matrix& grad_out) {
-  CTJ_CHECK_MSG(cached_input_.rows() == grad_out.rows(),
-                "backward() without a matching forward()");
-  backward_params_acc(cached_input_, grad_out);
-  return matmul_a_bt(grad_out, w_);
 }
 
 void LinearLayer::backward_params_acc(const Matrix& input,
@@ -65,21 +41,6 @@ void LinearLayer::zero_grad() {
   gb_.fill(0.0);
 }
 
-void LinearLayer::save(std::ostream& os) const {
-  w_.save(os);
-  b_.save(os);
-}
-
-void LinearLayer::load(std::istream& is) {
-  Matrix w = Matrix::load(is);
-  Matrix b = Matrix::load(is);
-  CTJ_CHECK_MSG(w.rows() == w_.rows() && w.cols() == w_.cols() &&
-                    b.cols() == b_.cols(),
-                "layer shape mismatch on load");
-  w_ = std::move(w);
-  b_ = std::move(b);
-}
-
 Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   CTJ_CHECK_MSG(sizes_.size() >= 2, "an MLP needs at least input and output");
   layers_.reserve(sizes_.size() - 1);
@@ -88,8 +49,6 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   }
   relu_masks_.resize(layers_.size() > 0 ? layers_.size() - 1 : 0);
 }
-
-Matrix Mlp::forward(const Matrix& x) { return forward_cached(x); }
 
 const Matrix& Mlp::forward_cached(const Matrix& x) {
   acts_.resize(layers_.size() + 1);
@@ -119,10 +78,6 @@ Matrix Mlp::forward_const(const Matrix& x) const {
     std::swap(h, next);
   }
   return h;
-}
-
-void Mlp::forward_eval(const Matrix& x, Matrix& out) {
-  forward_scratch(x, out, eval_a_, eval_b_);
 }
 
 void Mlp::forward_scratch(const Matrix& x, Matrix& out, Matrix& scratch_a,
@@ -233,14 +188,6 @@ void Mlp::copy_flat_from(std::span<const double> in) {
   }
 }
 
-void Mlp::save(std::ostream& os) const {
-  for (const auto& layer : layers_) layer.save(os);
-}
-
-void Mlp::load(std::istream& is) {
-  for (auto& layer : layers_) layer.load(is);
-}
-
 namespace {
 
 std::string shape_string(std::uint64_t rows, std::uint64_t cols) {
@@ -326,24 +273,6 @@ void Mlp::save_state(io::ByteWriter& out) const {
   io::write_tensors(out, export_state());
 }
 
-void Mlp::load_state(io::ByteReader& in) {
-  const std::vector<io::NamedTensor> tensors = io::read_tensors(in);
-  check_tensors(tensors);
-  apply_tensors(tensors);
-}
-
-void Mlp::save_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  CTJ_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save(os);
-}
-
-void Mlp::load_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CTJ_CHECK_MSG(is.is_open(), "cannot open " << path << " for reading");
-  load(is);
-}
-
 AdamOptimizer::AdamOptimizer(const Mlp& net, Config config) : config_(config) {
   CTJ_CHECK(config.lr > 0.0);
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
@@ -360,11 +289,10 @@ void AdamOptimizer::step(Mlp& net) {
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
   std::size_t slot = 0;
-  const auto& kernels = kern::ops();
   auto update = [&](Matrix& param, const Matrix& grad) {
-    kernels.adam_update(param.data(), m_[slot].data(), v_[slot].data(),
-                        grad.data(), param.size(), config_.beta1,
-                        config_.beta2, config_.lr, bc1, bc2, config_.epsilon);
+    kern::adam_update(param.data(), m_[slot].data(), v_[slot].data(),
+                      grad.data(), param.size(), config_.beta1, config_.beta2,
+                      config_.lr, bc1, bc2, config_.epsilon);
     ++slot;
   };
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
@@ -415,12 +343,6 @@ void AdamOptimizer::apply_state(const State& state) {
     std::copy(m.data.begin(), m.data.end(), m_[slot].data());
     std::copy(v.data.begin(), v.data.end(), v_[slot].data());
   }
-}
-
-void AdamOptimizer::load_state(io::ByteReader& in) {
-  const State state = decode_state(in);
-  check_state(state);
-  apply_state(state);
 }
 
 void sgd_step(Mlp& net, double lr) {

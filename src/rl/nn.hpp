@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "io/tensors.hpp"
@@ -17,29 +15,18 @@
 
 namespace ctj::rl {
 
-/// One affine layer y = x·W + b with cached activations for backprop.
+/// One affine layer y = x·W + b. The layer caches nothing: the Mlp keeps
+/// the activations its backward pass needs.
 class LinearLayer {
  public:
   LinearLayer(std::size_t in, std::size_t out, Rng& rng);
 
-  /// x: [batch × in] → [batch × out]; caches x for backward().
-  Matrix forward(const Matrix& x);
-  /// Forward without caching (inference on a const network).
-  Matrix forward_const(const Matrix& x) const;
-
-  /// Allocation-free forward: y = x·W + b, reusing y's buffer. Does not
-  /// cache x — the Mlp training path keeps its own activation buffers.
-  /// With `relu` set the activation is fused into the bias kernel
-  /// (single pass over y).
-  void forward_into(const Matrix& x, Matrix& y) const;
+  /// Allocation-free forward: y = x·W + b, reusing y's buffer. With `relu`
+  /// set the activation is fused into the bias kernel (single pass over y).
   void forward_into(const Matrix& x, Matrix& y, bool relu) const;
 
-  /// grad_out: [batch × out] → grad_in [batch × in]; accumulates parameter
-  /// gradients (summed over the batch).
-  Matrix backward(const Matrix& grad_out);
-
-  /// Split backward used by the buffer-reusing Mlp path: accumulate the
-  /// parameter gradients from the layer input actually seen in forward…
+  /// Backward, in two halves: accumulate the parameter gradients (summed
+  /// over the batch) from the layer input actually seen in forward…
   void backward_params_acc(const Matrix& input, const Matrix& grad_out);
   /// …and propagate the input gradient without touching parameters.
   /// Non-const: keeps a Wᵀ scratch so the product runs through the
@@ -57,15 +44,11 @@ class LinearLayer {
 
   std::size_t param_count() const { return w_.size() + b_.size(); }
 
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-
  private:
   Matrix w_;   // [in × out]
   Matrix b_;   // [1 × out]
   Matrix gw_;
   Matrix gb_;
-  Matrix cached_input_;
   Matrix wt_scratch_;  // Wᵀ buffer for grad_input_into()
 };
 
@@ -75,18 +58,14 @@ class Mlp {
   /// sizes = {in, h1, …, out}; at least one layer (sizes.size() >= 2).
   Mlp(std::vector<std::size_t> sizes, Rng& rng);
 
-  Matrix forward(const Matrix& x);
+  /// Allocating inference forward on a const network (the reference the
+  /// buffer-reusing paths are tested against).
   Matrix forward_const(const Matrix& x) const;
 
   /// Training forward pass reusing internal activation buffers; caches the
   /// activations and ReLU masks backward() needs. The returned reference is
   /// valid until the next forward on this network.
   const Matrix& forward_cached(const Matrix& x);
-
-  /// Inference forward pass reusing internal scratch (no backward caching,
-  /// no allocations after warm-up). Non-const: see forward_const for the
-  /// thread-safe variant.
-  void forward_eval(const Matrix& x, Matrix& out);
 
   /// Inference forward with caller-owned ping-pong scratch buffers, so a
   /// const network can run allocation-free (each caller brings its own
@@ -95,7 +74,7 @@ class Mlp {
                        Matrix& scratch_b) const;
 
   /// Backprop from the output gradient; fills all layer gradients. Requires
-  /// a preceding forward() / forward_cached() on this network.
+  /// a preceding forward_cached() on this network.
   void backward(const Matrix& grad_out);
 
   void zero_grad();
@@ -121,12 +100,6 @@ class Mlp {
   /// Inverse of copy_flat_to(): overwrite all parameters from a flat buffer.
   void copy_flat_from(std::span<const double> in);
 
-  /// Binary (de)serialization of the full parameter set.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-  void save_file(const std::string& path) const;
-  void load_file(const std::string& path);
-
   // Checkpoint-format serialization (io::NamedTensor blobs, tensors named
   // "layer<i>.w" / "layer<i>.b"). The three-step export/check/apply split
   // lets a composite loader (DqnAgent) validate every component before
@@ -139,7 +112,6 @@ class Mlp {
   /// after check_tensors passed).
   void apply_tensors(const std::vector<io::NamedTensor>& tensors);
   void save_state(io::ByteWriter& out) const;
-  void load_state(io::ByteReader& in);
 
  private:
   std::vector<std::size_t> sizes_;
@@ -147,7 +119,6 @@ class Mlp {
   std::vector<Matrix> relu_masks_;  // cached per forward pass
   std::vector<Matrix> acts_;        // acts_[i]: input of layer i; back is output
   Matrix grad_a_, grad_b_;          // ping-pong buffers for backward()
-  Matrix eval_a_, eval_b_;          // ping-pong buffers for forward_eval()
 };
 
 /// Adam optimizer over an Mlp's parameters.
@@ -181,7 +152,6 @@ class AdamOptimizer {
   /// optimizer's parameter slots in count, names and shapes.
   void check_state(const State& state) const;
   void apply_state(const State& state);
-  void load_state(io::ByteReader& in);
 
  private:
   Config config_;

@@ -93,7 +93,10 @@ void QLearningAgent::load_state(io::ByteReader& in) {
   const std::uint64_t steps = in.u64();
   const std::uint64_t entries = in.u64();
   std::unordered_map<std::uint64_t, std::vector<double>> table;
-  table.reserve(static_cast<std::size_t>(entries));
+  // The count is untrusted: reserve no more entries than the payload can
+  // hold (a key, a length and num_actions doubles each).
+  table.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      entries, in.remaining() / (16 + 8 * config_.num_actions))));
   for (std::uint64_t i = 0; i < entries; ++i) {
     const std::uint64_t key = in.u64();
     std::vector<double> row = in.f64_vec();

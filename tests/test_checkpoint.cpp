@@ -5,8 +5,10 @@
 // both the sequential and the batched trainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,8 +16,10 @@
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
 #include "core/environment.hpp"
+#include "core/qlearning_scheme.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
+#include "rl/qlearning.hpp"
 #include "rl/replay.hpp"
 
 using namespace ctj;
@@ -56,6 +60,39 @@ rl::Transition make_transition(double tag) {
   t.next_state = {tag + 0.5, tag + 0.75};
   t.done = false;
   return t;
+}
+
+/// Drive a scheme for `slots` slots on synthetic feedback (every third slot
+/// fails) and return the feedback it saw.
+std::vector<SlotFeedback> feed(AntiJammingScheme& scheme, int slots) {
+  std::vector<SlotFeedback> fed;
+  for (int i = 0; i < slots; ++i) {
+    const SchemeDecision d = scheme.decide();
+    SlotFeedback fb;
+    fb.success = i % 3 != 0;
+    fb.channel = d.channel;
+    fb.power_index = d.power_index;
+    fb.reward = fb.success ? 1.0 : -100.0;
+    scheme.feedback(fb);
+    fed.push_back(fb);
+  }
+  return fed;
+}
+
+/// The 3·I observation window the last `history` slots of `fed` leave:
+/// oldest first, (success, channel/(C−1), power/(PL−1)) per slot.
+std::vector<double> expected_window(const std::vector<SlotFeedback>& fed,
+                                    std::size_t history, int channels,
+                                    std::size_t power_levels) {
+  std::vector<double> window;
+  for (std::size_t i = fed.size() - history; i < fed.size(); ++i) {
+    window.push_back(fed[i].success ? 1.0 : 0.0);
+    window.push_back(static_cast<double>(fed[i].channel) /
+                     static_cast<double>(channels - 1));
+    window.push_back(static_cast<double>(fed[i].power_index) /
+                     static_cast<double>(power_levels - 1));
+  }
+  return window;
 }
 
 void expect_same_transition(const rl::Transition& a, const rl::Transition& b) {
@@ -269,6 +306,132 @@ TEST(SchemeState, FlippedBytesInModelFileAlwaysThrow) {
                  io::IoError)
         << "flipped byte " << i << " went undetected";
   }
+}
+
+TEST(SchemeState, SchemeStateChunkLayout) {
+  // SCHMST, field by field: training u8, deploy RNG str, history u64, the
+  // 3·I window f64, has_pending u8, pending state f64_vec, pending action
+  // u64.
+  DqnScheme scheme(small_scheme_config());
+  const DqnScheme::Config& config = scheme.config();
+  const std::vector<SlotFeedback> fed = feed(scheme, 40);
+  const std::vector<double> window = expected_window(
+      fed, config.history, config.num_channels, config.num_power_levels);
+  const auto read_chunk = [&] {
+    const io::ContainerReader in =
+        io::ContainerReader::from_bytes(scheme_bytes(scheme));
+    return std::string(in.chunk(io::tags::kSchemeState));
+  };
+
+  // While training, feedback moves the pending state into the replay
+  // transition: nothing is pending and the stored state is empty.
+  std::string chunk = read_chunk();
+  io::ByteReader training(chunk);
+  EXPECT_EQ(training.u8(), 1u);
+  EXPECT_FALSE(training.str().empty());
+  ASSERT_EQ(training.u64(), config.history);
+  for (double expect : window) EXPECT_EQ(training.f64(), expect);
+  EXPECT_EQ(training.u8(), 0u);
+  EXPECT_TRUE(training.f64_vec().empty());
+  training.u64();
+  training.expect_end();
+
+  // Deployed, with a decision awaiting its feedback.
+  scheme.set_training(false);
+  const SchemeDecision pending = scheme.decide();
+  chunk = read_chunk();
+  io::ByteReader deployed(chunk);
+  EXPECT_EQ(deployed.u8(), 0u);
+  Rng deploy_rng;
+  EXPECT_NO_THROW(deploy_rng.restore_state(deployed.str()));
+  ASSERT_EQ(deployed.u64(), config.history);
+  for (double expect : window) EXPECT_EQ(deployed.f64(), expect);
+  EXPECT_EQ(deployed.u8(), 1u);
+  EXPECT_EQ(deployed.f64_vec(), window);
+  EXPECT_EQ(deployed.u64(),
+            static_cast<std::uint64_t>(pending.channel) *
+                    config.num_power_levels +
+                pending.power_index);
+  deployed.expect_end();
+}
+
+TEST(SchemeState, QlStatePayloadLayout) {
+  // The QLSTATE payload, field by field: the Config digest, the same state
+  // block as SCHMST, then the agent (RNG str, steps u64, entry count u64,
+  // and per entry a key u64 and a Q row f64_vec, keys ascending).
+  QLearningScheme::Config config;
+  config.history = 3;
+  config.seed = 31;
+  QLearningScheme scheme(config);
+  const std::vector<SlotFeedback> fed = feed(scheme, 60);
+  const SchemeDecision pending = scheme.decide();
+  const std::vector<double> window = expected_window(
+      fed, config.history, config.num_channels, config.num_power_levels);
+  io::ByteWriter out;
+  scheme.save_state(out);
+  io::ByteReader r(out.buffer());
+
+  EXPECT_EQ(r.i32(), config.num_channels);
+  EXPECT_EQ(r.u64(), config.num_power_levels);
+  EXPECT_EQ(r.u64(), config.history);
+  EXPECT_EQ(r.u64(), config.bins_per_dim);
+  EXPECT_EQ(r.f64(), config.learning_rate);
+  EXPECT_EQ(r.f64(), config.gamma);
+  EXPECT_EQ(r.f64(), config.epsilon_start);
+  EXPECT_EQ(r.f64(), config.epsilon_end);
+  EXPECT_EQ(r.u64(), config.epsilon_decay_steps);
+  EXPECT_EQ(r.f64(), config.deploy_epsilon);
+  EXPECT_EQ(r.u64(), config.seed);
+
+  EXPECT_EQ(r.u8(), 1u);  // training
+  Rng deploy_rng;
+  EXPECT_NO_THROW(deploy_rng.restore_state(r.str()));
+  ASSERT_EQ(r.u64(), config.history);
+  for (double expect : window) EXPECT_EQ(r.f64(), expect);
+  EXPECT_EQ(r.u8(), 1u);
+  EXPECT_EQ(r.f64_vec(), window);
+  EXPECT_EQ(r.u64(), static_cast<std::uint64_t>(pending.channel) *
+                             config.num_power_levels +
+                         pending.power_index);
+
+  Rng agent_rng;
+  EXPECT_NO_THROW(agent_rng.restore_state(r.str()));
+  EXPECT_EQ(r.u64(), 60u);  // one update per fed slot
+  const std::uint64_t entries = r.u64();
+  EXPECT_EQ(entries, scheme.agent().table_size());
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    keys.push_back(r.u64());
+    EXPECT_EQ(r.f64_vec().size(), scheme.agent().config().num_actions);
+  }
+  r.expect_end();
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+}
+
+TEST(QlState, HostileTableCountThrowsInsteadOfAllocating) {
+  // The Q-table entry count is read before any entry backs it: a count no
+  // payload could hold must fail as a typed IoError, not reserve buckets
+  // for it, and leave the agent untouched.
+  rl::QLearningConfig config;
+  config.state_dim = 6;
+  config.num_actions = 4;
+  rl::QLearningAgent agent(config);
+  io::ByteWriter saved;
+  agent.save_state(saved);
+  io::ByteReader fields(saved.buffer());
+  io::ByteWriter hostile;
+  hostile.str(fields.str());  // RNG
+  hostile.u64(fields.u64());  // steps
+  hostile.u64(std::numeric_limits<std::uint64_t>::max() / 2);
+  io::ByteReader r(hostile.buffer());
+  try {
+    agent.load_state(r);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kBadPayload);
+  }
+  EXPECT_EQ(agent.table_size(), 0u);
 }
 
 TEST(PolicyState, LoadPolicyRestoresGreedyBehaviourOnly) {

@@ -2,7 +2,6 @@
 // and the adaptive pattern-tracking jammer.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 
 #include "common/rng.hpp"
@@ -187,10 +186,12 @@ TEST(DqnSchemeIo, TrainedPolicySurvivesSaveLoadThroughScheme) {
   a.set_training(false);
   a.reset();
 
-  const std::string path = "/tmp/ctj_scheme_io.bin";
-  a.agent().save_file(path);
+  // The deployment path: the scheme's CTJS state, read back with
+  // load_policy() (online weights only).
+  io::ContainerWriter out;
+  a.save_state(out);
   core::DqnScheme b(config);
-  b.agent().load_file(path);
+  b.agent().load_policy(io::ContainerReader::from_bytes(out.to_bytes()));
   b.set_training(false);
   b.reset();
 
@@ -206,7 +207,6 @@ TEST(DqnSchemeIo, TrainedPolicySurvivesSaveLoadThroughScheme) {
     a.feedback(fb);
     b.feedback(fb);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(HubCoverage, DuplicateSequencesCounted) {

@@ -367,6 +367,22 @@ TEST(Tensors, ElementCountMismatchThrows) {
   }
 }
 
+TEST(Tensors, HostileCountThrowsInsteadOfAllocating) {
+  // The tensor count is read from the payload before anything backs it: a
+  // count no remaining bytes could hold must fail as a typed IoError, not
+  // reserve hundreds of gigabytes first.
+  ByteWriter w;
+  w.u32(std::numeric_limits<std::uint32_t>::max());
+  w.str("w");
+  ByteReader r(w.buffer());
+  try {
+    read_tensors(r);
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kBadPayload);
+  }
+}
+
 // Satellite regression: non-finite doubles must never leak "nan"/"inf" into
 // JSON output. Release builds emit null; debug builds trip a CTJ_CHECK.
 TEST(Json, NonFiniteNumbersNeverProduceInvalidJson) {

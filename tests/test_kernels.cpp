@@ -1,7 +1,7 @@
 // SIMD kernel layer: scalar vs AVX2/AVX-512 parity (bit-exact where
-// promised, ULP-bounded where FMA contraction is allowed), TD/Huber
-// semantics against the straightforward reference, and the CTJ_SIMD
-// dispatch resolver.
+// promised, ULP-bounded where FMA contraction is allowed), TD/Huber and Adam
+// semantics against straightforward references, and the CTJ_SIMD dispatch
+// resolver.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -313,30 +313,39 @@ TEST_P(TdHuberTest, MatchesReferenceAndAvx2BitExact) {
 
 INSTANTIATE_TEST_SUITE_P(VanillaAndDouble, TdHuberTest, ::testing::Bool());
 
+/// Straight-line Adam step (moment EMAs, bias correction by division,
+/// sqrt-damped update) in the kernel's documented operation order.
+void adam_reference(std::vector<double>& p, std::vector<double>& m,
+                    std::vector<double>& v, const std::vector<double>& g,
+                    double beta1, double beta2, double lr, double bc1,
+                    double bc2, double eps) {
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    m[k] = beta1 * m[k] + (1.0 - beta1) * g[k];
+    v[k] = beta2 * v[k] + (1.0 - beta2) * g[k] * g[k];
+    p[k] -= lr * (m[k] / bc1) / (std::sqrt(v[k] / bc2) + eps);
+  }
+}
+
 TEST(KernelParity, AdamUpdateBitExact) {
-  REQUIRE_SIMD(levels);
-  for (const KernelOps* simd : levels) {
-    SCOPED_TRACE(simd->name);
-    Rng rng(17);
-    for (std::size_t n : {1u, 3u, 4u, 45u, 1080u, 7200u + 3u}) {
-      auto p_ref = random_vec(n, rng);
-      auto m_ref = random_vec(n, rng);
-      auto v_ref = random_vec(n, rng);
-      for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
-      const auto g = random_vec(n, rng);
-      auto p_simd = p_ref, m_simd = m_ref, v_simd = v_ref;
-      const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
-      const double bc1 = 1.0 - std::pow(beta1, 7.0);
-      const double bc2 = 1.0 - std::pow(beta2, 7.0);
-      kern::scalar_ops().adam_update(p_ref.data(), m_ref.data(), v_ref.data(),
-                                     g.data(), n, beta1, beta2, lr, bc1, bc2,
-                                     eps);
-      simd->adam_update(p_simd.data(), m_simd.data(), v_simd.data(), g.data(),
-                        n, beta1, beta2, lr, bc1, bc2, eps);
-      EXPECT_EQ(p_ref, p_simd) << "n=" << n;
-      EXPECT_EQ(m_ref, m_simd) << "n=" << n;
-      EXPECT_EQ(v_ref, v_simd) << "n=" << n;
-    }
+  // kern::adam_update is not dispatched; it must equal the reference to the
+  // last bit on every build.
+  Rng rng(17);
+  for (std::size_t n : {1u, 3u, 4u, 45u, 1080u, 7200u + 3u}) {
+    auto p_ref = random_vec(n, rng);
+    auto m_ref = random_vec(n, rng);
+    auto v_ref = random_vec(n, rng);
+    for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
+    const auto g = random_vec(n, rng);
+    auto p = p_ref, m = m_ref, v = v_ref;
+    const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
+    const double bc1 = 1.0 - std::pow(beta1, 7.0);
+    const double bc2 = 1.0 - std::pow(beta2, 7.0);
+    adam_reference(p_ref, m_ref, v_ref, g, beta1, beta2, lr, bc1, bc2, eps);
+    kern::adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1, beta2,
+                      lr, bc1, bc2, eps);
+    EXPECT_EQ(p, p_ref) << "n=" << n;
+    EXPECT_EQ(m, m_ref) << "n=" << n;
+    EXPECT_EQ(v, v_ref) << "n=" << n;
   }
 }
 

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <set>
-#include <sstream>
 
 #include "common/rng.hpp"
+#include "io/container.hpp"
+#include "io/tensors.hpp"
 #include "rl/dqn.hpp"
 #include "rl/matrix.hpp"
 #include "rl/nn.hpp"
@@ -194,15 +194,22 @@ TEST(Matrix, ResizeReusesCapacityAndResetsContents) {
 }
 
 TEST(Matrix, SaveLoadRoundTrip) {
+  // Matrices are stored as named tensors (the checkpoint weight format).
   Rng rng(2);
   Matrix m = Matrix::he_normal(7, 5, rng);
-  std::stringstream ss;
-  m.save(ss);
-  const Matrix loaded = Matrix::load(ss);
-  ASSERT_EQ(loaded.rows(), 7u);
-  ASSERT_EQ(loaded.cols(), 5u);
+  io::ByteWriter out;
+  io::write_tensors(out, {{"m", m.rows(), m.cols(),
+                           std::vector<double>(m.data(), m.data() + m.size())}});
+  const std::string bytes = out.take();
+  io::ByteReader in(bytes);
+  const std::vector<io::NamedTensor> loaded = io::read_tensors(in);
+  in.expect_end();
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].name, "m");
+  ASSERT_EQ(loaded[0].rows, 7u);
+  ASSERT_EQ(loaded[0].cols, 5u);
   for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.data()[i], m.data()[i]);
+    EXPECT_EQ(loaded[0].data[i], m.data()[i]);
   }
 }
 
@@ -212,7 +219,7 @@ TEST(Mlp, OutputShape) {
   Rng rng(3);
   Mlp net({4, 8, 8, 2}, rng);
   Matrix x(5, 4, 0.1);
-  const Matrix y = net.forward(x);
+  const Matrix y = net.forward_cached(x);
   EXPECT_EQ(y.rows(), 5u);
   EXPECT_EQ(y.cols(), 2u);
 }
@@ -223,7 +230,7 @@ TEST(Mlp, ForwardConstMatchesForward) {
   Matrix x(2, 3);
   Rng data_rng(5);
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.normal();
-  const Matrix a = net.forward(x);
+  const Matrix a = net.forward_cached(x);
   const Matrix b = net.forward_const(x);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
@@ -259,7 +266,7 @@ TEST(Mlp, GradientCheckFiniteDifferences) {
     return l;
   };
 
-  const Matrix y = net.forward(x);
+  const Matrix y = net.forward_cached(x);
   Matrix grad(y.rows(), y.cols());
   for (std::size_t i = 0; i < y.size(); ++i) grad.data()[i] = 2.0 * y.data()[i];
   net.zero_grad();
@@ -309,7 +316,7 @@ TEST(Mlp, SgdLearnsLinearRegression) {
       x.at(r, 1) = data_rng.normal();
       target.at(r, 0) = 3.0 * x.at(r, 0) - 2.0 * x.at(r, 1) + 0.5;
     }
-    const Matrix y = net.forward(x);
+    const Matrix y = net.forward_cached(x);
     Matrix grad(8, 1);
     for (std::size_t r = 0; r < 8; ++r) {
       grad.at(r, 0) = 2.0 * (y.at(r, 0) - target.at(r, 0)) / 8.0;
@@ -336,7 +343,7 @@ TEST(Mlp, AdamLearnsNonlinearFunction) {
       x.at(r, 0) = v;
       target.at(r, 0) = std::sin(3.0 * v);
     }
-    const Matrix y = net.forward(x);
+    const Matrix y = net.forward_cached(x);
     Matrix grad(16, 1);
     for (std::size_t r = 0; r < 16; ++r) {
       grad.at(r, 0) = 2.0 * (y.at(r, 0) - target.at(r, 0)) / 16.0;
@@ -370,9 +377,14 @@ TEST(Mlp, CopyParametersMakesNetworksIdentical) {
 TEST(Mlp, SaveLoadRoundTrip) {
   Rng rng(14);
   Mlp a({5, 7, 2}, rng), b({5, 7, 2}, rng);
-  std::stringstream ss;
-  a.save(ss);
-  b.load(ss);
+  io::ByteWriter out;
+  a.save_state(out);
+  const std::string bytes = out.take();
+  io::ByteReader in(bytes);
+  const std::vector<io::NamedTensor> tensors = io::read_tensors(in);
+  in.expect_end();
+  b.check_tensors(tensors);
+  b.apply_tensors(tensors);
   Matrix x(3, 5, -0.2);
   const Matrix ya = a.forward_const(x), yb = b.forward_const(x);
   for (std::size_t i = 0; i < ya.size(); ++i) {
@@ -568,15 +580,15 @@ TEST(Dqn, SaveLoadPreservesPolicy) {
   for (int i = 0; i < 200; ++i) {
     a.observe({s, i % 2 == 0 ? 0u : 1u, 0.3, s, false});
   }
-  const std::string path = "/tmp/ctj_dqn_test.bin";
-  a.save_file(path);
+  // The deployment path: a CTJS container read back with load_policy().
+  io::ContainerWriter out;
+  a.save_state(out);
   DqnAgent b(small_config());
-  b.load_file(path);
+  b.load_policy(io::ContainerReader::from_bytes(out.to_bytes()));
   const auto qa = a.q_values(s), qb = b.q_values(s);
   for (std::size_t i = 0; i < qa.size(); ++i) {
     EXPECT_DOUBLE_EQ(qa[i], qb[i]);
   }
-  std::filesystem::remove(path);
 }
 
 TEST(Dqn, DeployedSizeMatchesPaperScale) {
