@@ -62,6 +62,10 @@ class ByteWriter {
     f64_array(v);
   }
 
+  /// Make room for `extra` more bytes, so a large payload of known size is
+  /// written into one allocation instead of a regrown one.
+  void reserve(std::size_t extra) { buf_.reserve(buf_.size() + extra); }
+
   const std::string& buffer() const { return buf_; }
   std::string take() { return std::move(buf_); }
 

@@ -31,21 +31,6 @@ std::uint64_t QLearningAgent::key_of(std::span<const double> state) const {
   return key;
 }
 
-const std::vector<double>& QLearningAgent::row(std::uint64_t key) const {
-  const auto it = table_.find(key);
-  if (it != table_.end()) return it->second;
-  // Unvisited state: all-zero Q row (not inserted — reads stay cheap).
-  static thread_local std::vector<double> zeros;
-  zeros.assign(config_.num_actions, 0.0);
-  return zeros;
-}
-
-std::vector<double>& QLearningAgent::row_mut(std::uint64_t key) {
-  auto [it, inserted] = table_.try_emplace(key);
-  if (inserted) it->second.assign(config_.num_actions, 0.0);
-  return it->second;
-}
-
 double QLearningAgent::epsilon() const {
   if (config_.epsilon_decay_steps == 0) return config_.epsilon_end;
   const double frac =
@@ -56,8 +41,9 @@ double QLearningAgent::epsilon() const {
 }
 
 std::size_t QLearningAgent::act_greedy(std::span<const double> state) const {
-  const auto& q = row(key_of(state));
-  return argmax(q);
+  // No row is an all-zero row, whose argmax is the first action.
+  const auto it = table_.find(key_of(state));
+  return it == table_.end() ? 0 : argmax(it->second);
 }
 
 std::size_t QLearningAgent::act(std::span<const double> state) {
@@ -71,14 +57,19 @@ std::size_t QLearningAgent::act(std::span<const double> state) {
 void QLearningAgent::save_state(io::ByteWriter& out) const {
   out.str(rng_.serialize_state());
   out.u64(steps_);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(table_.size());
-  for (const auto& [key, row] : table_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  out.u64(keys.size());
-  for (std::uint64_t key : keys) {
-    out.u64(key);
-    out.f64_vec(table_.at(key));
+  using Entry = decltype(table_)::value_type;
+  std::vector<const Entry*> rows;
+  rows.reserve(table_.size());
+  for (const Entry& entry : table_) rows.push_back(&entry);
+  std::sort(rows.begin(), rows.end(),
+            [](const Entry* a, const Entry* b) { return a->first < b->first; });
+  // The table is most of a QL state (2.4 MB after 2 048 slots): write it
+  // into one allocation. Count, then per row a key, a length and the row.
+  out.reserve(8 + rows.size() * (16 + 8 * config_.num_actions));
+  out.u64(rows.size());
+  for (const Entry* entry : rows) {
+    out.u64(entry->first);
+    out.f64_vec(entry->second);
   }
 }
 
@@ -120,9 +111,14 @@ void QLearningAgent::update(std::span<const double> state, std::size_t action,
                             double reward,
                             std::span<const double> next_state) {
   CTJ_CHECK(action < config_.num_actions);
-  const auto& next_q = row(key_of(next_state));
-  const double max_next = *std::max_element(next_q.begin(), next_q.end());
-  auto& q = row_mut(key_of(state));
+  // No row for s' is an all-zero row, whose maximum is 0.0.
+  const auto next = table_.find(key_of(next_state));
+  const double max_next =
+      next == table_.end()
+          ? 0.0
+          : *std::max_element(next->second.begin(), next->second.end());
+  std::vector<double>& q =
+      table_.try_emplace(key_of(state), config_.num_actions, 0.0).first->second;
   const double target = reward * config_.reward_scale + config_.gamma * max_next;
   q[action] += config_.learning_rate * (target - q[action]);
   ++steps_;

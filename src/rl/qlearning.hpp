@@ -36,11 +36,13 @@ class QLearningAgent {
  public:
   explicit QLearningAgent(QLearningConfig config);
 
-  /// ε-greedy action for the (continuous) observation.
+  /// ε-greedy action for the (continuous) observation. A state with no
+  /// table row reads as an all-zero row: greedy action 0.
   std::size_t act(std::span<const double> state);
   std::size_t act_greedy(std::span<const double> state) const;
 
-  /// Q-learning update for (s, a, r, s').
+  /// Q-learning update for (s, a, r, s'); an unvisited s' bootstraps with
+  /// 0.0, and only s gets a table row.
   void update(std::span<const double> state, std::size_t action, double reward,
               std::span<const double> next_state);
 
@@ -62,8 +64,6 @@ class QLearningAgent {
  private:
   /// Discretize an observation into a table key.
   std::uint64_t key_of(std::span<const double> state) const;
-  const std::vector<double>& row(std::uint64_t key) const;
-  std::vector<double>& row_mut(std::uint64_t key);
 
   QLearningConfig config_;
   mutable Rng rng_;

@@ -1,5 +1,10 @@
 #include "serve/engine.hpp"
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <exception>
 #include <filesystem>
 #include <limits>
@@ -8,6 +13,35 @@
 #include "common/check.hpp"
 
 namespace ctj::serve {
+
+namespace {
+
+/// The CPUs the calling thread may run on, ascending (empty off Linux).
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+    }
+  }
+#endif
+  return cpus;
+}
+
+/// Pin the calling thread to `cpu` (best effort; a no-op off Linux).
+void bind_to_cpu([[maybe_unused]] int cpu) {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  CPU_SET(cpu, &mask);
+  pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
+#endif
+}
+
+}  // namespace
 
 void EngineStats::encode(io::ByteWriter& out) const {
   out.u64(submitted);
@@ -37,9 +71,15 @@ ServeEngine::ServeEngine(const ServeConfig& config)
   CTJ_CHECK(config.max_resident > 0);
   CTJ_CHECK(config.quantum_slots > 0);
   CTJ_CHECK(!config.spool_dir.empty());
+  // Worker i runs on CPU i mod n of the creator's affinity mask.
+  const std::vector<int> cpus = allowed_cpus();
   workers_.reserve(config.workers);
   for (std::size_t i = 0; i < config.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
+    workers_.emplace_back([this, cpu] {
+      if (cpu >= 0) bind_to_cpu(cpu);
+      worker_loop();
+    });
   }
 }
 
@@ -68,7 +108,7 @@ std::uint64_t ServeEngine::submit(const JobSpec& spec) {
     tenants_.emplace(id, std::move(tenant));
     ++submitted_;
   }
-  push_ready(id);
+  push_ready(id, /*wake=*/true);
   return id;
 }
 
@@ -127,10 +167,11 @@ EngineStats ServeEngine::stats() const {
   return stats;
 }
 
-void ServeEngine::push_ready(std::uint64_t id) {
+void ServeEngine::push_ready(std::uint64_t id, bool wake) {
   // The ring covers queue_capacity in-flight tenants; beyond that, yield
   // until a worker drains a slot (ids are small, so no work is lost).
   while (!ready_.try_push(id)) std::this_thread::yield();
+  if (!wake) return;
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
   }
@@ -184,7 +225,10 @@ void ServeEngine::worker_loop() {
       }
     }
     if (!claimed) {
-      push_ready(id);
+      // This worker pops again at once, so it wakes nobody; the yield lets
+      // the evicting worker finish if both share a CPU.
+      push_ready(id, /*wake=*/false);
+      std::this_thread::yield();
       continue;
     }
 
@@ -268,7 +312,9 @@ void ServeEngine::worker_loop() {
         std::filesystem::remove(spool_path(id), ec);  // best effort
       }
     }
-    if (requeue) push_ready(id);
+    // Without an eviction to do, this worker pops again at once and wakes
+    // nobody; with one, another worker may take the tenant meanwhile.
+    if (requeue) push_ready(id, /*wake=*/victim != nullptr);
 
     if (victim != nullptr) {
       bool evict_ok = true;

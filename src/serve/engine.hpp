@@ -23,6 +23,25 @@
 // happen outside the lock while the tenant's `busy` flag keeps other workers
 // away; a released runner is destroyed after the lock is dropped.
 //
+// Wakeups: only submit() wakes a sleeping worker. A worker that pushes back
+// the id it just popped (a requeue after a quantum, or a tenant another
+// worker is evicting) pops again itself, so it wakes nobody; it wakes one
+// only when it has an eviction to do first. A worker sleeps only when the
+// ring is empty, so an id is never left behind while every worker sleeps.
+// Waking a worker on every requeue cost the submitter its CPU: the woken
+// worker preempted it inside notify_one. On the serve_stream benchmark (QL
+// jobs at 30/s), traced submit p50 fell from 4.7 ms to 22 µs once requeues
+// stopped waking workers and workers were bound to CPUs (below).
+//
+// CPU binding: worker i is bound to CPU i mod n of the affinity mask of the
+// thread that creates the engine (Linux; elsewhere a no-op). Unbound, the
+// kernel sometimes kept all three workers of a 4-vCPU host on one CPU for a
+// whole run: in three slow serve_stream runs, 187–220 of 200–221 samples
+// with all three workers runnable found them on the same CPU, the busiest
+// worker took 1 200–1 420 involuntary context switches, and the backlog
+// drained at 160–186 jobs/s instead of ~450. Bound, no sample found them
+// sharing a CPU and the same runs drained at 620–636 jobs/s.
+//
 // Determinism: every tenant's trajectory depends only on its JobSpec (all
 // state is tenant-local; workers never share RNG or model state), so
 // scheduling order, worker placement, quantum size and eviction cannot
@@ -131,7 +150,8 @@ class ServeEngine {
 
   void worker_loop();
   bool pop_ready(std::uint64_t& id);
-  void push_ready(std::uint64_t id);
+  /// Push an id onto the ready ring; `wake` also wakes a sleeping worker.
+  void push_ready(std::uint64_t id, bool wake);
   /// Pick the least-recently-run evictable tenant while over the residency
   /// cap; marks it busy. Caller (worker) performs the save outside the lock.
   Tenant* pick_eviction_victim_locked();

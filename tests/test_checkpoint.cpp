@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -432,6 +433,80 @@ TEST(QlState, HostileTableCountThrowsInsteadOfAllocating) {
     EXPECT_EQ(e.kind(), io::ErrorKind::kBadPayload);
   }
   EXPECT_EQ(agent.table_size(), 0u);
+}
+
+TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
+  // For a state with no table row the agent answers from the failed lookup
+  // (greedy action 0, a 0.0 bootstrap). Both must be what an all-zero row
+  // gives, so compare against a twin whose table holds that row
+  // materialized at zero.
+  rl::QLearningConfig config;
+  config.state_dim = 4;
+  config.num_actions = 6;
+  const std::vector<double> s = {0.1, 0.9, 0.5, 0.2};
+  const std::vector<double> s2 = {0.9, 0.1, 0.5, 0.8};
+
+  // Visit s once, then rewrite the saved row of s as zeros and the step
+  // count as 0, so the twin differs from a fresh agent only by that row.
+  rl::QLearningAgent visited(config);
+  visited.update(s, 2, 50.0, s);
+  io::ByteWriter saved;
+  visited.save_state(saved);
+  io::ByteReader fields(saved.buffer());
+  io::ByteWriter zeroed;
+  zeroed.str(fields.str());  // RNG
+  fields.u64();
+  zeroed.u64(0);  // steps
+  ASSERT_EQ(fields.u64(), 1u);
+  zeroed.u64(1);
+  zeroed.u64(fields.u64());  // the key of s
+  ASSERT_NE(fields.f64_vec(), std::vector<double>(config.num_actions, 0.0));
+  zeroed.f64_vec(std::vector<double>(config.num_actions, 0.0));
+  fields.expect_end();
+  rl::QLearningAgent materialized(config);
+  io::ByteReader in(zeroed.buffer());
+  materialized.load_state(in);
+  ASSERT_EQ(materialized.table_size(), 1u);
+
+  rl::QLearningAgent fresh(config);
+  EXPECT_EQ(fresh.act_greedy(s), 0u);
+  EXPECT_EQ(materialized.act_greedy(s), 0u);
+
+  // Bootstrap from s on both; only s2 gains a row in the fresh agent.
+  fresh.update(s2, 3, -7.0, s);
+  materialized.update(s2, 3, -7.0, s);
+  EXPECT_EQ(fresh.table_size(), 1u);
+  EXPECT_EQ(fresh.act_greedy(s), 0u);
+  EXPECT_EQ(fresh.act_greedy(s2), materialized.act_greedy(s2));
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(fresh.act(s), materialized.act(s));
+
+  // The updated row of s2, bit for bit: the whole fresh payload must equal
+  // the twin's with the zero row of s taken out.
+  const auto rows_of = [](const rl::QLearningAgent& agent) {
+    io::ByteWriter out;
+    agent.save_state(out);
+    io::ByteReader r(out.buffer());
+    r.str();
+    r.u64();
+    std::map<std::uint64_t, std::string> rows;
+    for (std::uint64_t n = r.u64(); n > 0; --n) {
+      const std::uint64_t key = r.u64();
+      io::ByteWriter row;
+      row.f64_vec(r.f64_vec());
+      rows.emplace(key, row.take());
+    }
+    return rows;
+  };
+  const auto fresh_rows = rows_of(fresh);
+  auto twin_rows = rows_of(materialized);
+  ASSERT_EQ(fresh_rows.size(), 1u);
+  ASSERT_EQ(twin_rows.size(), 2u);
+  const std::uint64_t key_s2 = fresh_rows.begin()->first;
+  EXPECT_EQ(fresh_rows.at(key_s2), twin_rows.at(key_s2));
+  io::ByteReader row(fresh_rows.at(key_s2));
+  const std::vector<double> q = row.f64_vec();
+  EXPECT_EQ(q[3], config.learning_rate *
+                      (-7.0 * config.reward_scale + config.gamma * 0.0));
 }
 
 TEST(PolicyState, LoadPolicyRestoresGreedyBehaviourOnly) {

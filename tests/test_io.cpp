@@ -19,6 +19,7 @@
 #include "io/bytes.hpp"
 #include "io/container.hpp"
 #include "io/crc32.hpp"
+#include "io/crc32_detail.hpp"
 #include "io/tensors.hpp"
 
 using namespace ctj;
@@ -98,6 +99,45 @@ TEST(Crc32, SlicingMatchesBitwiseReference) {
                 bitwise(data.data() + offset, size))
           << "offset " << offset << " size " << size;
     }
+  }
+}
+
+TEST(Crc32, ClmulFoldMatchesSlicing) {
+  if (!io::detail::has_clmul()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ/SSE4.1; only slicing runs";
+  }
+  // The fold takes each run of 64+ bytes in 16-byte blocks and leaves the
+  // rest to slicing, so sweep every length across the 64-byte threshold and
+  // many blocks, at every start offset within a block.
+  std::vector<unsigned char> data(3 << 20);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& c : data) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<unsigned char>(x >> 56);
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t size = 0; size <= 1100; ++size) {
+      const unsigned char* p = data.data() + offset;
+      ASSERT_EQ(io::detail::crc32_clmul(0, p, size),
+                io::detail::crc32_slicing(0, p, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  // A running CRC carried in: continue from a non-zero value.
+  EXPECT_EQ(io::detail::crc32_clmul(0xDEADBEEFu, data.data() + 3, 777),
+            io::detail::crc32_slicing(0xDEADBEEFu, data.data() + 3, 777));
+  // A serialized-Q-table-sized buffer.
+  const std::uint32_t whole =
+      io::detail::crc32_slicing(0, data.data(), data.size());
+  EXPECT_EQ(io::detail::crc32_clmul(0, data.data(), data.size()), whole);
+  EXPECT_EQ(crc32(data.data(), data.size()), whole);
+  // 4 KiB fed through crc32_update in two pieces, split at every 16th
+  // byte, so each piece gives the fold a different head and tail.
+  const std::uint32_t page = io::detail::crc32_slicing(0, data.data(), 4096);
+  for (std::size_t split = 0; split <= 4096; split += 16) {
+    const std::uint32_t head = crc32_update(0, data.data(), split);
+    ASSERT_EQ(crc32_update(head, data.data() + split, 4096 - split), page)
+        << "split at " << split;
   }
 }
 

@@ -2,16 +2,19 @@
 // ring, the JobSpec/JobResult codecs, tenant-runner determinism against the
 // standalone trainer, bit-identical evict/revive on a different thread,
 // wrong-spec revival rejection, engine determinism across worker counts and
-// under forced eviction, and the unix-socket wire protocol end to end.
+// under forced eviction, engine scheduling (workers sharing one CPU, requeues
+// that wake nobody), and the unix-socket wire protocol end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -479,6 +482,18 @@ std::vector<serve::JobResult> run_fleet(std::size_t workers,
   return results;
 }
 
+/// Results of `specs` run one after another on direct TenantRunners.
+std::vector<serve::JobResult> direct_results(
+    const std::vector<serve::JobSpec>& specs) {
+  std::vector<serve::JobResult> results;
+  for (const auto& spec : specs) {
+    auto runner = serve::TenantRunner::create(spec);
+    runner->run(spec.slots);
+    results.push_back(runner->result());
+  }
+  return results;
+}
+
 TEST(ServeEngine, BitIdenticalAcrossWorkerCounts) {
   const std::string dir = scratch_dir("workers");
   const auto one = run_fleet(1, 1024, dir + "/w1", nullptr);
@@ -512,12 +527,11 @@ TEST(ServeEngine, EvictionIsInvisibleInResults) {
   // Workers finish tenants (result(), the state CRC) outside the engine
   // lock; what they hand back must equal an uninterrupted direct run.
   const auto jobs = mixed_fleet();
+  const auto direct = direct_results(jobs);
   ASSERT_EQ(capped.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(jobs[i].scheme);
-    auto direct = serve::TenantRunner::create(jobs[i]);
-    direct->run(1u << 30);
-    expect_results_identical(direct->result(), capped[i]);
+    expect_results_identical(direct[i], capped[i]);
   }
   std::filesystem::remove_all(dir);
 }
@@ -579,6 +593,85 @@ TEST(ServeEngine, StatusTracksCompletion) {
   EXPECT_EQ(status.state, serve::JobState::kDone);
   EXPECT_EQ(status.slots_done, status.slots_total);
   EXPECT_FALSE(status.resident);
+  std::filesystem::remove_all(config.spool_dir);
+}
+
+#ifdef __linux__
+TEST(ServeEngine, SingleCpuMaskStillFinishesEveryJob) {
+  // Workers bind to CPU i mod n of the creating thread's mask; with one CPU
+  // all three share it, and requeues (which wake nobody) and busy-skips
+  // must still drive every multi-quantum job to the direct-run result.
+  struct MaskGuard {
+    cpu_set_t saved;
+    ~MaskGuard() { sched_setaffinity(0, sizeof(saved), &saved); }
+  } guard;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(guard.saved), &guard.saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &guard.saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  std::vector<serve::JobSpec> specs;
+  for (int i = 0; i < 8; ++i) {
+    specs.push_back(small_spec(i % 2 == 0 ? "ql" : "dqn", 300 + i));
+  }
+  serve::ServeConfig config;
+  config.workers = 3;
+  config.max_resident = 3;  // evictions, so busy-skips happen too
+  config.quantum_slots = 64;
+  config.spool_dir = scratch_dir("one_cpu");
+  std::vector<serve::JobResult> results;
+  {
+    serve::ServeEngine engine(config);
+    std::vector<std::uint64_t> ids;
+    for (const auto& spec : specs) ids.push_back(engine.submit(spec));
+    engine.wait_all();
+    for (std::uint64_t id : ids) results.push_back(*engine.try_result(id));
+    EXPECT_GT(engine.stats().evictions, 0u);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(guard.saved), &guard.saved), 0);
+  // After the workers have joined: a worker drops a finished job's spool
+  // file just after wait_all() can return.
+  std::filesystem::remove_all(config.spool_dir);
+
+  const auto direct = direct_results(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].scheme + " job " + std::to_string(i));
+    expect_results_identical(direct[i], results[i]);
+  }
+}
+#endif
+
+TEST(ServeEngine, RequeueWithoutWakeStrandsNothing) {
+  // A long job keeps requeueing itself, which wakes no worker; jobs
+  // submitted while it runs are woken by submit() and must all finish.
+  serve::ServeConfig config;
+  config.workers = 3;
+  config.quantum_slots = 32;
+  config.spool_dir = scratch_dir("requeue");
+  serve::ServeEngine engine(config);
+  serve::JobSpec long_spec = small_spec("ql", 400);
+  long_spec.slots = 6000;
+  std::vector<serve::JobSpec> specs = {long_spec};
+  std::vector<std::uint64_t> ids = {engine.submit(long_spec)};
+  while (engine.status(ids[0]).slots_done == 0) std::this_thread::yield();
+  const char* schemes[] = {"passive", "random", "ql"};
+  for (int i = 0; i < 6; ++i) {
+    specs.push_back(small_spec(schemes[i % 3], 401 + i));
+    specs.back().slots = 96;
+    ids.push_back(engine.submit(specs.back()));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  engine.wait_all();
+  const auto direct = direct_results(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].scheme + " job " + std::to_string(i));
+    const auto result = engine.try_result(ids[i]);
+    ASSERT_TRUE(result.has_value());
+    expect_results_identical(direct[i], *result);
+  }
   std::filesystem::remove_all(config.spool_dir);
 }
 
