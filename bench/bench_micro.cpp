@@ -558,12 +558,15 @@ void register_kernel_benches() {
         ("BM_KernTdHuberBatch" + suffix).c_str(),
         [ops, q, next_q, next_q_online, actions, rewards,
          dones](benchmark::State& state) {
-          rl::Matrix grad(q.rows(), q.cols());
+          std::vector<double> q_taken(q.rows());
+          for (std::size_t i = 0; i < q.rows(); ++i) {
+            q_taken[i] = q.at(i, actions[i]);
+          }
+          std::vector<double> g(q.rows());
           kern::TdHuberArgs args;
-          args.q = q.data();
+          args.q_taken = q_taken.data();
           args.next_q = next_q.data();
           args.next_q_online = next_q_online.data();
-          args.actions = actions.data();
           args.rewards = rewards.data();
           args.dones = dones.data();
           args.gamma = 0.9;
@@ -572,10 +575,9 @@ void register_kernel_benches() {
           args.batch = q.rows();
           args.num_actions = q.cols();
           for (auto _ : state) {
-            std::fill(grad.data(), grad.data() + grad.size(), 0.0);
-            const double loss = ops->td_huber_batch(args, grad.data());
+            const double loss = ops->td_huber_batch(args, g.data());
             benchmark::DoNotOptimize(loss);
-            benchmark::DoNotOptimize(grad.data());
+            benchmark::DoNotOptimize(g.data());
           }
         });
 

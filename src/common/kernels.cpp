@@ -17,8 +17,8 @@ namespace {
 // that lived in rl/matrix.cpp (same tile sizes, same zero-skip, same
 // k-accumulation order), bias_act is the two-pass bias-then-ReLU the MLP
 // forward used to run, and the reductions fold left to right exactly like
-// the loops they replaced. This TU is built with -ffp-contract=off, so a
-// CTJ_SIMD=off run produces the same bits on a native and a portable build.
+// the loops they replaced. This TU is built with -ffp-contract=off, so each
+// kernel gives the same bits on a native and a portable build.
 
 // Tile sizes for the blocked matmul: a kI×kJ tile of C plus the touched rows
 // of B stay L1-resident while the k loop streams over them. k itself is never
@@ -44,6 +44,24 @@ void matmul_acc_scalar(double* c, const double* a, const double* b,
         }
       }
     }
+  }
+}
+
+// One matmul_acc entry per row: the same k order and zero-skip as the
+// blocked product above, and plain mul+add like it.
+void gather_dot_scalar(double* out, const double* a, const double* b,
+                       const std::size_t* col, std::size_t m, std::size_t kk,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * kk;
+    const double* bcol = b + col[i];
+    double s = 0.0;
+    for (std::size_t k = 0; k < kk; ++k) {
+      const double aik = arow[k];
+      if (aik == 0.0) continue;
+      s += aik * bcol[k * n];
+    }
+    out[i] = s;
   }
 }
 
@@ -80,9 +98,8 @@ std::size_t row_argmax_scalar(const double* x, std::size_t n) {
   return best;
 }
 
-double td_huber_batch_scalar(const TdHuberArgs& args, double* grad) {
-  return detail::td_huber_epilogue(args, grad, row_max_scalar,
-                                   row_argmax_scalar);
+double td_huber_batch_scalar(const TdHuberArgs& args, double* g) {
+  return detail::td_huber_epilogue(args, g, row_max_scalar, row_argmax_scalar);
 }
 
 void viterbi_acs_hard_scalar(const std::int32_t* metric,
@@ -145,25 +162,43 @@ double qam64_error_scalar(const double* iq, std::size_t n, double alpha,
 
 const KernelOps& scalar_ops() {
   static constexpr KernelOps kOps{
-      "scalar",         matmul_acc_scalar, saxpy_scalar,
-      bias_act_scalar,  row_max_scalar,    row_argmax_scalar,
-      td_huber_batch_scalar,
+      "scalar",         matmul_acc_scalar, gather_dot_scalar,
+      saxpy_scalar,     bias_act_scalar,   row_max_scalar,
+      row_argmax_scalar, td_huber_batch_scalar,
       viterbi_acs_hard_scalar, viterbi_acs_soft_scalar, qam64_error_scalar,
   };
   return kOps;
 }
 
-void adam_update(double* p, double* m, double* v, const double* g,
-                 std::size_t n, double beta1, double beta2, double lr,
-                 double bc1, double bc2, double epsilon) {
+namespace {
+
+// The Adam loop with each bias-correction division compiled in only when
+// that correction still differs from 1.0.
+template <bool kDivM, bool kDivV>
+void adam_loop(double* p, double* m, double* v, const double* g,
+               std::size_t n, double beta1, double beta2, double lr,
+               double bc1, double bc2, double epsilon) {
   for (std::size_t k = 0; k < n; ++k) {
     const double gk = g[k];
     m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
     v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
-    const double mhat = m[k] / bc1;
-    const double vhat = v[k] / bc2;
+    const double mhat = kDivM ? m[k] / bc1 : m[k];
+    const double vhat = kDivV ? v[k] / bc2 : v[k];
     p[k] -= lr * mhat / (std::sqrt(vhat) + epsilon);
   }
+}
+
+}  // namespace
+
+void adam_update(double* p, double* m, double* v, const double* g,
+                 std::size_t n, double beta1, double beta2, double lr,
+                 double bc1, double bc2, double epsilon) {
+  using Loop = decltype(&adam_loop<true, true>);
+  static constexpr Loop kLoops[2][2] = {
+      {adam_loop<false, false>, adam_loop<false, true>},
+      {adam_loop<true, false>, adam_loop<true, true>}};
+  kLoops[bc1 != 1.0][bc2 != 1.0](p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
+                                 epsilon);
 }
 
 // ------------------------------------------------------------- dispatch ----

@@ -2,20 +2,29 @@
 //
 // Every dispatched kernel exists at least twice: a portable scalar
 // reference — the same loops and accumulation order as the pre-kernel-layer
-// implementations, compiled with FP contraction disabled so the arithmetic
-// is plain IEEE mul/add and bit-identical across native and portable builds
-// (the determinism baseline) — and an AVX2/FMA variant compiled into its own
-// translation unit with -mavx2 -mfma so even a portable (-DCTJ_NATIVE=OFF)
-// build carries the fast path and selects it at run time from CPUID. An
-// AVX-512 level widens matmul, saxpy and the PHY kernels and inherits the
-// rest from AVX2. The SIMD kernels preserve the scalar per-element
-// accumulation *order* — register blocking only tiles the data-parallel
-// dimensions — so the only numeric divergence from the scalar reference is
-// FMA contraction (verified ULP-bounded by tests/test_kernels); row_max /
-// row_argmax / bias_act contain no FMA and match bit for bit.
+// implementations, compiled with FP contraction disabled so each kernel's
+// arithmetic is plain IEEE mul/add and gives the same bits on a native and a
+// portable build (the determinism baseline) — and an AVX2/FMA variant
+// compiled into its own translation unit with -mavx2 -mfma so even a
+// portable (-DCTJ_NATIVE=OFF) build carries the fast path and selects it at
+// run time from CPUID. An AVX-512 level widens matmul, saxpy and the PHY
+// kernels and inherits the rest from AVX2. The SIMD kernels preserve the
+// scalar per-element accumulation *order* — register blocking only tiles the
+// data-parallel dimensions — so the only numeric divergence from the scalar
+// reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
+// row_max / row_argmax / bias_act contain no FMA and match bit for bit, and
+// gather_dot matches its own level's matmul bit for bit.
 //
 // The Adam step is not dispatched: kern::adam_update is one scalar loop
 // (see below), because no SIMD variant beat it.
+//
+// End-to-end results are NOT build-independent at a fixed level, scalar
+// included: the rl library's own loops (the sparse gradient accumulation in
+// rl/matrix.cpp and rl/nn.cpp, the Polyak lerp) are compiled with the
+// build's architecture flags and the compiler's default FP contraction, so
+// they fuse into FMA under -march=native and stay mul+add in a portable
+// build. A trained checkpoint therefore depends on the build flavor as well
+// as on CTJ_SIMD; it is reproducible for a fixed binary and level.
 //
 // Selection: CTJ_SIMD=off|scalar|avx2|avx512 overrides, otherwise the best
 // level the CPU supports. The choice is resolved once, on first use, for the
@@ -30,14 +39,14 @@ namespace ctj::kern {
 enum class SimdLevel { kScalar, kAvx2, kAvx512 };
 
 /// Inputs of the fused batched TD-target + Huber loss/grad kernel — the body
-/// of DqnAgent::train_step after the forward passes. All matrices row-major.
+/// of DqnAgent::train_on_batch after the forward passes. All matrices
+/// row-major.
 struct TdHuberArgs {
-  const double* q = nullptr;        // [batch × num_actions] online Q(s, ·)
+  const double* q_taken = nullptr;  // [batch] online Q(s_i, a_i)
   const double* next_q = nullptr;   // [batch × num_actions] target Q(s', ·)
   /// Online Q(s', ·) for Double-DQN action selection; nullptr for vanilla
   /// max-operator bootstrapping.
   const double* next_q_online = nullptr;
-  const std::size_t* actions = nullptr;  // [batch] taken actions
   const double* rewards = nullptr;       // [batch] raw (unscaled) rewards
   const std::uint8_t* dones = nullptr;   // [batch] episode-termination flags
   double gamma = 0.9;
@@ -59,6 +68,14 @@ struct KernelOps {
   void (*matmul_acc)(double* c, const double* a, const double* b,
                      std::size_t m, std::size_t k, std::size_t n);
 
+  /// out[i] = Σ_k a[i,k]·b[k, col[i]] for A [m × k] and B [k × n]: entry
+  /// (i, col[i]) of this level's matmul_acc into a zeroed C, bit for bit —
+  /// summed from 0 in increasing k, exact-zero a[i,k] skipped, contracted
+  /// exactly as that level's matmul is.
+  void (*gather_dot)(double* out, const double* a, const double* b,
+                     const std::size_t* col, std::size_t m, std::size_t k,
+                     std::size_t n);
+
   /// y += a·x over n doubles.
   void (*saxpy)(std::size_t n, double a, const double* x, double* y);
 
@@ -75,10 +92,10 @@ struct KernelOps {
   std::size_t (*row_argmax)(const double* x, std::size_t n);
 
   /// Fused TD target + Huber loss/gradient over a minibatch. Writes the
-  /// clipped gradients into `grad` (pre-zeroed [batch × num_actions]; only
-  /// the taken-action entries are touched) and returns the summed Huber
-  /// loss (callers divide by the batch size for the mean).
-  double (*td_huber_batch)(const TdHuberArgs& args, double* grad);
+  /// clipped gradient dL/dQ(s_i, a_i) of each row into g[i] ([batch]; the
+  /// loss reads no other output) and returns the summed Huber loss (callers
+  /// divide by the batch size for the mean).
+  double (*td_huber_batch)(const TdHuberArgs& args, double* g);
 
   /// One hard-decision add-compare-select step over the 64-state K=7
   /// convolutional trellis in butterfly order. For next state ns the two
@@ -115,10 +132,13 @@ struct KernelOps {
 const KernelOps& scalar_ops();
 
 /// One Adam update over n parameters: moment EMAs, bias correction by
-/// division with (1−βᵗ), and the sqrt-damped step. Not dispatched: the
-/// step is elementwise and memory-bound, and an AVX2 variant measured no
-/// faster than this loop. It lives in the scalar TU (no FP contraction), so
-/// it gives the same bits on every build and at every CTJ_SIMD level.
+/// division with (1−βᵗ), and the sqrt-damped step. A correction that is
+/// exactly 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from t = 37 412) is not
+/// divided by: x / 1.0 == x in IEEE arithmetic, so skipping it changes no
+/// bit. Not dispatched: the step is elementwise and memory-bound, and an
+/// AVX2 variant measured no faster than this loop. It lives in the scalar
+/// TU (no FP contraction), so it gives the same bits on every build and at
+/// every CTJ_SIMD level.
 void adam_update(double* p, double* m, double* v, const double* g,
                  std::size_t n, double beta1, double beta2, double lr,
                  double bc1, double bc2, double epsilon);

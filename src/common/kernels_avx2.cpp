@@ -141,6 +141,27 @@ void matmul_acc_avx2(double* c, const double* a, const double* b,
   }
 }
 
+// One matmul_acc_avx2 entry per row: the row's nonzeros packed the same
+// way, then one FMA chain from 0 in increasing k — the per-element sequence
+// every stripe width of the AVX2 and AVX-512 products runs.
+void gather_dot_avx2(double* out, const double* a, const double* b,
+                     const std::size_t* col, std::size_t m, std::size_t kk,
+                     std::size_t n) {
+  static thread_local detail::MatmulScratch scratch;
+  scratch.reserve_chunk(1, kk);
+  double* v = scratch.vals.data();
+  std::int32_t* ix = scratch.idx.data();
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t nnz = detail::pack_nonzeros(a + i * kk, kk, v, ix);
+    const double* bcol = b + col[i];
+    double s = 0.0;
+    for (std::size_t t = 0; t < nnz; ++t) {
+      s = __builtin_fma(v[t], bcol[static_cast<std::size_t>(ix[t]) * n], s);
+    }
+    out[i] = s;
+  }
+}
+
 void saxpy_avx2(std::size_t n, double a, const double* x, double* y) {
   const __m256d va = _mm256_set1_pd(a);
   std::size_t j = 0;
@@ -237,8 +258,8 @@ std::size_t row_argmax_avx2(const double* x, std::size_t n) {
   return 0;  // only reachable for NaN input; mirror the scalar fold
 }
 
-double td_huber_batch_avx2(const TdHuberArgs& args, double* grad) {
-  return detail::td_huber_epilogue(args, grad, row_max_avx2, row_argmax_avx2);
+double td_huber_batch_avx2(const TdHuberArgs& args, double* g) {
+  return detail::td_huber_epilogue(args, g, row_max_avx2, row_argmax_avx2);
 }
 
 // 64-state butterfly ACS, 8 next states per ymm. The 64 predecessors split
@@ -358,9 +379,9 @@ double qam64_error_avx2(const double* iq, std::size_t n, double alpha,
 
 const KernelOps* avx2_ops() {
   static constexpr KernelOps kOps{
-      "avx2",        matmul_acc_avx2, saxpy_avx2,
-      bias_act_avx2, row_max_avx2,    row_argmax_avx2,
-      td_huber_batch_avx2,
+      "avx2",          matmul_acc_avx2, gather_dot_avx2,
+      saxpy_avx2,      bias_act_avx2,   row_max_avx2,
+      row_argmax_avx2, td_huber_batch_avx2,
       viterbi_acs_hard_avx2, viterbi_acs_soft_avx2, qam64_error_avx2,
   };
   return &kOps;

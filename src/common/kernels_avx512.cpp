@@ -9,8 +9,10 @@
 // batched inference is otherwise compute-bound), saxpy, and the PHY hot-path
 // kernels (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed
 // 64-state / long-stream shapes fill full zmm lanes. Everything else
-// (bias_act, reductions, TD/Huber) is inherited from the AVX2 table:
-// those kernels are bandwidth-bound or tiny, so a wider vector buys nothing.
+// (gather_dot, bias_act, reductions, TD/Huber) is inherited from the AVX2
+// table: those kernels are bandwidth-bound or tiny, so a wider vector buys
+// nothing. gather_dot stays exact against this level's matmul because both
+// run the same per-element FMA chain.
 //
 // Numerics match the AVX2 level's contract: FMA contraction only,
 // per-element k-accumulation order unchanged and exact zeros skipped like
@@ -302,7 +304,7 @@ const KernelOps* avx512_ops() {
   const KernelOps* base = avx2_ops();
   if (base == nullptr) return nullptr;
   static const KernelOps kOps = [base] {
-    KernelOps ops = *base;  // inherit bias_act/reductions/td_huber
+    KernelOps ops = *base;  // inherit gather_dot/bias_act/reductions/td_huber
     ops.name = "avx512";
     ops.matmul_acc = matmul_acc_avx512;
     ops.saxpy = saxpy_avx512;

@@ -65,7 +65,7 @@ inline double huber_loss(double error, double delta) {
 // after them is a handful of scalar ops per row, written identically in both
 // levels so a level switch can only move results through the reductions.
 template <typename RowMaxFn, typename RowArgmaxFn>
-double td_huber_epilogue(const TdHuberArgs& a, double* grad, RowMaxFn row_max,
+double td_huber_epilogue(const TdHuberArgs& a, double* g, RowMaxFn row_max,
                          RowArgmaxFn row_argmax) {
   const std::size_t A = a.num_actions;
   double loss = 0.0;
@@ -81,9 +81,9 @@ double td_huber_epilogue(const TdHuberArgs& a, double* grad, RowMaxFn row_max,
     }
     const double r = a.rewards[i] * a.reward_scale;
     const double target = a.dones[i] ? r : r + a.gamma * max_next;
-    const double error = a.q[i * A + a.actions[i]] - target;
+    const double error = a.q_taken[i] - target;
     loss += huber_loss(error, a.huber_delta);
-    grad[i * A + a.actions[i]] = huber_grad(error, a.huber_delta) / a.grad_div;
+    g[i] = huber_grad(error, a.huber_delta) / a.grad_div;
   }
   return loss;
 }

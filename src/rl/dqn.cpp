@@ -156,17 +156,16 @@ double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
   if (config_.double_dqn) {
     online_.forward_scratch(next_states, next_q_online_, infer_a_, infer_b_);
   }
-  const Matrix& q = online_.forward_cached(states);
+  q_taken_.resize(B);
+  online_.forward_taken(states, actions, q_taken_);
 
   // Fused batched TD-target + Huber kernel: row-max/argmax bootstrap, TD
-  // error only on the taken actions, Huber-clipped gradient; the reported
-  // loss is the Huber objective those gradients actually optimize.
-  grad_.resize(B, config_.num_actions, 0.0);
+  // error on the taken actions, one Huber-clipped gradient per row; the
+  // reported loss is the Huber objective those gradients actually optimize.
   kern::TdHuberArgs td;
-  td.q = q.data();
+  td.q_taken = q_taken_.data();
   td.next_q = next_q_.data();
   td.next_q_online = config_.double_dqn ? next_q_online_.data() : nullptr;
-  td.actions = actions.data();
   td.rewards = rewards.data();
   td.dones = dones.data();
   td.gamma = config_.gamma;
@@ -174,10 +173,11 @@ double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
   td.grad_div = static_cast<double>(B);
   td.batch = B;
   td.num_actions = config_.num_actions;
-  const double loss = kern::ops().td_huber_batch(td, grad_.data());
+  td_grad_.resize(B);
+  const double loss = kern::ops().td_huber_batch(td, td_grad_.data());
 
   online_.zero_grad();
-  online_.backward(grad_);
+  online_.backward_taken(actions, td_grad_);
   optimizer_.step(online_);
   ++grad_steps_;
   if (config_.target_tau > 0.0) {

@@ -95,7 +95,9 @@ class DqnAgent {
   /// trainer's learner path, sampling from its sharded replay instead of
   /// the agent's internal buffer. Identical op order to train_step() after
   /// sampling: target/online forwards, fused TD-Huber kernel, Adam step,
-  /// periodic target sync. Returns the minibatch mean Huber loss.
+  /// periodic target sync. The loss reads the online Q only at the taken
+  /// actions, so the online output layer is evaluated and backpropagated at
+  /// those entries alone. Returns the minibatch mean Huber loss.
   double train_on_batch(const Matrix& states, const Matrix& next_states,
                         std::span<const std::size_t> actions,
                         std::span<const double> rewards,
@@ -155,7 +157,8 @@ class DqnAgent {
   // runs one step per slot — allocation churn here dominates the profile).
   Matrix states_;
   Matrix next_states_;
-  Matrix grad_;
+  std::vector<double> q_taken_;  // online Q(s_i, a_i) of the minibatch
+  std::vector<double> td_grad_;  // dLoss/dQ(s_i, a_i)
   Matrix next_q_;
   Matrix next_q_online_;
   std::vector<std::size_t> actions_scratch_;

@@ -36,6 +36,46 @@ void LinearLayer::grad_input_into(const Matrix& grad_out, Matrix& grad_in) {
   matmul_a_bt_into(grad_in, grad_out, w_, wt_scratch_);
 }
 
+void LinearLayer::forward_gather(const Matrix& x,
+                                 std::span<const std::size_t> cols,
+                                 std::span<double> y) const {
+  CTJ_CHECK(x.cols() == w_.rows() && cols.size() == x.rows() &&
+            y.size() == x.rows());
+  for (const std::size_t c : cols) CTJ_CHECK(c < w_.cols());
+  kern::ops().gather_dot(y.data(), x.data(), w_.data(), cols.data(),
+                         x.rows(), w_.rows(), w_.cols());
+  // The one add bias_act's bias pass makes on that entry.
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] += b_.data()[cols[i]];
+}
+
+void LinearLayer::backward_gather(const Matrix& input,
+                                  std::span<const std::size_t> cols,
+                                  std::span<const double> g, Matrix& grad_in) {
+  const std::size_t in = w_.rows(), out = w_.cols();
+  CTJ_CHECK(input.cols() == in && input.rows() == g.size() &&
+            cols.size() == g.size());
+  grad_in.resize(g.size(), in);
+  const double* w = w_.data();
+  double* gw = gw_.data();
+  for (std::size_t r = 0; r < g.size(); ++r) {
+    const double gr = g[r];
+    // Skipping a ±0.0 row is exact: the gradients it would add to never hold
+    // -0.0 (see matmul_at_b_acc), and its input-gradient row stays +0.0.
+    if (gr == 0.0) continue;
+    const std::size_t c = cols[r];
+    CTJ_CHECK(c < out);
+    const double* h = input.data() + r * in;
+    double* gin = grad_in.data() + r * in;
+    for (std::size_t k = 0; k < in; ++k) {
+      // matmul_at_b_acc's sparse-row update, written the same way so this TU
+      // contracts it the same way.
+      if (h[k] != 0.0) gw[k * out + c] += h[k] * gr;
+      gin[k] = 0.0 + gr * w[k * out + c];
+    }
+    gb_.data()[c] += gr;
+  }
+}
+
 void LinearLayer::zero_grad() {
   gw_.fill(0.0);
   gb_.fill(0.0);
@@ -50,24 +90,32 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   relu_masks_.resize(layers_.size() > 0 ? layers_.size() - 1 : 0);
 }
 
-const Matrix& Mlp::forward_cached(const Matrix& x) {
+const Matrix& Mlp::forward_hidden(const Matrix& x) {
   acts_.resize(layers_.size() + 1);
   acts_[0] = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
     Matrix& h = acts_[i + 1];
-    const bool hidden = i + 1 < layers_.size();
     // ReLU fused into the bias kernel; the backward mask is recovered from
     // the post-activation values (h > 0 post-ReLU iff pre-ReLU).
-    layers_[i].forward_into(acts_[i], h, hidden);
-    if (hidden) {
-      Matrix& mask = relu_masks_[i];
-      mask.resize(h.rows(), h.cols());
-      for (std::size_t k = 0; k < h.size(); ++k) {
-        if (h.data()[k] > 0.0) mask.data()[k] = 1.0;
-      }
+    layers_[i].forward_into(acts_[i], h, /*relu=*/true);
+    Matrix& mask = relu_masks_[i];
+    mask.resize(h.rows(), h.cols());
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      if (h.data()[k] > 0.0) mask.data()[k] = 1.0;
     }
   }
+  return acts_[layers_.size() - 1];
+}
+
+const Matrix& Mlp::forward_cached(const Matrix& x) {
+  const Matrix& top_in = forward_hidden(x);  // resizes acts_: call it first
+  layers_.back().forward_into(top_in, acts_.back(), /*relu=*/false);
   return acts_.back();
+}
+
+void Mlp::forward_taken(const Matrix& x, std::span<const std::size_t> cols,
+                        std::span<double> out) {
+  layers_.back().forward_gather(forward_hidden(x), cols, out);
 }
 
 Matrix Mlp::forward_const(const Matrix& x) const {
@@ -91,24 +139,40 @@ void Mlp::forward_scratch(const Matrix& x, Matrix& out, Matrix& scratch_a,
   }
 }
 
-void Mlp::backward(const Matrix& grad_out) {
-  CTJ_CHECK_MSG(acts_.size() == layers_.size() + 1 &&
-                    acts_[0].rows() == grad_out.rows(),
+void Mlp::check_backward_rows(std::size_t rows) const {
+  CTJ_CHECK_MSG(acts_.size() == layers_.size() + 1 && acts_[0].rows() == rows,
                 "backward() without a matching forward()");
+}
+
+void Mlp::backward(const Matrix& grad_out) {
+  check_backward_rows(grad_out.rows());
   grad_a_ = grad_out;
+  backward_from(layers_.size() - 1);
+}
+
+void Mlp::backward_taken(std::span<const std::size_t> cols,
+                         std::span<const double> g) {
+  check_backward_rows(g.size());
+  const std::size_t top = layers_.size() - 1;
+  layers_[top].backward_gather(acts_[top], cols, g, grad_a_);
+  if (top > 0) backward_from(top - 1);
+}
+
+void Mlp::backward_from(std::size_t i) {
   Matrix* g = &grad_a_;
   Matrix* next = &grad_b_;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i].backward_params_acc(acts_[i], *g);
-    if (i > 0) {
-      layers_[i].grad_input_into(*g, *next);
-      std::swap(g, next);
-      const Matrix& mask = relu_masks_[i - 1];
+  for (;; --i) {
+    if (i + 1 < layers_.size()) {
+      const Matrix& mask = relu_masks_[i];
       CTJ_CHECK(mask.rows() == g->rows() && mask.cols() == g->cols());
       for (std::size_t k = 0; k < g->size(); ++k) {
         g->data()[k] *= mask.data()[k];
       }
     }
+    layers_[i].backward_params_acc(acts_[i], *g);
+    if (i == 0) return;
+    layers_[i].grad_input_into(*g, *next);
+    std::swap(g, next);
   }
 }
 

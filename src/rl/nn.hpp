@@ -33,6 +33,17 @@ class LinearLayer {
   /// vectorized kernel without allocating.
   void grad_input_into(const Matrix& grad_out, Matrix& grad_in);
 
+  /// y[i] = forward_into(x)[i, cols[i]] bit for bit, computing only that
+  /// column of each row.
+  void forward_gather(const Matrix& x, std::span<const std::size_t> cols,
+                      std::span<double> y) const;
+
+  /// backward_params_acc() + grad_input_into() for an output gradient whose
+  /// row i is g[i] at column cols[i] and zero elsewhere, bit for bit, without
+  /// reading the zeros: the input gradient comes straight from W's column.
+  void backward_gather(const Matrix& input, std::span<const std::size_t> cols,
+                       std::span<const double> g, Matrix& grad_in);
+
   void zero_grad();
 
   Matrix& weights() { return w_; }
@@ -64,8 +75,16 @@ class Mlp {
 
   /// Training forward pass reusing internal activation buffers; caches the
   /// activations and ReLU masks backward() needs. The returned reference is
-  /// valid until the next forward on this network.
+  /// valid until the next forward on this network. The DQN learner uses
+  /// forward_taken(); this dense path is the reference it is tested against.
   const Matrix& forward_cached(const Matrix& x);
+
+  /// Training forward for a loss that reads one output per row: writes
+  /// out[i] = forward_cached(x)[i, cols[i]] bit for bit, computing the
+  /// output layer at those columns only. Caches what backward_taken()
+  /// needs.
+  void forward_taken(const Matrix& x, std::span<const std::size_t> cols,
+                     std::span<double> out);
 
   /// Inference forward with caller-owned ping-pong scratch buffers, so a
   /// const network can run allocation-free (each caller brings its own
@@ -76,6 +95,12 @@ class Mlp {
   /// Backprop from the output gradient; fills all layer gradients. Requires
   /// a preceding forward_cached() on this network.
   void backward(const Matrix& grad_out);
+
+  /// backward() for the output gradient that is g[i] at column cols[i] of
+  /// row i and zero elsewhere, bit for bit. Requires a preceding
+  /// forward_taken() (or forward_cached()) on this network.
+  void backward_taken(std::span<const std::size_t> cols,
+                      std::span<const double> g);
 
   void zero_grad();
   std::size_t param_count() const;
@@ -114,6 +139,14 @@ class Mlp {
   void save_state(io::ByteWriter& out) const;
 
  private:
+  /// Forward through every layer but the last, caching activations and
+  /// ReLU masks; returns the last layer's input.
+  const Matrix& forward_hidden(const Matrix& x);
+  void check_backward_rows(std::size_t rows) const;
+  /// Backprop from grad_a_, the gradient at layer i's output (ahead of its
+  /// ReLU mask), down through layer 0.
+  void backward_from(std::size_t i);
+
   std::vector<std::size_t> sizes_;
   std::vector<LinearLayer> layers_;
   std::vector<Matrix> relu_masks_;  // cached per forward pass

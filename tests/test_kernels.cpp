@@ -1,9 +1,12 @@
 // SIMD kernel layer: scalar vs AVX2/AVX-512 parity (bit-exact where
-// promised, ULP-bounded where FMA contraction is allowed), TD/Huber and Adam
+// promised, ULP-bounded where FMA contraction is allowed), gather_dot against
+// each level's own matmul, TD/Huber and Adam
 // semantics against straightforward references, and the CTJ_SIMD dispatch
 // resolver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -145,6 +148,60 @@ TEST(KernelParity, MatmulSkipsExactZeros) {
   }
 }
 
+TEST(KernelParity, GatherDotMatchesMatmulEntriesBitExact) {
+  // gather_dot is the DQN learner's taken-action output layer: at every
+  // level it must reproduce that level's dense product at (i, col[i]) to
+  // the last bit. ReLU-like rows carry exact zeros and -0.0 (both skipped
+  // by every level), and row 1 is all zero.
+  std::vector<const KernelOps*> levels = simd_levels();
+  levels.insert(levels.begin(), &kern::scalar_ops());
+  const struct { std::size_t m, k, n; } shapes[] = {
+      {32, 45, 160}, {5, 24, 45}, {9, 7, 17}, {3, 13, 5}};
+  for (const KernelOps* ops : levels) {
+    SCOPED_TRACE(ops->name);
+    Rng rng(18);
+    for (const auto& s : shapes) {
+      auto a = random_vec(s.m * s.k, rng);
+      for (double& x : a) x = x > 0.0 ? x : 0.0;
+      for (std::size_t i = 0; i < a.size(); i += 5) {
+        if (a[i] == 0.0) a[i] = -0.0;
+      }
+      std::fill(a.begin() + s.k, a.begin() + 2 * s.k, 0.0);
+      const auto b = random_vec(s.k * s.n, rng);
+      std::vector<std::size_t> col(s.m);
+      for (std::size_t i = 0; i < s.m; ++i) col[i] = rng.index(s.n);
+      col[s.m - 1] = s.n - 1;
+
+      std::vector<double> c(s.m * s.n, 0.0);
+      ops->matmul_acc(c.data(), a.data(), b.data(), s.m, s.k, s.n);
+      std::vector<double> out(s.m, 1.0);
+      ops->gather_dot(out.data(), a.data(), b.data(), col.data(), s.m, s.k,
+                      s.n);
+      for (std::size_t i = 0; i < s.m; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(c[i * s.n + col[i]]))
+            << s.m << "x" << s.k << "x" << s.n << " row " << i;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[1]),
+                std::bit_cast<std::uint64_t>(0.0));
+
+      if (ops == &kern::scalar_ops()) {
+        // Straight-line reference (this TU compiles without contraction).
+        for (std::size_t i = 0; i < s.m; ++i) {
+          double ref = 0.0;
+          for (std::size_t k = 0; k < s.k; ++k) {
+            const double aik = a[i * s.k + k];
+            if (aik != 0.0) ref += aik * b[k * s.n + col[i]];
+          }
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(ref))
+              << "row " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelParity, SaxpyUlpBounded) {
   REQUIRE_SIMD(levels);
   for (const KernelOps* simd : levels) {
@@ -229,8 +286,8 @@ TEST(KernelParity, ArgmaxFirstOnTies) {
 
 /// Straight-line reference for the fused TD/Huber kernel, written against
 /// the rl:: Huber helpers rather than kernels_detail.
-double td_huber_reference(const TdHuberArgs& a, std::vector<double>& grad) {
-  grad.assign(a.batch * a.num_actions, 0.0);
+double td_huber_reference(const TdHuberArgs& a, std::vector<double>& g) {
+  g.assign(a.batch, 0.0);
   double loss = 0.0;
   for (std::size_t i = 0; i < a.batch; ++i) {
     const double* nq = a.next_q + i * a.num_actions;
@@ -243,10 +300,9 @@ double td_huber_reference(const TdHuberArgs& a, std::vector<double>& grad) {
     }
     const double r = a.rewards[i] * a.reward_scale;
     const double target = a.dones[i] ? r : r + a.gamma * max_next;
-    const double error = a.q[i * a.num_actions + a.actions[i]] - target;
+    const double error = a.q_taken[i] - target;
     loss += rl::huber_loss(error, a.huber_delta);
-    grad[i * a.num_actions + a.actions[i]] =
-        rl::huber_grad(error, a.huber_delta) / a.grad_div;
+    g[i] = rl::huber_grad(error, a.huber_delta) / a.grad_div;
   }
   return loss;
 }
@@ -268,46 +324,43 @@ TEST_P(TdHuberTest, MatchesReferenceAndAvx2BitExact) {
   const bool double_dqn = GetParam();
   Rng rng(16);
   const std::size_t B = 32, A = 160;
-  const auto q = random_vec(B * A, rng);
+  const auto q_taken = random_vec(B, rng);
   // Spread Q values wide enough to exercise both Huber branches.
   auto next_q = random_vec(B * A, rng);
   for (double& v : next_q) v *= 40.0;
   const auto next_q_online = random_vec(B * A, rng);
-  std::vector<std::size_t> actions(B);
   std::vector<double> rewards(B);
   std::vector<std::uint8_t> dones(B);
   for (std::size_t i = 0; i < B; ++i) {
-    actions[i] = rng.index(A);
     rewards[i] = rng.uniform(-160.0, 0.0);
     dones[i] = rng.bernoulli(0.2) ? 1 : 0;
   }
 
   TdHuberArgs args = make_td_args(B, A);
-  args.q = q.data();
+  args.q_taken = q_taken.data();
   args.next_q = next_q.data();
   args.next_q_online = double_dqn ? next_q_online.data() : nullptr;
-  args.actions = actions.data();
   args.rewards = rewards.data();
   args.dones = dones.data();
 
-  std::vector<double> grad_ref;
-  const double loss_ref = td_huber_reference(args, grad_ref);
+  std::vector<double> g_ref;
+  const double loss_ref = td_huber_reference(args, g_ref);
 
-  std::vector<double> grad_scalar(B * A, 0.0);
+  std::vector<double> g_scalar(B, 0.0);
   const double loss_scalar =
-      kern::scalar_ops().td_huber_batch(args, grad_scalar.data());
+      kern::scalar_ops().td_huber_batch(args, g_scalar.data());
   EXPECT_EQ(loss_scalar, loss_ref);
-  EXPECT_EQ(grad_scalar, grad_ref);
+  EXPECT_EQ(g_scalar, g_ref);
 
   // The SIMD variants only swap in the vector max/argmax, which are
   // bit-exact (the AVX-512 table inherits this kernel from AVX2 outright);
   // the whole fused kernel must therefore agree to the last bit.
   for (const KernelOps* simd : simd_levels()) {
     SCOPED_TRACE(simd->name);
-    std::vector<double> grad_simd(B * A, 0.0);
-    const double loss_simd = simd->td_huber_batch(args, grad_simd.data());
+    std::vector<double> g_simd(B, 0.0);
+    const double loss_simd = simd->td_huber_batch(args, g_simd.data());
     EXPECT_EQ(loss_simd, loss_ref);
-    EXPECT_EQ(grad_simd, grad_ref);
+    EXPECT_EQ(g_simd, g_ref);
   }
 }
 
@@ -328,24 +381,39 @@ void adam_reference(std::vector<double>& p, std::vector<double>& m,
 
 TEST(KernelParity, AdamUpdateBitExact) {
   // kern::adam_update is not dispatched; it must equal the reference to the
-  // last bit on every build.
+  // last bit on every build — also once a bias correction has rounded to
+  // exactly 1.0 and the kernel stops dividing by it (1−0.9ᵗ at t ≥ 356,
+  // 1−0.999ᵗ at t ≥ 37 412), while the reference still divides, and on the
+  // last steps before that, where it must still divide.
+  const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
+  const auto bc = [](double beta, double t) { return 1.0 - std::pow(beta, t); };
+  ASSERT_EQ(bc(beta1, 356.0), 1.0);
+  ASSERT_EQ(bc(beta2, 37412.0), 1.0);
+  const struct { double bc1, bc2; } corrections[] = {
+      {bc(beta1, 7.0), bc(beta2, 7.0)},
+      {bc(beta1, 355.0), bc(beta2, 355.0)},
+      {1.0, bc(beta2, 356.0)},
+      {1.0, bc(beta2, 37411.0)},
+      {1.0, 1.0}};
+  ASSERT_LT(corrections[1].bc1, 1.0);
+  ASSERT_LT(corrections[3].bc2, 1.0);
   Rng rng(17);
-  for (std::size_t n : {1u, 3u, 4u, 45u, 1080u, 7200u + 3u}) {
-    auto p_ref = random_vec(n, rng);
-    auto m_ref = random_vec(n, rng);
-    auto v_ref = random_vec(n, rng);
-    for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
-    const auto g = random_vec(n, rng);
-    auto p = p_ref, m = m_ref, v = v_ref;
-    const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
-    const double bc1 = 1.0 - std::pow(beta1, 7.0);
-    const double bc2 = 1.0 - std::pow(beta2, 7.0);
-    adam_reference(p_ref, m_ref, v_ref, g, beta1, beta2, lr, bc1, bc2, eps);
-    kern::adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1, beta2,
-                      lr, bc1, bc2, eps);
-    EXPECT_EQ(p, p_ref) << "n=" << n;
-    EXPECT_EQ(m, m_ref) << "n=" << n;
-    EXPECT_EQ(v, v_ref) << "n=" << n;
+  for (const auto& c : corrections) {
+    for (std::size_t n : {1u, 3u, 4u, 45u, 1080u, 7200u + 3u}) {
+      auto p_ref = random_vec(n, rng);
+      auto m_ref = random_vec(n, rng);
+      auto v_ref = random_vec(n, rng);
+      for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
+      const auto g = random_vec(n, rng);
+      auto p = p_ref, m = m_ref, v = v_ref;
+      adam_reference(p_ref, m_ref, v_ref, g, beta1, beta2, lr, c.bc1, c.bc2,
+                     eps);
+      kern::adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1,
+                        beta2, lr, c.bc1, c.bc2, eps);
+      EXPECT_EQ(p, p_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
+      EXPECT_EQ(m, m_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
+      EXPECT_EQ(v, v_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
+    }
   }
 }
 

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "io/container.hpp"
 #include "io/tensors.hpp"
@@ -597,6 +599,109 @@ TEST(Dqn, DeployedSizeMatchesPaperScale) {
   EXPECT_EQ(agent.param_count(), 10555u);
   EXPECT_NEAR(static_cast<double>(agent.deployed_size_bytes()) / 1024.0, 42.7,
               2.0);
+}
+
+// The learner evaluates and backpropagates the online output layer only at
+// the taken actions, and Adam stops dividing by a bias correction once it is
+// exactly 1.0. A test-local replica runs the dense path instead —
+// forward_cached, a one-hot gradient matrix through backward(), and
+// AdamOptimizer — on the same minibatches. Past t = 356 (where 1 − 0.9ᵗ
+// rounds to 1.0) and across a target sync, every online, target and
+// Adam-moment bit must agree. Row 0 of each batch is terminal with reward
+// equal to the current Q(s₀, a₀), so its TD gradient is exactly 0.
+TEST(Dqn, TakenActionLearnerMatchesDenseReplica) {
+  for (const bool double_dqn : {false, true}) {
+    SCOPED_TRACE(double_dqn ? "double DQN" : "vanilla DQN");
+    DqnConfig config;  // the paper net: 24-45-45-160, batch 32
+    config.reward_scale = 1.0;  // a terminal row's TD target is its reward
+    config.double_dqn = double_dqn;
+    config.seed = 21;
+    DqnAgent agent(config);
+
+    std::vector<std::size_t> sizes = {config.state_dim};
+    sizes.insert(sizes.end(), config.hidden.begin(), config.hidden.end());
+    sizes.push_back(config.num_actions);
+    Rng init(config.seed);  // the agent's construction stream
+    Mlp online(sizes, init);
+    Mlp target(sizes, init);
+    target.copy_parameters_from(online);
+    AdamOptimizer adam(online, {.lr = config.learning_rate,
+                                .beta1 = 0.9,
+                                .beta2 = 0.999,
+                                .epsilon = 1e-8});
+
+    const std::size_t B = config.batch_size, A = config.num_actions;
+    Rng data(77);
+    Matrix states(B, config.state_dim), next_states(B, config.state_dim);
+    std::vector<std::size_t> actions(B);
+    std::vector<double> rewards(B);
+    std::vector<std::uint8_t> dones(B);
+    Matrix next_q, next_q_online, scratch_a, scratch_b, grad;
+    std::vector<double> q_taken(B), g(B);
+    const std::size_t steps = 420;
+    for (std::size_t step = 1; step <= steps; ++step) {
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        states.data()[i] = data.bernoulli(0.3) ? 0.0 : data.normal();
+        next_states.data()[i] = data.bernoulli(0.3) ? 0.0 : data.normal();
+      }
+      for (std::size_t i = 0; i < B; ++i) {
+        actions[i] = data.index(A);
+        rewards[i] = data.uniform(-2.0, 0.0);
+        dones[i] = data.bernoulli(0.1) ? 1 : 0;
+      }
+      const Matrix& q = online.forward_cached(states);
+      dones[0] = 1;
+      rewards[0] = q.at(0, actions[0]);
+
+      const double loss = agent.train_on_batch(states, next_states, actions,
+                                               rewards, dones);
+
+      target.forward_scratch(next_states, next_q, scratch_a, scratch_b);
+      if (double_dqn) {
+        online.forward_scratch(next_states, next_q_online, scratch_a,
+                               scratch_b);
+      }
+      for (std::size_t i = 0; i < B; ++i) q_taken[i] = q.at(i, actions[i]);
+      kern::TdHuberArgs td;
+      td.q_taken = q_taken.data();
+      td.next_q = next_q.data();
+      td.next_q_online = double_dqn ? next_q_online.data() : nullptr;
+      td.rewards = rewards.data();
+      td.dones = dones.data();
+      td.gamma = config.gamma;
+      td.reward_scale = config.reward_scale;
+      td.grad_div = static_cast<double>(B);
+      td.batch = B;
+      td.num_actions = A;
+      const double replica_loss = kern::ops().td_huber_batch(td, g.data());
+      ASSERT_EQ(loss, replica_loss / static_cast<double>(B)) << "step " << step;
+      ASSERT_EQ(g[0], 0.0);
+
+      grad.resize(B, A);
+      for (std::size_t i = 0; i < B; ++i) grad.at(i, actions[i]) = g[i];
+      online.zero_grad();
+      online.backward(grad);
+      adam.step(online);
+      if (step % config.target_sync_interval == 0) {
+        target.copy_parameters_from(online);
+      }
+    }
+    ASSERT_GT(steps, config.target_sync_interval);
+    ASSERT_EQ(1.0 - std::pow(0.9, static_cast<double>(steps)), 1.0);
+
+    io::ContainerWriter out;
+    agent.save_state(out);
+    const io::ContainerReader saved =
+        io::ContainerReader::from_bytes(out.to_bytes());
+    const auto bytes_of = [](const auto& part) {
+      io::ByteWriter w;
+      part.save_state(w);
+      return w.take();
+    };
+    EXPECT_TRUE(saved.chunk(io::tags::kNetOnline) == bytes_of(online));
+    EXPECT_TRUE(saved.chunk(io::tags::kNetTarget) == bytes_of(target));
+    EXPECT_TRUE(saved.chunk(io::tags::kAdam) == bytes_of(adam));
+  }
 }
 
 TEST(Dqn, TrainStepRequiresMinimumReplay) {
