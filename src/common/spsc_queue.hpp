@@ -15,7 +15,7 @@
 // (queue neither full nor empty) touches only its own cache line.
 //
 // SpscQueue<T> is the generic movable-element queue; TransitionQueue in
-// rl/replay_shard.hpp builds on the same index core with a flat fixed-stride
+// rl/replay.hpp builds on the same index core with a flat fixed-stride
 // payload so the trainer's transition stream moves without any allocation.
 #pragma once
 

@@ -19,7 +19,7 @@
 #include "core/checkpoint.hpp"
 #include "core/vector_env.hpp"
 #include "rl/policy_bus.hpp"
-#include "rl/replay_shard.hpp"
+#include "rl/replay.hpp"
 
 namespace ctj::core {
 namespace {
@@ -57,9 +57,7 @@ Resolved resolve(const rl::DqnConfig& agent_config,
                       ? p.train_every_slots
                       : std::max<std::size_t>(1, agent_config.train_every);
   r.replay_per_actor =
-      p.replay_capacity_per_actor > 0
-          ? p.replay_capacity_per_actor
-          : std::max<std::size_t>(1, agent_config.replay_capacity / p.actors);
+      std::max<std::size_t>(1, agent_config.replay_capacity / p.actors);
   r.queue_capacity = p.queue_capacity > 0
                          ? p.queue_capacity
                          : std::max<std::size_t>(64, 4 * r.replicas);
@@ -144,7 +142,6 @@ struct ActorShard {
              const DqnScheme::Config& scheme_config,
              const rl::DqnConfig& agent_config, const Resolved& r)
       : id(id_),
-        state_dim(agent_config.state_dim),
         num_actions(agent_config.num_actions),
         rollout(env_config, scheme_config, r.replicas),
         rng(agent_config.seed ^ (0x9E3779B97F4A7C15ULL * (id_ + 1))),
@@ -177,14 +174,10 @@ struct ActorShard {
         if (stop.load(std::memory_order_acquire)) return false;
         std::this_thread::yield();
       }
-      rec[rl::kTransAction] = static_cast<double>(rollout.actions()[r]);
-      rec[rl::kTransReward] = rollout.venv().rewards()[r];
-      rec[rl::kTransDone] = 0.0;  // continuing competition
-      const auto state = rollout.pre_state(r);
-      std::copy(state.begin(), state.end(), rec + rl::kTransState);
-      const auto next_state = rollout.windows().row(r);
-      std::copy(next_state.begin(), next_state.end(),
-                rec + rl::kTransState + state_dim);
+      rl::pack_transition(rec, rollout.actions()[r],
+                          rollout.venv().rewards()[r],
+                          /*done=*/false,  // continuing competition
+                          rollout.pre_state(r), rollout.windows().row(r));
       queue.commit();
       return true;
     };
@@ -192,7 +185,6 @@ struct ActorShard {
   }
 
   const std::size_t id;
-  const std::size_t state_dim;
   const std::size_t num_actions;
   DqnRollout rollout;
   Rng rng;
@@ -214,7 +206,8 @@ class ParallelRun {
         config_(config),
         r_(r),
         bus_(agent_.param_count()),
-        replay_(r.actors, r.replay_per_actor, agent_.config().state_dim),
+        replay_(r.actors, r.replay_per_actor, agent_.config().state_dim,
+                agent_.config().num_actions),
         flat_(agent_.param_count()),
         progress_{.mode = 2,
                   .replicas = r.total_replicas(),
@@ -401,11 +394,9 @@ class ParallelRun {
     progress_.record(rec[rl::kTransReward], config_);
     if (progress_.slots_trained >= next_step_at_) {
       if (replay_.size() >= r_.min_replay) {
-        replay_.sample_into(r_.batch, learner_rng_, batch_states_,
-                            batch_next_, batch_actions_, batch_rewards_,
-                            batch_dones_);
-        agent_.train_on_batch(batch_states_, batch_next_, batch_actions_,
-                              batch_rewards_, batch_dones_);
+        replay_.sample_into(r_.batch, learner_rng_, batch_);
+        agent_.train_on_batch(batch_.states, batch_.next_states,
+                              batch_.actions, batch_.rewards, batch_.dones);
       }
       next_step_at_ += r_.train_every;
     }
@@ -634,11 +625,7 @@ class ParallelRun {
   double eps_pub_ = 0.0;  // ε of the last published snapshot
   std::size_t next_step_at_ = 0;
   std::size_t start_round_ = 0;
-  // Learner minibatch scratch.
-  rl::Matrix batch_states_, batch_next_;
-  std::vector<std::size_t> batch_actions_;
-  std::vector<double> batch_rewards_;
-  std::vector<std::uint8_t> batch_dones_;
+  rl::Minibatch batch_;  // learner minibatch scratch
 };
 
 }  // namespace

@@ -74,8 +74,6 @@ struct ParallelTrainerConfig {
   /// sample-reuse ratio; keeping it equal to the serial trainer's
   /// batch_size / train_every makes runs statistically comparable.
   std::size_t train_every_slots = 0;
-  /// Per-shard replay ring capacity (0 = agent replay_capacity / actors).
-  std::size_t replay_capacity_per_actor = 0;
   /// Per-shard transition queue capacity in records (0 = auto). Rounded
   /// up to a power of two.
   std::size_t queue_capacity = 0;

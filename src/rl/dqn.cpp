@@ -28,7 +28,7 @@ DqnAgent::DqnAgent(DqnConfig config)
                            .beta1 = 0.9,
                            .beta2 = 0.999,
                            .epsilon = 1e-8}),
-      replay_(config.replay_capacity) {
+      replay_(config.replay_capacity, config.state_dim, config.num_actions) {
   CTJ_CHECK(config.num_actions >= 2);
   CTJ_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
   CTJ_CHECK(config.target_tau >= 0.0 && config.target_tau <= 1.0);
@@ -105,11 +105,11 @@ std::size_t DqnAgent::act(std::span<const double> state) {
   return act_greedy(state);
 }
 
-void DqnAgent::observe(Transition transition) {
+void DqnAgent::observe(const Transition& transition) {
   CTJ_CHECK(transition.state.size() == config_.state_dim);
   CTJ_CHECK(transition.next_state.size() == config_.state_dim);
   CTJ_CHECK(transition.action < config_.num_actions);
-  replay_.push(std::move(transition));
+  replay_.push(transition);
   ++env_steps_;
   if (config_.train_every > 0 && env_steps_ % config_.train_every == 0) {
     train_step();
@@ -118,26 +118,9 @@ void DqnAgent::observe(Transition transition) {
 
 std::optional<double> DqnAgent::train_step() {
   if (replay_.size() < config_.min_replay_before_training) return std::nullopt;
-  const auto batch = replay_.sample(config_.batch_size, rng_);
-  const std::size_t B = batch.size();
-
-  states_.resize(B, config_.state_dim);
-  next_states_.resize(B, config_.state_dim);
-  actions_scratch_.resize(B);
-  rewards_scratch_.resize(B);
-  dones_scratch_.resize(B);
-  for (std::size_t i = 0; i < B; ++i) {
-    std::copy(batch[i]->state.begin(), batch[i]->state.end(),
-              states_.data() + i * config_.state_dim);
-    std::copy(batch[i]->next_state.begin(), batch[i]->next_state.end(),
-              next_states_.data() + i * config_.state_dim);
-    actions_scratch_[i] = batch[i]->action;
-    rewards_scratch_[i] = batch[i]->reward;
-    dones_scratch_[i] = batch[i]->done ? 1 : 0;
-  }
-
-  return train_on_batch(states_, next_states_, actions_scratch_,
-                        rewards_scratch_, dones_scratch_);
+  replay_.sample_into(config_.batch_size, rng_, batch_);
+  return train_on_batch(batch_.states, batch_.next_states, batch_.actions,
+                        batch_.rewards, batch_.dones);
 }
 
 double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
@@ -282,7 +265,7 @@ void DqnAgent::save_state(io::ContainerWriter& out) const {
   out.add_chunk(io::tags::kAdam, adam.take());
 
   io::ByteWriter replay;
-  replay_.save_state(replay);
+  replay_.save_transitions(replay);
   out.add_chunk(io::tags::kReplay, replay.take());
 
   io::ByteWriter rng;
@@ -322,18 +305,8 @@ void DqnAgent::load_state_impl(const io::ContainerReader& in,
   optimizer_.check_state(adam);
 
   io::ByteReader replay_in(in.chunk(io::tags::kReplay));
-  ReplayBuffer::State replay = ReplayBuffer::decode_state(replay_in);
+  ReplayRing replay = replay_.decode_transitions(replay_in);
   replay_in.expect_end();
-  replay_.check_state(replay);
-  for (const Transition& t : replay.items) {
-    if (t.state.size() != config_.state_dim ||
-        t.next_state.size() != config_.state_dim ||
-        t.action >= config_.num_actions) {
-      throw io::IoError(io::ErrorKind::kStateMismatch,
-                        "replay transition does not fit the agent's "
-                        "state/action dimensions");
-    }
-  }
 
   io::ByteReader rng_in(in.chunk(io::tags::kRngAgent));
   const std::string rng_text = rng_in.str();
@@ -352,7 +325,7 @@ void DqnAgent::load_state_impl(const io::ContainerReader& in,
   online_.apply_tensors(online);
   target_.apply_tensors(target);
   optimizer_.apply_state(adam);
-  replay_.apply_state(std::move(replay));
+  replay_ = std::move(replay);
   rng_ = rng;
   env_steps_ = static_cast<std::size_t>(counters.env_steps);
   grad_steps_ = static_cast<std::size_t>(counters.grad_steps);

@@ -83,7 +83,7 @@ class DqnAgent {
   void act_batch(const Matrix& states, std::span<std::size_t> actions_out);
 
   /// Record a transition; trains when enough experience has accumulated.
-  void observe(Transition transition);
+  void observe(const Transition& transition);
 
   /// One gradient step on a sampled minibatch (no-op if the buffer is
   /// below the training threshold). Returns the minibatch mean Huber loss
@@ -91,13 +91,13 @@ class DqnAgent {
   std::optional<double> train_step();
 
   /// One gradient step on a caller-assembled minibatch ([B × state_dim]
-  /// states/next_states plus per-row action/reward/done) — the parallel
-  /// trainer's learner path, sampling from its sharded replay instead of
-  /// the agent's internal buffer. Identical op order to train_step() after
-  /// sampling: target/online forwards, fused TD-Huber kernel, Adam step,
-  /// periodic target sync. The loss reads the online Q only at the taken
-  /// actions, so the online output layer is evaluated and backpropagated at
-  /// those entries alone. Returns the minibatch mean Huber loss.
+  /// states/next_states plus per-row action/reward/done): train_step()'s
+  /// step after sampling, and the parallel trainer's learner path, which
+  /// samples from its sharded replay instead of the agent's ring. Target/
+  /// online forwards, fused TD-Huber kernel, Adam step, periodic target
+  /// sync. The loss reads the online Q only at the taken actions, so the
+  /// online output layer is evaluated and backpropagated at those entries
+  /// alone. Returns the minibatch mean Huber loss.
   double train_on_batch(const Matrix& states, const Matrix& next_states,
                         std::span<const std::size_t> actions,
                         std::span<const double> rewards,
@@ -150,20 +150,16 @@ class DqnAgent {
   Mlp online_;
   Mlp target_;
   AdamOptimizer optimizer_;
-  ReplayBuffer replay_;
+  ReplayRing replay_;
   std::size_t env_steps_ = 0;
   std::size_t grad_steps_ = 0;
   // Minibatch scratch reused across train_step() calls (the training loop
   // runs one step per slot — allocation churn here dominates the profile).
-  Matrix states_;
-  Matrix next_states_;
+  Minibatch batch_;
   std::vector<double> q_taken_;  // online Q(s_i, a_i) of the minibatch
   std::vector<double> td_grad_;  // dLoss/dQ(s_i, a_i)
   Matrix next_q_;
   Matrix next_q_online_;
-  std::vector<std::size_t> actions_scratch_;
-  std::vector<double> rewards_scratch_;
-  std::vector<std::uint8_t> dones_scratch_;
   // Inference scratch for the (logically const) greedy/Q readout paths;
   // infer_a_/infer_b_ also carry the hidden layers of train_step's target
   // forwards. Keeps act_greedy and the learner step allocation-free, under

@@ -1,116 +1,262 @@
 #include "rl/replay.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/check.hpp"
 
 namespace ctj::rl {
+namespace {
 
-ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity) {
-  CTJ_CHECK(capacity > 0);
-  buffer_.reserve(capacity);
-}
-
-void ReplayBuffer::push(Transition transition) {
-  if (buffer_.size() < capacity_) {
-    buffer_.push_back(std::move(transition));
-  } else {
-    buffer_[next_] = std::move(transition);
-    next_ = (next_ + 1) % capacity_;
-  }
-}
-
-std::vector<const Transition*> ReplayBuffer::sample(std::size_t batch,
-                                                    Rng& rng) const {
-  CTJ_CHECK_MSG(!buffer_.empty(), "sampling from an empty replay buffer");
-  std::vector<const Transition*> out;
-  out.reserve(batch);
+/// Fill `out` with `batch` rows: row_at(u) for one u = rng.index(size)
+/// per row.
+template <typename RowAt>
+void sample_rows(std::size_t batch, std::size_t size, std::size_t dim,
+                 Rng& rng, Minibatch& out, RowAt row_at) {
+  CTJ_CHECK(batch > 0);
+  CTJ_CHECK_MSG(size > 0, "sampling from an empty replay");
+  out.states.resize(batch, dim);
+  out.next_states.resize(batch, dim);
+  out.actions.resize(batch);
+  out.rewards.resize(batch);
+  out.dones.resize(batch);
   for (std::size_t i = 0; i < batch; ++i) {
-    out.push_back(&buffer_[rng.index(buffer_.size())]);
+    const TransitionRow t = unpack_transition(row_at(rng.index(size)), dim);
+    out.actions[i] = t.action;
+    out.rewards[i] = t.reward;
+    out.dones[i] = t.done ? 1 : 0;
+    std::copy(t.state.begin(), t.state.end(), out.states.data() + i * dim);
+    std::copy(t.next_state.begin(), t.next_state.end(),
+              out.next_states.data() + i * dim);
   }
-  return out;
 }
 
-const Transition& ReplayBuffer::at(std::size_t i) const {
-  CTJ_CHECK(i < buffer_.size());
-  return buffer_[i];
+}  // namespace
+
+void pack_transition(double* row, std::size_t action, double reward,
+                     bool done, std::span<const double> state,
+                     std::span<const double> next_state) {
+  row[kTransAction] = static_cast<double>(action);
+  row[kTransReward] = reward;
+  row[kTransDone] = done ? 1.0 : 0.0;
+  std::copy(state.begin(), state.end(), row + kTransState);
+  std::copy(next_state.begin(), next_state.end(),
+            row + kTransState + state.size());
 }
 
-void ReplayBuffer::clear() {
-  buffer_.clear();
-  next_ = 0;
+TransitionRow unpack_transition(const double* row, std::size_t state_dim) {
+  return {static_cast<std::size_t>(row[kTransAction]), row[kTransReward],
+          row[kTransDone] != 0.0, {row + kTransState, state_dim},
+          {row + kTransState + state_dim, state_dim}};
 }
 
-void ReplayBuffer::save_state(io::ByteWriter& out) const {
+TransitionQueue::TransitionQueue(std::size_t capacity, std::size_t state_dim)
+    : state_dim_(state_dim),
+      stride_(transition_stride(state_dim)),
+      index_(next_pow2(capacity)),
+      buf_(index_.capacity() * stride_) {
+  CTJ_CHECK(state_dim > 0);
+}
+
+ReplayRing::ReplayRing(std::size_t capacity, std::size_t state_dim,
+                       std::size_t num_actions)
+    : capacity_(capacity),
+      state_dim_(state_dim),
+      num_actions_(num_actions),
+      stride_(transition_stride(state_dim)) {
+  CTJ_CHECK(capacity > 0);
+  CTJ_CHECK(state_dim > 0);
+  CTJ_CHECK(num_actions > 0);
+  rows_.reserve(capacity_ * stride_);
+}
+
+const double* ReplayRing::row(std::size_t i) const {
+  CTJ_CHECK(i < size_);
+  return rows_.data() + i * stride_;
+}
+
+double* ReplayRing::claim() {
+  if (size_ < capacity_) {
+    rows_.resize(rows_.size() + stride_);
+    ++size_;
+    return rows_.data() + rows_.size() - stride_;
+  }
+  double* slot = rows_.data() + cursor_ * stride_;
+  cursor_ = (cursor_ + 1) % capacity_;
+  return slot;
+}
+
+void ReplayRing::append(const double* row) {
+  std::copy(row, row + stride_, claim());
+}
+
+void ReplayRing::push(const Transition& t) {
+  pack_transition(claim(), t.action, t.reward, t.done, t.state,
+                  t.next_state);
+}
+
+void ReplayRing::sample_into(std::size_t batch, Rng& rng,
+                             Minibatch& out) const {
+  sample_rows(batch, size_, state_dim_, rng, out,
+              [this](std::size_t u) { return row(u); });
+}
+
+void ReplayRing::check_fill(std::uint64_t capacity, std::uint64_t count,
+                            std::uint64_t cursor) const {
+  if (capacity != capacity_) {
+    throw io::IoError(io::ErrorKind::kStateMismatch,
+                      "replay capacity " + std::to_string(capacity) +
+                          " != configured " + std::to_string(capacity_));
+  }
+  // The cursor only advances once the ring is full; while filling it is 0.
+  if (count > capacity_ ||
+      (count < capacity_ ? cursor != 0 : cursor >= capacity_)) {
+    throw io::IoError(io::ErrorKind::kStateMismatch,
+                      "replay cursor " + std::to_string(cursor) +
+                          " inconsistent with " + std::to_string(count) +
+                          "/" + std::to_string(capacity_) + " fill");
+  }
+}
+
+void ReplayRing::check_fields(double action, double done) const {
+  // unpack_transition's cast is defined only for an integral double in
+  // [0, 2^64); NaN fails the first comparison.
+  if (!(action >= 0.0) || action != std::floor(action) ||
+      (done != 0.0 && done != 1.0)) {
+    throw io::IoError(io::ErrorKind::kBadPayload,
+                      "replay row action " + std::to_string(action) +
+                          " / done " + std::to_string(done) + " malformed");
+  }
+  if (action >= static_cast<double>(num_actions_)) {
+    throw io::IoError(io::ErrorKind::kStateMismatch,
+                      "replay action " + std::to_string(action) +
+                          " outside the agent's " +
+                          std::to_string(num_actions_) + " actions");
+  }
+}
+
+void ReplayRing::save_transitions(io::ByteWriter& out) const {
   out.u64(capacity_);
-  out.u64(next_);
-  out.u64(buffer_.size());
-  for (const Transition& t : buffer_) {
-    out.f64_vec(t.state);
+  out.u64(cursor_);
+  out.u64(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const TransitionRow t = unpack_transition(row(i), state_dim_);
+    out.u64(state_dim_);
+    out.f64_array(t.state);
     out.u64(t.action);
     out.f64(t.reward);
-    out.f64_vec(t.next_state);
+    out.u64(state_dim_);
+    out.f64_array(t.next_state);
     out.u8(t.done ? 1 : 0);
   }
 }
 
-ReplayBuffer::State ReplayBuffer::decode_state(io::ByteReader& in) {
-  State state;
-  state.capacity = in.u64();
-  state.cursor = in.u64();
+ReplayRing ReplayRing::decode_transitions(io::ByteReader& in) const {
+  const std::uint64_t capacity = in.u64();
+  const std::uint64_t cursor = in.u64();
   const std::uint64_t count = in.u64();
-  state.items.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, in.remaining() / 8)));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Transition t;
-    t.state = in.f64_vec();
-    t.action = static_cast<std::size_t>(in.u64());
-    t.reward = in.f64();
-    t.next_state = in.f64_vec();
-    const std::uint8_t done = in.u8();
-    if (done > 1) {
-      throw io::IoError(io::ErrorKind::kBadPayload,
-                        "replay transition done flag is " +
-                            std::to_string(done));
+  check_fill(capacity, count, cursor);
+  ReplayRing ring(capacity_, state_dim_, num_actions_);
+  std::vector<double> state(state_dim_), next_state(state_dim_);
+  const auto read_state = [&](std::vector<double>& out) {
+    if (in.u64() != state_dim_) {
+      throw io::IoError(io::ErrorKind::kStateMismatch,
+                        "replay transition does not fit the agent's "
+                        "state dimension");
     }
-    t.done = done != 0;
-    state.items.push_back(std::move(t));
+    in.f64_array(out);
+  };
+  for (std::uint64_t i = 0; i < count; ++i) {
+    read_state(state);
+    const std::uint64_t action = in.u64();
+    const double reward = in.f64();
+    read_state(next_state);
+    const std::uint8_t done = in.u8();
+    check_fields(static_cast<double>(action), done);
+    pack_transition(ring.claim(), static_cast<std::size_t>(action), reward,
+                    done != 0, state, next_state);
   }
-  return state;
+  ring.cursor_ = static_cast<std::size_t>(cursor);
+  return ring;
 }
 
-void ReplayBuffer::check_state(const State& state) const {
-  if (state.capacity != capacity_) {
-    throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "replay capacity " + std::to_string(state.capacity) +
-                          " != configured " + std::to_string(capacity_));
+void ReplayRing::save_rows(io::ByteWriter& out) const {
+  out.u64(size_);
+  out.u64(cursor_);
+  out.f64_array(rows_);
+}
+
+ReplayRing ReplayRing::decode_rows(io::ByteReader& in) const {
+  const std::uint64_t count = in.u64();
+  const std::uint64_t cursor = in.u64();
+  check_fill(capacity_, count, cursor);
+  ReplayRing ring(capacity_, state_dim_, num_actions_);
+  ring.rows_.resize(static_cast<std::size_t>(count) * stride_);
+  in.f64_array(ring.rows_);
+  ring.size_ = static_cast<std::size_t>(count);
+  ring.cursor_ = static_cast<std::size_t>(cursor);
+  for (std::size_t i = 0; i < ring.size_; ++i) {
+    const double* r = ring.row(i);
+    check_fields(r[kTransAction], r[kTransDone]);
   }
-  if (state.items.size() > capacity_) {
-    throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "replay holds " + std::to_string(state.items.size()) +
-                          " transitions over capacity " +
-                          std::to_string(capacity_));
-  }
-  // The cursor only advances once the ring is full; while filling it is 0.
-  if (state.items.size() < capacity_ ? state.cursor != 0
-                                     : state.cursor >= capacity_) {
-    throw io::IoError(io::ErrorKind::kStateMismatch,
-                      "replay cursor " + std::to_string(state.cursor) +
-                          " inconsistent with " +
-                          std::to_string(state.items.size()) + "/" +
-                          std::to_string(capacity_) + " fill");
+  return ring;
+}
+
+ShardedReplay::ShardedReplay(std::size_t shards,
+                             std::size_t capacity_per_shard,
+                             std::size_t state_dim, std::size_t num_actions) {
+  CTJ_CHECK(shards > 0);
+  // Emplaced, not copied: a copied ring would drop its reservation.
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    shards_.emplace_back(capacity_per_shard, state_dim, num_actions);
   }
 }
 
-void ReplayBuffer::apply_state(State&& state) {
-  buffer_ = std::move(state.items);
-  next_ = static_cast<std::size_t>(state.cursor);
+std::size_t ShardedReplay::size() const {
+  std::size_t total = 0;
+  for (const ReplayRing& shard : shards_) total += shard.size();
+  return total;
 }
 
-void ReplayBuffer::load_state(io::ByteReader& in) {
-  State state = decode_state(in);
-  check_state(state);
-  apply_state(std::move(state));
+void ShardedReplay::sample_into(std::size_t batch, Rng& rng,
+                                Minibatch& out) const {
+  sample_rows(batch, size(), shards_.front().state_dim(), rng, out,
+              [this](std::size_t u) {
+                // Shard counts are small (one per actor), so a linear scan
+                // beats a prefix-sum structure.
+                std::size_t s = 0;
+                while (u >= shards_[s].size()) u -= shards_[s++].size();
+                return shards_[s].row(u);
+              });
+}
+
+void ShardedReplay::save_state(io::ByteWriter& out) const {
+  out.u64(shards_.size());
+  out.u64(shards_.front().capacity());
+  out.u64(shards_.front().state_dim());
+  for (const ReplayRing& shard : shards_) shard.save_rows(out);
+}
+
+void ShardedReplay::load_state(io::ByteReader& in) {
+  const auto mismatch = [](const std::string& what) -> io::IoError {
+    return io::IoError(io::ErrorKind::kStateMismatch,
+                       "sharded replay state differs in " + what);
+  };
+  if (in.u64() != shards_.size()) throw mismatch("shard count");
+  if (in.u64() != shards_.front().capacity()) {
+    throw mismatch("shard capacity");
+  }
+  if (in.u64() != shards_.front().state_dim()) {
+    throw mismatch("state dimension");
+  }
+  std::vector<ReplayRing> loaded;
+  loaded.reserve(shards_.size());
+  for (const ReplayRing& shard : shards_) {
+    loaded.push_back(shard.decode_rows(in));
+  }
+  shards_ = std::move(loaded);
 }
 
 }  // namespace ctj::rl

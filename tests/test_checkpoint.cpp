@@ -1,15 +1,20 @@
 // Checkpoint & resume tests for the training stack: RNG stream round trips,
 // agent/scheme state round trips with the strong no-mutation-on-failure
-// guarantee, replay-ring persistence, and the headline property — a killed
+// guarantee, the replay ring (ring order, sampling, and both of its chunk
+// encodings with their decoders), and the headline property — a killed
 // and resumed training run is bit-identical to an uninterrupted one, for
 // both the sequential and the batched trainer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "core/checkpoint.hpp"
 #include "core/environment.hpp"
 #include "core/qlearning_scheme.hpp"
+#include "core/train_parallel.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
 #include "rl/qlearning.hpp"
@@ -96,6 +102,32 @@ std::vector<double> expected_window(const std::vector<SlotFeedback>& fed,
   return window;
 }
 
+/// Slot i of a ring, unpacked.
+rl::Transition transition_at(const rl::ReplayRing& ring, std::size_t i) {
+  const rl::TransitionRow row =
+      rl::unpack_transition(ring.row(i), ring.state_dim());
+  return {{row.state.begin(), row.state.end()},
+          row.action,
+          row.reward,
+          {row.next_state.begin(), row.next_state.end()},
+          row.done};
+}
+
+double first_state(const rl::ReplayRing& ring, std::size_t i) {
+  return transition_at(ring, i).state[0];
+}
+
+/// A flat row tagged `tag`: action tag, reward tag + 0.5, state and next
+/// state tag, tag + 1, ...
+void fill_record(double* rec, std::size_t state_dim, double tag) {
+  rec[rl::kTransAction] = tag;
+  rec[rl::kTransReward] = tag + 0.5;
+  rec[rl::kTransDone] = 0.0;
+  for (std::size_t i = 0; i < 2 * state_dim; ++i) {
+    rec[rl::kTransState + i] = tag + static_cast<double>(i);
+  }
+}
+
 void expect_same_transition(const rl::Transition& a, const rl::Transition& b) {
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.action, b.action);
@@ -137,75 +169,440 @@ TEST(RngState, MalformedStateThrowsWithoutMutating) {
   EXPECT_EQ(rng.serialize_state(), before);
 }
 
-TEST(ReplayState, MidWrapRoundTrip) {
-  rl::ReplayBuffer ring(4);
-  for (int i = 0; i < 6; ++i) ring.push(make_transition(i));  // wrapped twice
-  ASSERT_EQ(ring.size(), 4u);
-  ASSERT_EQ(ring.cursor(), 2u);
+// ---------------------------------------------------------- replay ring ----
+// The one replay ring (the DqnAgent's REPLAY chunk) and its sharded form
+// (the parallel trainer's SHRDRPLY chunk): ring order, sampling, and both
+// decoders.
 
-  io::ByteWriter w;
-  ring.save_state(w);
-  rl::ReplayBuffer restored(4);
-  io::ByteReader r(w.buffer());
-  restored.load_state(r);
+TEST(Replay, PushAndSize) {
+  rl::ReplayRing ring(4, 1, 1);
+  for (int i = 0; i < 3; ++i) ring.push({{1.0}, 0, 0.0, {1.0}, false});
+  EXPECT_EQ(ring.size(), 3u);
+}
 
-  EXPECT_EQ(restored.size(), ring.size());
-  EXPECT_EQ(restored.cursor(), ring.cursor());
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    expect_same_transition(restored.at(i), ring.at(i));
+TEST(Replay, RingOverwritesOldest) {
+  rl::ReplayRing ring(3, 1, 1);
+  for (int i = 0; i < 5; ++i) {
+    ring.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
   }
-
-  // The restored ring keeps overwriting exactly where the original would.
-  ring.push(make_transition(50));
-  restored.push(make_transition(50));
-  EXPECT_EQ(restored.cursor(), ring.cursor());
+  EXPECT_EQ(ring.size(), 3u);
+  // Entries 0 and 1 must have been overwritten by 3 and 4.
+  std::set<double> seen;
   for (std::size_t i = 0; i < ring.size(); ++i) {
-    expect_same_transition(restored.at(i), ring.at(i));
+    seen.insert(first_state(ring, i));
+  }
+  EXPECT_EQ(seen.count(0.0), 0u);
+  EXPECT_EQ(seen.count(1.0), 0u);
+  EXPECT_EQ(seen.count(4.0), 1u);
+}
+
+TEST(Replay, WraparoundReplacesOldestFirst) {
+  rl::ReplayRing ring(3, 1, 1);
+  for (int i = 0; i < 4; ++i) {
+    ring.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
+  }
+  // The ring cursor starts at slot 0 once full: pushing 3 evicts 0 (the
+  // oldest), leaving 1 and 2 in place.
+  EXPECT_DOUBLE_EQ(first_state(ring, 0), 3.0);
+  EXPECT_DOUBLE_EQ(first_state(ring, 1), 1.0);
+  EXPECT_DOUBLE_EQ(first_state(ring, 2), 2.0);
+  ring.push({{4.0}, 0, 0.0, {0.0}, false});  // evicts 1
+  ring.push({{5.0}, 0, 0.0, {0.0}, false});  // evicts 2
+  ring.push({{6.0}, 0, 0.0, {0.0}, false});  // cursor wrapped: evicts 3
+  EXPECT_DOUBLE_EQ(first_state(ring, 0), 6.0);
+  EXPECT_DOUBLE_EQ(first_state(ring, 1), 4.0);
+  EXPECT_DOUBLE_EQ(first_state(ring, 2), 5.0);
+}
+
+TEST(Replay, SampleIsDeterministicGivenSeed) {
+  rl::ReplayRing ring(8, 1, 1);
+  for (int i = 0; i < 8; ++i) {
+    ring.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
+  }
+  Rng a(42);
+  Rng b(42);
+  rl::Minibatch sample_a, sample_b;
+  ring.sample_into(64, a, sample_a);
+  ring.sample_into(64, b, sample_b);
+  ASSERT_EQ(sample_a.states.rows(), 64u);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_DOUBLE_EQ(sample_a.states.data()[i], sample_b.states.data()[i]);
+  }
+}
+
+TEST(Replay, SampleFromEmptyThrows) {
+  rl::ReplayRing ring(2, 1, 1);
+  rl::ShardedReplay sharded(2, 2, 1, 1);
+  Rng rng(1);
+  rl::Minibatch batch;
+  EXPECT_THROW(ring.sample_into(1, rng, batch), CheckFailure);
+  EXPECT_THROW(sharded.sample_into(1, rng, batch), CheckFailure);
+}
+
+TEST(Replay, SampleCoversBuffer) {
+  rl::ReplayRing ring(8, 1, 1);
+  for (int i = 0; i < 8; ++i) {
+    ring.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
+  }
+  Rng rng(2);
+  rl::Minibatch batch;
+  ring.sample_into(400, rng, batch);
+  std::set<double> seen;
+  for (std::size_t i = 0; i < 400; ++i) seen.insert(batch.states.data()[i]);
+  EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(ReplayState, MidWrapRoundTrip) {
+  // Both encodings: the per-transition REPLAY form and the flat form one
+  // SHRDRPLY shard uses.
+  for (const bool flat : {false, true}) {
+    SCOPED_TRACE(flat ? "flat rows" : "per transition");
+    rl::ReplayRing ring(4, 2, 3);
+    for (int i = 0; i < 6; ++i) ring.push(make_transition(i));  // wrapped
+    ASSERT_EQ(ring.size(), 4u);
+    ASSERT_EQ(ring.cursor(), 2u);
+
+    io::ByteWriter w;
+    flat ? ring.save_rows(w) : ring.save_transitions(w);
+    io::ByteReader r(w.buffer());
+    rl::ReplayRing restored =
+        flat ? ring.decode_rows(r) : ring.decode_transitions(r);
+    r.expect_end();
+
+    EXPECT_EQ(restored.size(), ring.size());
+    EXPECT_EQ(restored.cursor(), ring.cursor());
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      expect_same_transition(transition_at(restored, i),
+                             transition_at(ring, i));
+    }
+
+    // The restored ring keeps overwriting exactly where the original would.
+    ring.push(make_transition(50));
+    restored.push(make_transition(50));
+    EXPECT_EQ(restored.cursor(), ring.cursor());
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      expect_same_transition(transition_at(restored, i),
+                             transition_at(ring, i));
+    }
   }
 }
 
 TEST(ReplayState, SamplingOrderIsDeterministicAcrossSaveLoad) {
-  rl::ReplayBuffer ring(16);
+  rl::ReplayRing ring(16, 2, 3);
   for (int i = 0; i < 12; ++i) ring.push(make_transition(i));
   Rng rng(42);
   rng.uniform();  // advance to a non-trivial point
   const std::string rng_state = rng.serialize_state();
 
   io::ByteWriter w;
-  ring.save_state(w);
+  ring.save_transitions(w);
 
-  const auto batch_a = ring.sample(8, rng);
+  rl::Minibatch batch_a;
+  ring.sample_into(8, rng, batch_a);
 
-  rl::ReplayBuffer restored(16);
   io::ByteReader r(w.buffer());
-  restored.load_state(r);
+  const rl::ReplayRing restored = ring.decode_transitions(r);
   Rng rng_b(7);
   rng_b.restore_state(rng_state);
-  const auto batch_b = restored.sample(8, rng_b);
+  rl::Minibatch batch_b;
+  restored.sample_into(8, rng_b, batch_b);
 
-  ASSERT_EQ(batch_a.size(), batch_b.size());
-  for (std::size_t i = 0; i < batch_a.size(); ++i) {
-    expect_same_transition(*batch_a[i], *batch_b[i]);
+  EXPECT_EQ(batch_a.actions, batch_b.actions);
+  EXPECT_EQ(batch_a.rewards, batch_b.rewards);
+  EXPECT_EQ(batch_a.dones, batch_b.dones);
+  for (std::size_t i = 0; i < batch_a.states.size(); ++i) {
+    EXPECT_EQ(batch_a.states.data()[i], batch_b.states.data()[i]);
+    EXPECT_EQ(batch_a.next_states.data()[i], batch_b.next_states.data()[i]);
   }
 }
 
 TEST(ReplayState, CapacityMismatchThrowsWithoutMutating) {
-  rl::ReplayBuffer ring(4);
+  rl::ReplayRing ring(4, 2, 3);
   for (int i = 0; i < 3; ++i) ring.push(make_transition(i));
   io::ByteWriter w;
-  ring.save_state(w);
+  ring.save_transitions(w);
 
-  rl::ReplayBuffer other(8);
+  rl::ReplayRing other(8, 2, 3);
   other.push(make_transition(77));
   io::ByteReader r(w.buffer());
   try {
-    other.load_state(r);
+    other = other.decode_transitions(r);
     FAIL() << "expected IoError";
   } catch (const io::IoError& e) {
     EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
   }
   ASSERT_EQ(other.size(), 1u);
-  expect_same_transition(other.at(0), make_transition(77));
+  expect_same_transition(transition_at(other, 0), make_transition(77));
+
+  // The sharded form carries the per-shard capacity in its header.
+  rl::ShardedReplay sharded(2, 4, 2, 3);
+  io::ByteWriter sw;
+  sharded.save_state(sw);
+  rl::ShardedReplay bigger(2, 8, 2, 3);
+  io::ByteReader sr(sw.buffer());
+  try {
+    bigger.load_state(sr);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+  }
+}
+
+TEST(ReplayState, TransitionsEncodingIsPinned) {
+  // The REPLAY chunk, field by field: capacity, cursor, count, then per
+  // slot in storage order f64_vec(state), u64 action, f64 reward,
+  // f64_vec(next_state), u8 done.
+  rl::ReplayRing ring(3, 2, 3);
+  std::vector<rl::Transition> pushed;
+  for (int i = 0; i < 4; ++i) {
+    pushed.push_back(make_transition(i));
+    pushed.back().done = i == 2;
+    ring.push(pushed.back());
+  }
+  io::ByteWriter expected;
+  expected.u64(3);  // capacity
+  expected.u64(1);  // cursor: the fourth push overwrote slot 0
+  expected.u64(3);  // count
+  for (const int slot : {3, 1, 2}) {
+    const rl::Transition& t = pushed[slot];
+    expected.f64_vec(t.state);
+    expected.u64(t.action);
+    expected.f64(t.reward);
+    expected.f64_vec(t.next_state);
+    expected.u8(t.done ? 1 : 0);
+  }
+  io::ByteWriter actual;
+  ring.save_transitions(actual);
+  EXPECT_EQ(actual.buffer(), expected.buffer());
+}
+
+TEST(ReplayState, DecodersRejectRowsTheLearnerCannotUse) {
+  constexpr std::size_t kActions = 3;
+  rl::ReplayRing ring(4, 2, kActions);
+  for (int i = 0; i < 3; ++i) ring.push(make_transition(i));
+  const auto expect_rejected = [](const auto& decode, io::ErrorKind kind) {
+    try {
+      decode();
+      ADD_FAILURE() << "expected IoError";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), kind);
+    }
+  };
+
+  // REPLAY: an action past num_actions, a done byte of 2, a state of the
+  // wrong length. Row 0's fields start after the 24-byte header.
+  io::ByteWriter w;
+  ring.save_transitions(w);
+  const std::string good = w.take();
+  const std::size_t state_len = 24, action = state_len + 8 + 16;
+  const std::size_t done = action + 8 + 8 + 8 + 16;
+  const auto decode_replay = [&](std::string bytes) {
+    return [&ring, bytes] {
+      io::ByteReader r(bytes);
+      (void)ring.decode_transitions(r);
+    };
+  };
+  std::string bad = good;
+  bad[action] = static_cast<char>(kActions);
+  expect_rejected(decode_replay(bad), io::ErrorKind::kStateMismatch);
+  bad = good;
+  bad[done] = 2;
+  expect_rejected(decode_replay(bad), io::ErrorKind::kBadPayload);
+  bad = good;
+  bad[state_len] = 3;
+  expect_rejected(decode_replay(bad), io::ErrorKind::kStateMismatch);
+
+  // SHRDRPLY: the same row checks on the flat doubles, at 1 and 2 shards;
+  // a failed load leaves every shard as it was.
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    rl::ShardedReplay replay(shards, 4, 2, kActions);
+    std::vector<double> row(rl::transition_stride(2));
+    const rl::Transition t = make_transition(1);
+    rl::pack_transition(row.data(), t.action, t.reward, t.done, t.state,
+                        t.next_state);
+    replay.append(shards - 1, row.data());
+    io::ByteWriter sw;
+    replay.save_state(sw);
+    const std::string saved = sw.take();
+    // Diverge from the saved bytes, so a partial commit would show.
+    replay.append(0, row.data());
+    io::ByteWriter before;
+    replay.save_state(before);
+    // Header (3 × u64), then each shard's size and cursor; the last shard
+    // holds the one row.
+    const std::size_t row_at = 24 + 16 * shards;
+    const struct {
+      std::size_t field;
+      double value;
+      io::ErrorKind kind;
+    } cases[] = {
+        {rl::kTransAction, -1.0, io::ErrorKind::kBadPayload},
+        {rl::kTransAction, std::nan(""), io::ErrorKind::kBadPayload},
+        {rl::kTransAction, 0.5, io::ErrorKind::kBadPayload},
+        {rl::kTransAction, static_cast<double>(kActions),
+         io::ErrorKind::kStateMismatch},
+        {rl::kTransDone, 0.5, io::ErrorKind::kBadPayload},
+    };
+    for (const auto& c : cases) {
+      std::string corrupt = saved;
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(c.value);
+      std::memcpy(corrupt.data() + row_at + 8 * c.field, &bits, 8);
+      expect_rejected(
+          [&] {
+            io::ByteReader r(corrupt);
+            replay.load_state(r);
+          },
+          c.kind);
+      io::ByteWriter after;
+      replay.save_state(after);
+      EXPECT_EQ(after.buffer(), before.buffer());
+    }
+  }
+}
+
+TEST(ShardedReplay, WrapSampleAndRoundTrip) {
+  constexpr std::size_t kStateDim = 2;
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    rl::ShardedReplay replay(shards, /*capacity_per_shard=*/4, kStateDim,
+                             /*num_actions=*/300);
+    // Shard 0 wraps (6 appends into capacity 4), shard 1 stays partial.
+    std::vector<double> rec(rl::transition_stride(kStateDim));
+    rl::ReplayRing ring(4, kStateDim, 300);
+    for (std::size_t i = 0; i < 6; ++i) {
+      fill_record(rec.data(), kStateDim, 100.0 + static_cast<double>(i));
+      replay.append(0, rec.data());
+      ring.append(rec.data());
+    }
+    if (shards == 2) {
+      for (std::size_t i = 0; i < 3; ++i) {
+        fill_record(rec.data(), kStateDim, 200.0 + static_cast<double>(i));
+        replay.append(1, rec.data());
+      }
+    }
+    EXPECT_EQ(replay.size(), shards == 2 ? 7u : 4u);
+
+    // Identical RNG streams sample identical minibatches.
+    rl::Minibatch b1, b2;
+    Rng rng1(7), rng2(7);
+    replay.sample_into(16, rng1, b1);
+    replay.sample_into(16, rng2, b2);
+    EXPECT_EQ(b1.actions, b2.actions);
+    EXPECT_EQ(b1.rewards, b2.rewards);
+    for (std::size_t i = 0; i < b1.states.size(); ++i) {
+      EXPECT_EQ(b1.states.data()[i], b2.states.data()[i]);
+    }
+    // Every sampled reward is one of the appended ones (wrapped shard
+    // holds only the last 4 of its 6).
+    for (double reward : b1.rewards) {
+      const double tag = reward - 0.5;
+      const bool from_shard0 = tag >= 102.0 && tag <= 105.0;
+      const bool from_shard1 = tag >= 200.0 && tag <= 202.0;
+      EXPECT_TRUE(from_shard0 || from_shard1) << "sampled stale entry " << tag;
+    }
+    // One shard draws exactly as the agent's ring does.
+    if (shards == 1) {
+      Rng rng3(7);
+      ring.sample_into(16, rng3, b2);
+      EXPECT_EQ(b1.rewards, b2.rewards);
+    }
+
+    // save → load → save is byte-identical, and the loaded buffer samples
+    // the same stream.
+    io::ByteWriter w1;
+    replay.save_state(w1);
+    const std::string bytes = w1.take();
+    rl::ShardedReplay loaded(shards, 4, kStateDim, 300);
+    io::ByteReader in(bytes);
+    loaded.load_state(in);
+    in.expect_end();
+    io::ByteWriter w2;
+    loaded.save_state(w2);
+    EXPECT_EQ(bytes, w2.take());
+
+    Rng rng4(7);
+    loaded.sample_into(16, rng4, b2);
+    EXPECT_EQ(b1.rewards, b2.rewards);
+  }
+}
+
+TEST(ShardedReplay, TopologyMismatchThrowsWithoutMutating) {
+  constexpr std::size_t kStateDim = 2;
+  rl::ShardedReplay replay(2, 4, kStateDim, 300);
+  std::vector<double> rec(rl::transition_stride(kStateDim));
+  fill_record(rec.data(), kStateDim, 1.0);
+  replay.append(0, rec.data());
+  io::ByteWriter w;
+  replay.save_state(w);
+  const std::string bytes = w.take();
+
+  rl::ShardedReplay other(3, 4, kStateDim, 300);  // different shard count
+  fill_record(rec.data(), kStateDim, 9.0);
+  other.append(2, rec.data());
+  io::ByteReader in(bytes);
+  try {
+    other.load_state(in);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+  }
+  EXPECT_EQ(other.size(), 1u);  // untouched
+}
+
+TEST(ShardedReplay, ResumeRejectsRowsTheLearnerCannotUse) {
+  // A parallel-trainer checkpoint whose SHRDRPLY chunk holds a row the
+  // learner could not train on (CRC re-stamped, so only the replay decoder
+  // can catch it) must fail at resume with a typed IoError, not at the
+  // first gradient step.
+  const std::string path = temp_path("ctj_resume_parallel_rows.ctjs");
+  std::filesystem::remove(path);
+  TrainerConfig config;
+  config.max_slots = 32;
+  config.reward_window = 20;
+  config.checkpoint = CheckpointOptions{path, 0, true};
+  ParallelTrainerConfig pconfig;
+  pconfig.actors = 2;
+  pconfig.replicas_per_actor = 2;
+  pconfig.sync_every_rounds = 4;
+  std::size_t num_actions = 0;
+  {
+    DqnScheme scheme(small_scheme_config());
+    num_actions = scheme.agent().config().num_actions;
+    train_parallel(scheme, small_env_config(), config, pconfig);
+  }
+  const io::ContainerReader saved = io::ContainerReader::from_file(path);
+  config.max_slots = 64;
+
+  // Shard 0's first row starts after the header (shards, capacity,
+  // state_dim) and shard 0's size and cursor.
+  constexpr std::size_t kRow0 = 5 * 8;
+  const struct {
+    std::size_t field;
+    double value;
+  } cases[] = {
+      {rl::kTransAction, -1.0},
+      {rl::kTransAction, std::numeric_limits<double>::quiet_NaN()},
+      {rl::kTransAction, static_cast<double>(num_actions)},
+      {rl::kTransDone, 0.5},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value);
+    io::ContainerWriter tampered;
+    for (const io::ChunkInfo& chunk : saved.chunks()) {
+      std::string payload(saved.chunk(chunk.tag));
+      if (chunk.tag == io::tags::kShardReplay) {
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(c.value);
+        std::memcpy(payload.data() + kRow0 + 8 * c.field, &bits, 8);
+      }
+      tampered.add_chunk(chunk.tag, std::move(payload));
+    }
+    tampered.write_file(path);
+    DqnScheme resumed(small_scheme_config());
+    EXPECT_THROW(train_parallel(resumed, small_env_config(), config, pconfig),
+                 io::IoError);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(SchemeState, SaveLoadSaveIsByteIdentical) {

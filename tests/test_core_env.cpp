@@ -1,10 +1,12 @@
 // Tests for the slot-level competition environment: its sampled transition
 // frequencies must match the MDP kernel of Eqs. (6)–(14), and the Table-I
-// metrics accumulator must match hand-computed values.
+// metrics accumulator must match hand-computed values; the energy model and
+// the group-aware hop kernel.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "core/energy.hpp"
 #include "core/environment.hpp"
 #include "core/metrics.hpp"
 
@@ -254,6 +256,121 @@ TEST(SlotOutcome, Names) {
   EXPECT_STREQ(to_string(SlotOutcome::kClear), "clear");
   EXPECT_STREQ(to_string(SlotOutcome::kJammedSurvived), "jammed-survived");
   EXPECT_STREQ(to_string(SlotOutcome::kJammedFailed), "jammed-failed");
+}
+
+// ---------------------------------------------------------------- energy ----
+
+TEST(Energy, SingleSlotHandComputed) {
+  core::EnergyModelConfig config;
+  config.rx_power_mw = 10.0;
+  config.tx_duty = 0.5;
+  config.hop_energy_mj = 2.0;
+  core::EnergyAccumulator acc(config);
+  // Level 10 → 0 dBm → 1 mW. Slot 2 s: tx 1 mW × 1 s + rx 10 mW × 1 s + hop.
+  acc.record_slot(10.0, 2.0, true);
+  const auto r = acc.report();
+  EXPECT_NEAR(r.tx_mj, 1.0, 1e-9);
+  EXPECT_NEAR(r.hop_mj, 2.0, 1e-9);
+  EXPECT_NEAR(r.total_mj, 1.0 + 10.0 + 2.0, 1e-9);
+  EXPECT_NEAR(r.mean_mw, 6.5, 1e-9);
+  EXPECT_EQ(r.slots, 1u);
+}
+
+TEST(Energy, HigherLevelsCostMore) {
+  core::EnergyAccumulator low, high;
+  low.record_slot(6.0, 1.0, false);
+  high.record_slot(15.0, 1.0, false);
+  EXPECT_GT(high.report().total_mj, low.report().total_mj);
+}
+
+TEST(Energy, BatteryLifeInverseToDraw) {
+  core::EnergyAccumulator acc;
+  acc.record_slot(10.0, 1.0, false);
+  const auto r = acc.report();
+  EXPECT_NEAR(r.battery_life_hours, acc.config().battery_mwh / r.mean_mw,
+              1e-9);
+}
+
+TEST(Energy, ResetClears) {
+  core::EnergyAccumulator acc;
+  acc.record_slot(10.0, 1.0, true);
+  acc.reset();
+  EXPECT_EQ(acc.report().slots, 0u);
+  EXPECT_DOUBLE_EQ(acc.report().total_mj, 0.0);
+}
+
+// ------------------------------------------------------ energy coverage ----
+
+TEST(EnergyCoverage, RxOnlySlot) {
+  core::EnergyModelConfig config;
+  config.tx_duty = 0.0;  // pure listening
+  config.rx_power_mw = 12.0;
+  core::EnergyAccumulator acc(config);
+  acc.record_slot(15.0, 2.0, false);
+  EXPECT_DOUBLE_EQ(acc.report().tx_mj, 0.0);
+  EXPECT_NEAR(acc.report().total_mj, 24.0, 1e-9);
+}
+
+// ------------------------------------------------------ group-aware hops ----
+
+TEST(GroupAwareHops, SameGroupHopBehavesLikeStayButPaysHopCost) {
+  // Hopping from channel 0 to channel 1 stays inside the jammer's 4-channel
+  // group: the discovery hazard must match the *stay* kernel (1/(N−n)),
+  // even though the L_H cost is charged.
+  auto config = core::EnvironmentConfig::defaults();
+  config.seed = 99;
+  core::CompetitionEnvironment env(config);
+  std::map<int, std::pair<int, int>> jams_by_n;
+  for (int slot = 0; slot < 80000; ++slot) {
+    if (env.hidden_kind() ==
+        core::CompetitionEnvironment::HiddenKind::kCounting) {
+      if (env.current_channel() > 1) {
+        // Coming back from an escape: re-enter the observed group first
+        // (an out-of-group hop — excluded from the statistics).
+        env.step(0, 0);
+        continue;
+      }
+      const int n = env.hidden_n();
+      // Toggle between channels 0 and 1 — always the same group.
+      const int next = env.current_channel() == 0 ? 1 : 0;
+      const auto step = env.step(next, 0);
+      EXPECT_TRUE(step.hopped);
+      EXPECT_DOUBLE_EQ(step.reward,
+                       -config.tx_levels[0] - config.loss_hop -
+                           (step.success ? 0.0 : config.loss_jam));
+      auto& [jammed, total] = jams_by_n[n];
+      ++total;
+      if (step.outcome != core::SlotOutcome::kClear) ++jammed;
+    } else {
+      env.step((env.current_channel() + 5) % 16, 0);  // real escape
+    }
+  }
+  for (int n = 1; n <= 3; ++n) {
+    const auto [jammed, total] = jams_by_n[n];
+    if (total < 800) continue;
+    EXPECT_NEAR(static_cast<double>(jammed) / total, 1.0 / (4 - n), 0.035)
+        << "n = " << n;
+  }
+}
+
+TEST(GroupAwareHops, SameGroupHopDoesNotEscapeDwellingJammer) {
+  auto config = core::EnvironmentConfig::defaults();
+  config.mode = JammerPowerMode::kMaxPower;
+  config.seed = 101;
+  core::CompetitionEnvironment env(config);
+  // Get jammed by staying put.
+  while (env.hidden_kind() ==
+         core::CompetitionEnvironment::HiddenKind::kCounting) {
+    env.step(env.current_channel(), 0);
+  }
+  // In-group hops never escape (Case 5 applies, q = 0 in max mode).
+  for (int i = 0; i < 30; ++i) {
+    const int next = env.current_channel() == 0 ? 1 : 0;
+    const auto step = env.step(next, 0);
+    EXPECT_EQ(step.outcome, core::SlotOutcome::kJammedFailed);
+  }
+  // One out-of-group hop escapes immediately (Case 6).
+  EXPECT_TRUE(env.step(8, 0).success);
 }
 
 }  // namespace

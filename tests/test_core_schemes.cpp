@@ -1,15 +1,18 @@
 // Tests for the anti-jamming schemes: the Passive-FH and Random-FH baselines,
 // the MDP oracle, and the DQN scheme end-to-end (training on the competition
-// environment and beating the baselines, as the paper reports).
+// environment and beating the baselines, as the paper reports), the tabular
+// Q-learning scheme, and the DQN scheme's policy save/load.
 #include <gtest/gtest.h>
 
 #include "core/environment.hpp"
 #include "core/experiment.hpp"
 #include "core/mdp_scheme.hpp"
 #include "core/passive_fh.hpp"
+#include "core/qlearning_scheme.hpp"
 #include "core/random_fh.hpp"
 #include "core/rl_fh.hpp"
 #include "core/trainer.hpp"
+#include "io/container.hpp"
 
 namespace ctj::core {
 namespace {
@@ -250,6 +253,95 @@ TEST(Evaluate, MetricsSlotsMatchRequest) {
   CompetitionEnvironment env(EnvironmentConfig::defaults());
   const auto metrics = evaluate(scheme, env, 1234);
   EXPECT_EQ(metrics.slots, 1234u);
+}
+
+// ---------------------------------------------------- Q-learning scheme ----
+
+TEST(QLearningScheme, RunsAgainstEnvironment) {
+  core::QLearningScheme::Config config;
+  config.history = 2;
+  core::QLearningScheme scheme(config);
+  core::CompetitionEnvironment env(core::EnvironmentConfig::defaults());
+  const auto metrics = core::evaluate(scheme, env, 3000);
+  EXPECT_EQ(metrics.slots, 3000u);
+  EXPECT_GT(scheme.agent().table_size(), 0u);
+}
+
+TEST(QLearningScheme, DqnOutlearnsTabularOnEqualBudget) {
+  // The paper's Sec. III.C claim: on this observation space the DQN reaches
+  // a better policy than tabular Q-learning for the same number of slots.
+  const std::size_t budget = 10000;
+  auto env_config = core::EnvironmentConfig::defaults();
+  env_config.mode = JammerPowerMode::kMaxPower;
+
+  core::QLearningScheme::Config ql_config;
+  ql_config.history = 4;
+  ql_config.epsilon_decay_steps = budget / 4;
+  core::QLearningScheme ql(ql_config);
+  {
+    env_config.seed = 71;
+    core::CompetitionEnvironment env(env_config);
+    for (std::size_t slot = 0; slot < budget; ++slot) {
+      core::play_slot(ql, env);
+    }
+    ql.set_training(false);
+  }
+  env_config.seed = 72;
+  core::CompetitionEnvironment ql_env(env_config);
+  const auto ql_metrics = core::evaluate(ql, ql_env, 8000);
+
+  core::RlExperimentConfig dqn_config;
+  dqn_config.env = env_config;
+  dqn_config.env.seed = 71;
+  dqn_config.eval_seed = 72;
+  dqn_config.scheme.history = 4;
+  dqn_config.scheme.hidden = {32, 32};
+  dqn_config.scheme.epsilon_decay_steps = budget / 4;
+  dqn_config.train_slots = budget;
+  dqn_config.eval_slots = 8000;
+  const auto dqn_metrics = core::run_rl_experiment(dqn_config).metrics;
+
+  EXPECT_GT(dqn_metrics.st, ql_metrics.st);
+}
+
+// --------------------------------------------------- DQN scheme policy I/O ----
+
+TEST(DqnSchemeIo, TrainedPolicySurvivesSaveLoadThroughScheme) {
+  core::DqnScheme::Config config;
+  config.history = 2;
+  config.hidden = {16};
+  config.deploy_epsilon = 0.0;
+  config.seed = 77;
+  core::DqnScheme a(config);
+  // Perturb weights with a short training burst.
+  core::CompetitionEnvironment env(core::EnvironmentConfig::defaults());
+  core::TrainerConfig trainer;
+  trainer.max_slots = 600;
+  core::train(a, env, trainer);
+  a.set_training(false);
+  a.reset();
+
+  // The deployment path: the scheme's CTJS state, read back with
+  // load_policy() (online weights only).
+  io::ContainerWriter out;
+  a.save_state(out);
+  core::DqnScheme b(config);
+  b.agent().load_policy(io::ContainerReader::from_bytes(out.to_bytes()));
+  b.set_training(false);
+  b.reset();
+
+  for (int i = 0; i < 30; ++i) {
+    const auto da = a.decide();
+    const auto db = b.decide();
+    EXPECT_EQ(da.channel, db.channel);
+    EXPECT_EQ(da.power_index, db.power_index);
+    core::SlotFeedback fb;
+    fb.success = i % 3 != 0;
+    fb.channel = da.channel;
+    fb.power_index = da.power_index;
+    a.feedback(fb);
+    b.feedback(fb);
+  }
 }
 
 }  // namespace

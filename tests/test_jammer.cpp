@@ -1,11 +1,14 @@
-// Tests for the behavioural sweeping cross-technology jammer and the
-// victim-side error-rate detector.
+// Tests for the behavioural sweeping cross-technology jammer, the adaptive
+// pattern-tracking jammer, the stealthiness analysis and the victim-side
+// error-rate detector.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/stats.hpp"
+#include "jammer/adaptive_jammer.hpp"
 #include "jammer/detector.hpp"
+#include "jammer/stealth.hpp"
 #include "jammer/sweep_jammer.hpp"
 
 namespace ctj::jammer {
@@ -246,6 +249,128 @@ TEST(Detector, RejectsBadParameters) {
   EXPECT_THROW(ErrorRateDetector(0, 0.5), CheckFailure);
   EXPECT_THROW(ErrorRateDetector(4, 0.0), CheckFailure);
   EXPECT_THROW(ErrorRateDetector(4, 1.5), CheckFailure);
+}
+
+// ---------------------------------------------------------------- stealth ----
+
+TEST(Stealth, EmuBeeIsLeastAttributable) {
+  using channel::JammingSignalType;
+  const auto emubee = jammer::analyze_detectability(JammingSignalType::kEmuBee, true);
+  const auto zigbee = jammer::analyze_detectability(JammingSignalType::kZigbee, true);
+  EXPECT_LT(emubee.p_attributable, zigbee.p_attributable);
+  // All effective jammers show up in the error rate — that alone does not
+  // identify an attacker.
+  EXPECT_DOUBLE_EQ(emubee.p_error_rate, 1.0);
+  EXPECT_DOUBLE_EQ(zigbee.p_error_rate, 1.0);
+}
+
+TEST(Stealth, IneffectiveJamOnlyEnergyDetectable) {
+  const auto r = jammer::analyze_detectability(
+      channel::JammingSignalType::kZigbee, /*jam_effective=*/false);
+  EXPECT_DOUBLE_EQ(r.p_frame, 0.0);
+  EXPECT_DOUBLE_EQ(r.p_error_rate, 0.0);
+  EXPECT_GT(r.p_energy, 0.0);
+}
+
+TEST(Stealth, SimulationMatchesAnalysis) {
+  Rng rng(7);
+  for (auto type : {channel::JammingSignalType::kEmuBee,
+                    channel::JammingSignalType::kZigbee,
+                    channel::JammingSignalType::kWifi}) {
+    const auto analytic = jammer::analyze_detectability(type, true);
+    const auto simulated = jammer::simulate_detectability(type, 20000, rng);
+    EXPECT_NEAR(simulated.p_frame, analytic.p_frame, 0.02);
+    EXPECT_NEAR(simulated.p_energy, analytic.p_energy, 0.01);
+    EXPECT_NEAR(simulated.p_attributable, analytic.p_attributable, 0.02);
+  }
+}
+
+TEST(StealthCoverage, WindowlessConfigValidated) {
+  jammer::StealthConfig config;
+  config.idle_overlap_probability = 0.2;
+  const auto r = jammer::analyze_detectability(
+      channel::JammingSignalType::kEmuBee, true, config);
+  EXPECT_DOUBLE_EQ(r.p_energy, 0.2);
+  EXPECT_DOUBLE_EQ(r.p_attributable, 0.2);  // frame evidence never fires
+}
+
+// ------------------------------------------------------ adaptive jammer ----
+
+TEST(AdaptiveJammer, LearnsTheHotGroup) {
+  jammer::AdaptiveJammer jx(jammer::AdaptiveJammerConfig::defaults(), 5);
+  // Victim lives on channel 9 (group 2) for a long stretch.
+  for (int slot = 0; slot < 200; ++slot) jx.step(9);
+  EXPECT_EQ(jx.most_visited_group(), 2);
+  EXPECT_GT(jx.top_group_weight(), 0.5);
+}
+
+TEST(AdaptiveJammer, PunishesPredictableVictimsMoreThanSweep) {
+  // A victim with a strong channel preference (75 % of slots on channel 9,
+  // otherwise uniform): the adaptive jammer camps on the hot group and hits
+  // more often than the blind sweeper, which must re-find the victim after
+  // every excursion.
+  auto config = jammer::AdaptiveJammerConfig::defaults();
+  config.exploit_probability = 0.9;
+  jammer::AdaptiveJammer adaptive(config, 6);
+  jammer::SweepJammer sweep(jammer::SweepJammerConfig::defaults(), 6);
+
+  Rng victim_rng(60);
+  int adaptive_hits = 0, sweep_hits = 0;
+  for (int slot = 0; slot < 4000; ++slot) {
+    const int victim =
+        victim_rng.bernoulli(0.75) ? 9 : victim_rng.uniform_int(0, 15);
+    adaptive_hits += adaptive.step(victim).hit ? 1 : 0;
+    sweep_hits += sweep.step(victim).hit ? 1 : 0;
+  }
+  EXPECT_GT(adaptive_hits, sweep_hits);
+  // Exploiting the hot group alone hits ~0.9 · 0.75 of all slots.
+  EXPECT_GT(adaptive_hits, 2000);
+}
+
+TEST(AdaptiveJammer, AlternatingVictimStaysAStepAhead) {
+  // The flip side (and why the paper's random-hop escape works): a strict
+  // two-channel alternation keeps the histogram pointing at *yesterday's*
+  // group, so the exploit mode whiffs almost every slot.
+  auto config = jammer::AdaptiveJammerConfig::defaults();
+  config.exploit_probability = 1.0;
+  jammer::AdaptiveJammer adaptive(config, 61);
+  int hits = 0;
+  for (int slot = 0; slot < 2000; ++slot) {
+    hits += adaptive.step(slot % 2 == 0 ? 3 : 9).hit ? 1 : 0;
+  }
+  EXPECT_LT(hits, 300);
+}
+
+TEST(AdaptiveJammer, UniformVictimLimitsTheAdvantage) {
+  // Against a uniformly hopping victim the histogram stays flat and the
+  // exploit mode is no better than 1/4 per slot.
+  auto config = jammer::AdaptiveJammerConfig::defaults();
+  config.exploit_probability = 1.0;
+  jammer::AdaptiveJammer jx(config, 7);
+  Rng rng(8);
+  int hits = 0;
+  const int slots = 4000;
+  for (int slot = 0; slot < slots; ++slot) {
+    hits += jx.step(rng.uniform_int(0, 15)).hit ? 1 : 0;
+  }
+  EXPECT_NEAR(static_cast<double>(hits) / slots, 0.25, 0.05);
+}
+
+TEST(AdaptiveJammer, ResetForgetsHistory) {
+  jammer::AdaptiveJammer jx(jammer::AdaptiveJammerConfig::defaults(), 9);
+  for (int slot = 0; slot < 100; ++slot) jx.step(12);
+  EXPECT_EQ(jx.most_visited_group(), 3);
+  jx.reset();
+  EXPECT_NEAR(jx.top_group_weight(), 0.25, 1e-9);
+}
+
+TEST(AdaptiveJammer, RejectsBadConfig) {
+  auto config = jammer::AdaptiveJammerConfig::defaults();
+  config.exploit_probability = 1.5;
+  EXPECT_THROW(jammer::AdaptiveJammer(config, 1), CheckFailure);
+  config = jammer::AdaptiveJammerConfig::defaults();
+  config.decay = 0.0;
+  EXPECT_THROW(jammer::AdaptiveJammer(config, 1), CheckFailure);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// Tests for the star-network substrate: timing model, medium, nodes and the
-// slot executor.
+// Tests for the star-network substrate: timing model, medium, nodes, the
+// slot executor, and the 802.15.4 MAC sublayer with CSMA/CA.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "net/mac.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "net/star_network.hpp"
 #include "net/timing.hpp"
+#include "phy/zigbee_packet.hpp"
 
 namespace ctj::net {
 namespace {
@@ -322,6 +325,143 @@ TEST(StarNetwork, RejectsBadChannel) {
   SlotDecision decision;
   decision.channel = 99;
   EXPECT_THROW(net.run_slot(decision, std::nullopt), CheckFailure);
+}
+
+// -------------------------------------------------------------------- MAC ----
+
+TEST(Mac, DataFrameRoundTrip) {
+  net::MacFrame frame;
+  frame.type = net::MacFrameType::kData;
+  frame.ack_request = true;
+  frame.sequence = 42;
+  frame.pan_id = 0xBEEF;
+  frame.dest_addr = 0x0001;
+  frame.src_addr = 0x0A0B;
+  frame.payload = {1, 2, 3, 4};
+  const auto bytes = frame.serialize();
+  const auto parsed = net::MacFrame::parse(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->type, net::MacFrameType::kData);
+  EXPECT_TRUE(parsed->ack_request);
+  EXPECT_EQ(parsed->sequence, 42);
+  EXPECT_EQ(parsed->pan_id, 0xBEEF);
+  EXPECT_EQ(parsed->dest_addr, 0x0001);
+  EXPECT_EQ(parsed->src_addr, 0x0A0B);
+  EXPECT_EQ(parsed->payload, frame.payload);
+}
+
+TEST(Mac, AckFrameIsMinimal) {
+  net::MacFrame data;
+  data.sequence = 9;
+  data.ack_request = true;
+  const net::MacFrame ack = data.make_ack();
+  const auto bytes = ack.serialize();
+  EXPECT_EQ(bytes.size(), 3u);  // FCF + sequence only
+  const auto parsed = net::MacFrame::parse(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(data.acked_by(*parsed));
+}
+
+TEST(Mac, WrongSequenceDoesNotAck) {
+  net::MacFrame data;
+  data.sequence = 9;
+  net::MacFrame ack = data.make_ack();
+  ack.sequence = 10;
+  EXPECT_FALSE(data.acked_by(ack));
+}
+
+TEST(Mac, ParseRejectsGarbage) {
+  const std::vector<std::uint8_t> tiny = {0x01};
+  EXPECT_FALSE(net::MacFrame::parse(tiny).has_value());
+  // Addressed frame truncated before the addressing fields.
+  std::vector<std::uint8_t> truncated = {0x01, 0x08, 0x05, 0xFE};
+  EXPECT_FALSE(net::MacFrame::parse(truncated).has_value());
+}
+
+TEST(Mac, FrameTypeNames) {
+  EXPECT_STREQ(net::to_string(net::MacFrameType::kAck), "ack");
+  EXPECT_STREQ(net::to_string(net::MacFrameType::kBeacon), "beacon");
+}
+
+TEST(CsmaCa, IdleChannelGrantsQuickly) {
+  net::CsmaCa csma;
+  Rng rng(8);
+  const auto attempt = csma.attempt(0.0, rng);
+  EXPECT_TRUE(attempt.success);
+  EXPECT_EQ(attempt.backoffs, 1);
+  // Max first backoff: 7 units × 320 µs + one CCA.
+  EXPECT_LE(attempt.delay_s, 7 * 320e-6 + 128e-6 + 1e-12);
+}
+
+TEST(CsmaCa, AlwaysBusyChannelFails) {
+  net::CsmaCa csma;
+  Rng rng(9);
+  const auto attempt = csma.attempt(1.0, rng);
+  EXPECT_FALSE(attempt.success);
+  EXPECT_EQ(attempt.backoffs, csma.config().max_backoffs);
+}
+
+TEST(CsmaCa, DelayGrowsWithBusyProbability) {
+  net::CsmaCa csma;
+  Rng rng(10);
+  auto mean_delay = [&](double busy) {
+    double total = 0.0;
+    const int trials = 3000;
+    for (int i = 0; i < trials; ++i) total += csma.attempt(busy, rng).delay_s;
+    return total / trials;
+  };
+  EXPECT_LT(mean_delay(0.0), mean_delay(0.5));
+  EXPECT_LT(mean_delay(0.5), mean_delay(0.9));
+}
+
+TEST(CsmaCa, SuccessRateMatchesGeometricBound) {
+  net::CsmaCa csma;
+  Rng rng(11);
+  const double busy = 0.5;
+  int successes = 0;
+  const int trials = 10000;
+  for (int i = 0; i < trials; ++i) {
+    successes += csma.attempt(busy, rng).success ? 1 : 0;
+  }
+  // P(success) = 1 − busy^max_backoffs = 1 − 0.5^4.
+  EXPECT_NEAR(static_cast<double>(successes) / trials, 1.0 - std::pow(0.5, 4),
+              0.02);
+}
+
+TEST(CsmaCoverage, BackoffExponentGrowsDelayOnBusyChannel) {
+  net::CsmaCa csma;
+  Rng rng(20);
+  // With a busy channel, later backoffs draw from larger windows: the mean
+  // delay of failures exceeds 3 unit-backoff draws from BE=3 alone.
+  double total = 0.0;
+  int failures = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const auto attempt = csma.attempt(1.0, rng);
+    if (!attempt.success) {
+      total += attempt.delay_s;
+      ++failures;
+    }
+  }
+  ASSERT_GT(failures, 0);
+  const double mean_fail_delay = total / failures;
+  // Expected: (3.5 + 7.5 + 15.5 + 15.5) × 320 µs + 4 CCA ≈ 13.9 ms.
+  EXPECT_NEAR(mean_fail_delay, 13.9e-3, 1.5e-3);
+}
+
+// ------------------------------------------------------------------ hub ----
+
+TEST(HubCoverage, DuplicateSequencesCounted) {
+  net::Hub hub;
+  net::MacFrame frame;
+  frame.type = net::MacFrameType::kData;
+  frame.src_addr = 2;
+  frame.sequence = 5;
+  frame.payload = {2, 5, 0, 9};
+  const auto bytes = phy::ZigbeeFrame::build(frame.serialize());
+  EXPECT_TRUE(hub.receive(bytes));
+  EXPECT_TRUE(hub.receive(bytes));  // retransmission of the same sequence
+  EXPECT_EQ(hub.record(2).duplicates, 1u);
+  EXPECT_EQ(hub.record(2).delivered, 2u);
 }
 
 }  // namespace

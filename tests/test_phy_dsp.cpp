@@ -1,5 +1,5 @@
 // Tests for the Wi-Fi DSP substrate: FFT, bit utilities, scrambler,
-// convolutional code, interleaver, 64-QAM and OFDM.
+// convolutional code (hard and soft Viterbi), interleaver, 64-QAM and OFDM.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -485,6 +485,71 @@ TEST(Iq, FrequencyShiftRoundTrip) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-9);
   }
+}
+
+// -------------------------------------------------------- soft Viterbi ----
+
+phy::Bits encode(const phy::Bits& info) {
+  return phy::ConvolutionalCode::encode(info);
+}
+
+std::vector<double> to_llrs(const phy::Bits& coded, double confidence) {
+  std::vector<double> llrs(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    llrs[i] = coded[i] ? confidence : -confidence;
+  }
+  return llrs;
+}
+
+TEST(SoftViterbi, CleanRoundTrip) {
+  Rng rng(1);
+  const phy::Bits info = phy::random_bits(200, rng);
+  const auto llrs = to_llrs(encode(info), 2.0);
+  EXPECT_EQ(phy::ConvolutionalCode::decode_soft(llrs), info);
+}
+
+TEST(SoftViterbi, ErasuresAreNeutral) {
+  // Zero LLR = no information; scattered erasures must not corrupt decoding.
+  Rng rng(2);
+  const phy::Bits info = phy::random_bits(150, rng);
+  auto llrs = to_llrs(encode(info), 1.0);
+  for (std::size_t i = 5; i < llrs.size(); i += 17) llrs[i] = 0.0;
+  EXPECT_EQ(phy::ConvolutionalCode::decode_soft(llrs), info);
+}
+
+TEST(SoftViterbi, LowConfidenceFlipsAreOutvoted) {
+  // A flipped bit with tiny confidence should lose against confident
+  // neighbours — the soft decoder's advantage over hard decisions.
+  Rng rng(3);
+  const phy::Bits info = phy::random_bits(150, rng);
+  auto llrs = to_llrs(encode(info), 2.0);
+  for (std::size_t i = 10; i < llrs.size(); i += 9) {
+    llrs[i] = -0.1 * (llrs[i] > 0 ? 1.0 : -1.0);  // weak wrong values
+  }
+  EXPECT_EQ(phy::ConvolutionalCode::decode_soft(llrs), info);
+}
+
+TEST(SoftViterbi, BeatsHardDecisionsInAwgn) {
+  Rng rng(4);
+  std::size_t soft_errors = 0, hard_errors = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const phy::Bits info = phy::random_bits(144, rng);
+    const phy::Bits coded = encode(info);
+    std::vector<double> llrs(coded.size());
+    phy::Bits hard(coded.size());
+    for (std::size_t i = 0; i < coded.size(); ++i) {
+      // BPSK over AWGN at ~1.5 dB Eb/N0-ish.
+      const double tx = coded[i] ? 1.0 : -1.0;
+      const double rx = tx + rng.normal(0.0, 0.85);
+      llrs[i] = rx;
+      hard[i] = rx >= 0.0 ? 1 : 0;
+    }
+    soft_errors += phy::hamming_distance(
+        phy::ConvolutionalCode::decode_soft(llrs), info);
+    hard_errors += phy::hamming_distance(
+        phy::ConvolutionalCode::decode(hard), info);
+  }
+  EXPECT_LT(soft_errors, hard_errors);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the Wi-Fi PHY chain and the EmuBee emulation (Sec. II.A, Fig. 1,
-// Eqs. 1–2).
+// Tests for the Wi-Fi PHY chain (including the legacy preamble and SIGNAL
+// field) and the EmuBee emulation (Sec. II.A, Fig. 1, Eqs. 1–2).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "phy/ofdm.hpp"
 #include "phy/qam.hpp"
 #include "phy/wifi_phy.hpp"
+#include "phy/wifi_preamble.hpp"
 
 namespace ctj::phy {
 namespace {
@@ -216,6 +217,104 @@ TEST(EmuBee, DesignWaveformLengthAndRate) {
   const IqBuffer wave = design_zigbee_waveform(syms);
   // 10 samples/chip at 20 Msps: 2 symbols × 320 + 10 tail samples.
   EXPECT_EQ(wave.size(), 2 * 320 + 10u);
+}
+
+// --------------------------------------------------------- Wi-Fi preamble ----
+
+TEST(WifiPreamble, StfHas16SamplePeriodicity) {
+  const auto stf = phy::WifiPreamble::short_training_field();
+  ASSERT_EQ(stf.size(), 160u);
+  for (std::size_t i = 0; i + 16 < stf.size(); ++i) {
+    EXPECT_NEAR(std::abs(stf[i] - stf[i + 16]), 0.0, 1e-9);
+  }
+}
+
+TEST(WifiPreamble, StfAutocorrelationNearOne) {
+  const auto stf = phy::WifiPreamble::short_training_field();
+  EXPECT_NEAR(phy::WifiPreamble::autocorrelation(stf, 16), 1.0, 1e-6);
+}
+
+TEST(WifiPreamble, DetectsStfUnderNoise) {
+  Rng rng(12);
+  auto stf = phy::WifiPreamble::short_training_field();
+  const double signal_rms = std::sqrt(phy::average_power(stf));
+  for (auto& s : stf) {
+    s += phy::Cplx(rng.normal(0.0, 0.15 * signal_rms),
+                   rng.normal(0.0, 0.15 * signal_rms));
+  }
+  EXPECT_TRUE(phy::WifiPreamble::detect_stf(stf));
+}
+
+TEST(WifiPreamble, NoiseDoesNotTriggerDetection) {
+  Rng rng(13);
+  phy::IqBuffer noise(160);
+  for (auto& s : noise) s = phy::Cplx(rng.normal(), rng.normal());
+  EXPECT_FALSE(phy::WifiPreamble::detect_stf(noise));
+}
+
+TEST(WifiPreamble, LtfSymbolsRepeat) {
+  const auto ltf = phy::WifiPreamble::long_training_field();
+  ASSERT_EQ(ltf.size(), 160u);
+  for (std::size_t i = 32; i + 64 < ltf.size(); ++i) {
+    EXPECT_NEAR(std::abs(ltf[i] - ltf[i + 64]), 0.0, 1e-9);
+  }
+}
+
+TEST(WifiSignal, BitsRoundTrip) {
+  phy::WifiSignalField field;
+  field.rate_code = 0b1101;
+  field.length_bytes = 1432;
+  const auto bits = field.encode_bits();
+  ASSERT_EQ(bits.size(), 24u);
+  const auto decoded = phy::WifiSignalField::decode_bits(bits);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->rate_code, 0b1101);
+  EXPECT_EQ(decoded->length_bytes, 1432);
+}
+
+TEST(WifiSignal, ParityViolationRejected) {
+  phy::WifiSignalField field;
+  field.length_bytes = 100;
+  auto bits = field.encode_bits();
+  bits[3] ^= 1;  // flip a rate bit without fixing parity
+  EXPECT_FALSE(phy::WifiSignalField::decode_bits(bits).has_value());
+}
+
+TEST(WifiSignal, OfdmSymbolRoundTrip) {
+  phy::WifiSignalField field;
+  field.rate_code = 0b0011;  // 54 Mbps, the EmuBee operating point
+  field.length_bytes = 2047;
+  const auto symbol = field.modulate();
+  EXPECT_EQ(symbol.size(), 80u);
+  const auto decoded = phy::WifiSignalField::demodulate(symbol);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->rate_code, field.rate_code);
+  EXPECT_EQ(decoded->length_bytes, field.length_bytes);
+}
+
+TEST(WifiSignal, LengthFieldBounds) {
+  phy::WifiSignalField field;
+  field.length_bytes = 4096;  // 13 bits: invalid
+  EXPECT_THROW(field.encode_bits(), CheckFailure);
+}
+
+TEST(PreambleCoverage, FullFramePreambleThenSignalParses) {
+  // Assemble STF | LTF | SIGNAL as a transmitter would, then detect and
+  // parse from the receiver side.
+  phy::IqBuffer frame = phy::WifiPreamble::short_training_field();
+  const auto ltf = phy::WifiPreamble::long_training_field();
+  frame.insert(frame.end(), ltf.begin(), ltf.end());
+  phy::WifiSignalField signal;
+  signal.rate_code = 0b0011;
+  signal.length_bytes = 1500;
+  const auto sig_symbol = signal.modulate();
+  frame.insert(frame.end(), sig_symbol.begin(), sig_symbol.end());
+
+  EXPECT_TRUE(phy::WifiPreamble::detect_stf(frame));
+  const std::span<const phy::Cplx> sig_span(frame.data() + 320, 80);
+  const auto decoded = phy::WifiSignalField::demodulate(sig_span);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->length_bytes, 1500);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the from-scratch RL stack: matrix algebra, MLP backprop
-// (finite-difference gradient check), optimizers, replay buffer and the DQN
-// agent (including the Fig. 4 architecture's parameter footprint).
+// (finite-difference gradient check), optimizers, the DQN agent (including
+// the Fig. 4 architecture's parameter footprint and Double DQN) and tabular
+// Q-learning. The replay ring's tests live with its decoders in
+// test_checkpoint.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <set>
 
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
@@ -14,7 +15,7 @@
 #include "rl/dqn.hpp"
 #include "rl/matrix.hpp"
 #include "rl/nn.hpp"
-#include "rl/replay.hpp"
+#include "rl/qlearning.hpp"
 
 namespace ctj::rl {
 namespace {
@@ -400,96 +401,6 @@ TEST(Mlp, HuberGradClamps) {
   EXPECT_DOUBLE_EQ(huber_grad(-5.0), -1.0);
 }
 
-// --------------------------------------------------------------- replay ----
-
-TEST(Replay, PushAndSize) {
-  ReplayBuffer buf(4);
-  for (int i = 0; i < 3; ++i) buf.push({{1.0}, 0, 0.0, {1.0}, false});
-  EXPECT_EQ(buf.size(), 3u);
-}
-
-TEST(Replay, RingOverwritesOldest) {
-  ReplayBuffer buf(3);
-  for (int i = 0; i < 5; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  EXPECT_EQ(buf.size(), 3u);
-  // Entries 0 and 1 must have been overwritten by 3 and 4.
-  std::set<double> seen;
-  for (std::size_t i = 0; i < buf.size(); ++i) seen.insert(buf.at(i).state[0]);
-  EXPECT_EQ(seen.count(0.0), 0u);
-  EXPECT_EQ(seen.count(1.0), 0u);
-  EXPECT_EQ(seen.count(4.0), 1u);
-}
-
-TEST(Replay, WraparoundReplacesOldestFirst) {
-  ReplayBuffer buf(3);
-  for (int i = 0; i < 4; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  // The ring cursor starts at slot 0 once full: pushing 3 evicts 0 (the
-  // oldest), leaving 1 and 2 in place.
-  EXPECT_DOUBLE_EQ(buf.at(0).state[0], 3.0);
-  EXPECT_DOUBLE_EQ(buf.at(1).state[0], 1.0);
-  EXPECT_DOUBLE_EQ(buf.at(2).state[0], 2.0);
-  buf.push({{4.0}, 0, 0.0, {0.0}, false});  // evicts 1
-  buf.push({{5.0}, 0, 0.0, {0.0}, false});  // evicts 2
-  buf.push({{6.0}, 0, 0.0, {0.0}, false});  // cursor wrapped: evicts 3
-  EXPECT_DOUBLE_EQ(buf.at(0).state[0], 6.0);
-  EXPECT_DOUBLE_EQ(buf.at(1).state[0], 4.0);
-  EXPECT_DOUBLE_EQ(buf.at(2).state[0], 5.0);
-}
-
-TEST(Replay, ClearThenRefillRestartsRing) {
-  ReplayBuffer buf(2);
-  for (int i = 0; i < 3; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(buf.capacity(), 2u);
-  // A refilled buffer behaves exactly like a fresh one, cursor included.
-  for (int i = 7; i < 10; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  EXPECT_EQ(buf.size(), 2u);
-  EXPECT_DOUBLE_EQ(buf.at(0).state[0], 9.0);
-  EXPECT_DOUBLE_EQ(buf.at(1).state[0], 8.0);
-}
-
-TEST(Replay, SampleIsDeterministicGivenSeed) {
-  ReplayBuffer buf(8);
-  for (int i = 0; i < 8; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  Rng a(42);
-  Rng b(42);
-  const auto sample_a = buf.sample(64, a);
-  const auto sample_b = buf.sample(64, b);
-  ASSERT_EQ(sample_a.size(), sample_b.size());
-  for (std::size_t i = 0; i < sample_a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sample_a[i]->state[0], sample_b[i]->state[0]);
-  }
-}
-
-TEST(Replay, SampleFromEmptyThrows) {
-  ReplayBuffer buf(2);
-  Rng rng(1);
-  EXPECT_THROW(buf.sample(1, rng), CheckFailure);
-}
-
-TEST(Replay, SampleCoversBuffer) {
-  ReplayBuffer buf(8);
-  for (int i = 0; i < 8; ++i) {
-    buf.push({{static_cast<double>(i)}, 0, 0.0, {0.0}, false});
-  }
-  Rng rng(2);
-  std::set<double> seen;
-  for (const auto* t : buf.sample(400, rng)) seen.insert(t->state[0]);
-  EXPECT_EQ(seen.size(), 8u);
-}
-
 // ------------------------------------------------------------------ DQN ----
 
 DqnConfig small_config() {
@@ -731,6 +642,81 @@ TEST(Dqn, EpsilonGreedyExploresUniformlyOverAllActions) {
     const double expected = (a == greedy) ? 1.0 - eps + uniform : uniform;
     EXPECT_NEAR(freq, expected, 0.02) << "action " << a;
   }
+}
+
+// ------------------------------------------------------------ Q-learning ----
+
+TEST(QLearning, LearnsContextualBandit) {
+  rl::QLearningConfig config;
+  config.state_dim = 2;
+  config.num_actions = 2;
+  config.bins_per_dim = 2;
+  config.epsilon_decay_steps = 500;
+  config.reward_scale = 1.0;
+  config.seed = 1;
+  rl::QLearningAgent agent(config);
+  Rng rng(2);
+  for (int step = 0; step < 4000; ++step) {
+    const bool which = rng.bernoulli(0.5);
+    const std::vector<double> s = {which ? 1.0 : 0.0, which ? 0.0 : 1.0};
+    const std::size_t a = agent.act(s);
+    const double r = (a == (which ? 1u : 0u)) ? 1.0 : 0.0;
+    agent.update(s, a, r, s);
+  }
+  EXPECT_EQ(agent.act_greedy(std::vector<double>{0.0, 1.0}), 0u);
+  EXPECT_EQ(agent.act_greedy(std::vector<double>{1.0, 0.0}), 1u);
+}
+
+TEST(QLearning, TableGrowsWithVisitedStates) {
+  rl::QLearningConfig config;
+  config.state_dim = 3;
+  config.num_actions = 4;
+  config.bins_per_dim = 4;
+  config.seed = 3;
+  rl::QLearningAgent agent(config);
+  Rng rng(4);
+  std::vector<double> s(3);
+  for (int i = 0; i < 500; ++i) {
+    for (auto& v : s) v = rng.uniform();
+    agent.update(s, 0, 0.1, s);
+  }
+  EXPECT_GT(agent.table_size(), 20u);
+  EXPECT_LE(agent.table_size(), 64u);  // at most bins^dims distinct keys
+}
+
+TEST(QLearning, EpsilonDecays) {
+  rl::QLearningConfig config;
+  config.state_dim = 1;
+  config.num_actions = 2;
+  config.epsilon_decay_steps = 100;
+  rl::QLearningAgent agent(config);
+  EXPECT_DOUBLE_EQ(agent.epsilon(), 1.0);
+  const std::vector<double> s = {0.5};
+  for (int i = 0; i < 100; ++i) agent.update(s, 0, 0.0, s);
+  EXPECT_NEAR(agent.epsilon(), config.epsilon_end, 1e-9);
+}
+
+// ------------------------------------------------------------ Double DQN ----
+
+TEST(DoubleDqn, TrainsAndActs) {
+  rl::DqnConfig config;
+  config.state_dim = 2;
+  config.num_actions = 2;
+  config.hidden = {16};
+  config.double_dqn = true;
+  config.min_replay_before_training = 32;
+  config.reward_scale = 1.0;
+  config.seed = 5;
+  rl::DqnAgent agent(config);
+  Rng rng(6);
+  for (int step = 0; step < 1500; ++step) {
+    const bool which = rng.bernoulli(0.5);
+    const std::vector<double> s = {which ? 1.0 : 0.0, which ? 0.0 : 1.0};
+    const std::size_t a = agent.act(s);
+    const double r = (a == (which ? 1u : 0u)) ? 1.0 : 0.0;
+    agent.observe({s, a, r, s, false});
+  }
+  EXPECT_EQ(agent.act_greedy(std::vector<double>{1.0, 0.0}), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Parallel actor-learner trainer tests: the SPSC transition plumbing, the
-// sharded replay buffer, the policy bus, and the headline properties —
-// deterministic mode is bit-identical across thread counts, and a killed
-// and resumed parallel run reproduces an uninterrupted one exactly (both
-// from periodic epoch-gate cuts and from a finished run's mid-epoch final
-// cut when the budget is extended).
+// policy bus, and the headline properties — deterministic mode is
+// bit-identical across thread counts, and a killed and resumed parallel run
+// reproduces an uninterrupted one exactly (both from periodic epoch-gate
+// cuts and from a finished run's mid-epoch final cut when the budget is
+// extended). The sharded replay's tests live with its decoder in
+// test_checkpoint.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,7 +19,7 @@
 #include "core/trainer.hpp"
 #include "io/container.hpp"
 #include "rl/policy_bus.hpp"
-#include "rl/replay_shard.hpp"
+#include "rl/replay.hpp"
 
 using namespace ctj;
 using namespace ctj::core;
@@ -113,85 +114,6 @@ TEST(TransitionQueue, ConcurrentStreamArrivesInOrderIntact) {
   producer.join();
   EXPECT_EQ(corrupt, 0u);
   EXPECT_EQ(queue.try_front(), nullptr);  // fully drained
-}
-
-TEST(ShardedReplay, WrapSampleAndRoundTrip) {
-  constexpr std::size_t kStateDim = 2;
-  const std::size_t stride = rl::transition_stride(kStateDim);
-  rl::ShardedReplay replay(/*shards=*/2, /*capacity_per_shard=*/4, kStateDim);
-  std::vector<double> rec(stride);
-  // Shard 0 wraps (6 appends into capacity 4), shard 1 stays partial.
-  for (std::size_t i = 0; i < 6; ++i) {
-    fill_record(rec.data(), kStateDim, 100.0 + static_cast<double>(i));
-    replay.append(0, rec.data());
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    fill_record(rec.data(), kStateDim, 200.0 + static_cast<double>(i));
-    replay.append(1, rec.data());
-  }
-  EXPECT_EQ(replay.size(), 7u);
-
-  // Identical RNG streams sample identical minibatches.
-  rl::Matrix s1, n1, s2, n2;
-  std::vector<std::size_t> a1, a2;
-  std::vector<double> r1, r2;
-  std::vector<std::uint8_t> d1, d2;
-  Rng rng1(7), rng2(7);
-  replay.sample_into(16, rng1, s1, n1, a1, r1, d1);
-  replay.sample_into(16, rng2, s2, n2, a2, r2, d2);
-  EXPECT_EQ(a1, a2);
-  EXPECT_EQ(r1, r2);
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s1.data()[i], s2.data()[i]);
-  }
-  // Every sampled reward is one of the appended ones (wrapped shard holds
-  // only the last 4 of its 6).
-  for (double reward : r1) {
-    const double tag = reward - 0.5;
-    const bool from_shard0 = tag >= 102.0 && tag <= 105.0;
-    const bool from_shard1 = tag >= 200.0 && tag <= 202.0;
-    EXPECT_TRUE(from_shard0 || from_shard1) << "sampled stale entry " << tag;
-  }
-
-  // save → load → save is byte-identical, and the loaded buffer samples
-  // the same stream.
-  io::ByteWriter w1;
-  replay.save_state(w1);
-  const std::string bytes = w1.take();
-  rl::ShardedReplay loaded(2, 4, kStateDim);
-  io::ByteReader in(bytes);
-  loaded.load_state(in);
-  in.expect_end();
-  io::ByteWriter w2;
-  loaded.save_state(w2);
-  EXPECT_EQ(bytes, w2.take());
-
-  Rng rng3(7);
-  loaded.sample_into(16, rng3, s2, n2, a2, r2, d2);
-  EXPECT_EQ(r1, r2);
-}
-
-TEST(ShardedReplay, TopologyMismatchThrowsWithoutMutating) {
-  constexpr std::size_t kStateDim = 2;
-  rl::ShardedReplay replay(2, 4, kStateDim);
-  std::vector<double> rec(rl::transition_stride(kStateDim));
-  fill_record(rec.data(), kStateDim, 1.0);
-  replay.append(0, rec.data());
-  io::ByteWriter w;
-  replay.save_state(w);
-  const std::string bytes = w.take();
-
-  rl::ShardedReplay other(3, 4, kStateDim);  // different shard count
-  fill_record(rec.data(), kStateDim, 9.0);
-  other.append(2, rec.data());
-  io::ByteReader in(bytes);
-  try {
-    other.load_state(in);
-    FAIL() << "expected IoError";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
-  }
-  EXPECT_EQ(other.size(), 1u);  // untouched
 }
 
 TEST(PolicyBus, VersionsFetchAndStop) {

@@ -4,7 +4,7 @@
 //
 // Standalone (non-gtest) so it can be built with -fsanitize=thread in an
 // otherwise uninstrumented build; train_parallel.cpp, policy_bus.cpp and
-// replay_shard.cpp are compiled into this binary directly (see
+// replay.cpp are compiled into this binary directly (see
 // tests/CMakeLists.txt) so the lock-free index protocol, the bus atomics
 // and the pause gate are all instrumented — TSan cannot see into the
 // library's uninstrumented copies.
