@@ -16,6 +16,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/kernels_detail.hpp"
 
@@ -29,114 +30,65 @@ namespace {
 // nothing here — and the FMA loops then run over the packed list only. That
 // skips exactly the entries the scalar reference skips (one-hot DQN output
 // gradients stay bit-exact) and halves both FMAs and B-row loads on ReLU
-// activations. The FMA body keeps a 32-wide stripe of one C row in eight ymm
-// accumulators across the whole packed loop: eight independent dependency
-// chains cover the FMA latency, and C traffic drops k-fold versus the
-// load/store-per-k pattern the autovectorizer produces. Stripes stay in the
-// outer loop so the touched B columns remain L1-resident while the row loop
-// streams over them. Per C element the packed accumulation preserves the
-// scalar k order, so results stay ULP-bounded against the scalar reference.
+// activations. One template covers every stripe width: a stripe of up to 48
+// columns of one C row lives in NV ymm accumulators across the whole packed
+// loop (up to twelve independent dependency chains cover the FMA latency,
+// and C traffic drops k-fold versus the load/store-per-k pattern the
+// autovectorizer produces), and the last accumulator is masked to the
+// stripe's tail lanes. A row of n columns is n / 48 full stripes plus one
+// remainder stripe, so a 24- or 45-wide layer takes a single pass. Stripes
+// stay in the outer loop so the touched B columns remain L1-resident while
+// the row loop streams over them. Per C element the packed accumulation
+// preserves the scalar k order, so results stay ULP-bounded against the
+// scalar reference.
+template <int NV>
+void stripe_avx2(double* c, const double* b, std::size_t n,
+                 const detail::MatmulScratch& packed, std::size_t kk,
+                 std::size_t rows, __m256i tail) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* v = packed.vals.data() + r * kk;
+    const std::int32_t* ix = packed.idx.data() + r * kk;
+    const std::size_t nnz = static_cast<std::size_t>(packed.cnt[r]);
+    double* crow = c + r * n;
+    __m256d acc[NV];
+    for (int q = 0; q + 1 < NV; ++q) acc[q] = _mm256_loadu_pd(crow + 4 * q);
+    acc[NV - 1] = _mm256_maskload_pd(crow + 4 * (NV - 1), tail);
+    for (std::size_t t = 0; t < nnz; ++t) {
+      const __m256d va = _mm256_set1_pd(v[t]);
+      const double* brow = b + static_cast<std::size_t>(ix[t]) * n;
+      for (int q = 0; q + 1 < NV; ++q) {
+        acc[q] = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 4 * q), acc[q]);
+      }
+      acc[NV - 1] = _mm256_fmadd_pd(
+          va, _mm256_maskload_pd(brow + 4 * (NV - 1), tail), acc[NV - 1]);
+    }
+    for (int q = 0; q + 1 < NV; ++q) _mm256_storeu_pd(crow + 4 * q, acc[q]);
+    _mm256_maskstore_pd(crow + 4 * (NV - 1), tail, acc[NV - 1]);
+  }
+}
+
 void matmul_acc_avx2(double* c, const double* a, const double* b,
                      std::size_t m, std::size_t kk, std::size_t n) {
   constexpr std::size_t kRowChunk = 32;
+  constexpr std::size_t kLanes = 4;
+  static constexpr decltype(&stripe_avx2<1>) kStripes[] = {
+      stripe_avx2<1>, stripe_avx2<2>,  stripe_avx2<3>,  stripe_avx2<4>,
+      stripe_avx2<5>, stripe_avx2<6>,  stripe_avx2<7>,  stripe_avx2<8>,
+      stripe_avx2<9>, stripe_avx2<10>, stripe_avx2<11>, stripe_avx2<12>};
+  constexpr std::size_t kStripeCols = std::size(kStripes) * kLanes;
   static thread_local detail::MatmulScratch scratch;
   scratch.reserve_chunk(std::min(m, kRowChunk), kk);
   for (std::size_t i0 = 0; i0 < m; i0 += kRowChunk) {
-    const std::size_t i1 = std::min(m, i0 + kRowChunk);
-    for (std::size_t i = i0; i < i1; ++i) {
-      scratch.cnt[i - i0] = static_cast<std::int32_t>(detail::pack_nonzeros(
-          a + i * kk, kk, scratch.vals.data() + (i - i0) * kk,
-          scratch.idx.data() + (i - i0) * kk));
-    }
-    std::size_t j0 = 0;
-    for (; j0 + 32 <= n; j0 += 32) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m256d c0 = _mm256_loadu_pd(crow + 0);
-        __m256d c1 = _mm256_loadu_pd(crow + 4);
-        __m256d c2 = _mm256_loadu_pd(crow + 8);
-        __m256d c3 = _mm256_loadu_pd(crow + 12);
-        __m256d c4 = _mm256_loadu_pd(crow + 16);
-        __m256d c5 = _mm256_loadu_pd(crow + 20);
-        __m256d c6 = _mm256_loadu_pd(crow + 24);
-        __m256d c7 = _mm256_loadu_pd(crow + 28);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          const __m256d va = _mm256_set1_pd(v[t]);
-          const double* brow = bcol + static_cast<std::size_t>(ix[t]) * n;
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 0), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 4), c1);
-          c2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 8), c2);
-          c3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 12), c3);
-          c4 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 16), c4);
-          c5 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 20), c5);
-          c6 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 24), c6);
-          c7 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 28), c7);
-        }
-        _mm256_storeu_pd(crow + 0, c0);
-        _mm256_storeu_pd(crow + 4, c1);
-        _mm256_storeu_pd(crow + 8, c2);
-        _mm256_storeu_pd(crow + 12, c3);
-        _mm256_storeu_pd(crow + 16, c4);
-        _mm256_storeu_pd(crow + 20, c5);
-        _mm256_storeu_pd(crow + 24, c6);
-        _mm256_storeu_pd(crow + 28, c7);
-      }
-    }
-    for (; j0 + 8 <= n; j0 += 8) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m256d c0 = _mm256_loadu_pd(crow + 0);
-        __m256d c1 = _mm256_loadu_pd(crow + 4);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          const __m256d va = _mm256_set1_pd(v[t]);
-          const double* brow = bcol + static_cast<std::size_t>(ix[t]) * n;
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 0), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 4), c1);
-        }
-        _mm256_storeu_pd(crow + 0, c0);
-        _mm256_storeu_pd(crow + 4, c1);
-      }
-    }
-    for (; j0 + 4 <= n; j0 += 4) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m256d c0 = _mm256_loadu_pd(crow);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          c0 = _mm256_fmadd_pd(
-              _mm256_set1_pd(v[t]),
-              _mm256_loadu_pd(bcol + static_cast<std::size_t>(ix[t]) * n),
-              c0);
-        }
-        _mm256_storeu_pd(crow, c0);
-      }
-    }
-    if (j0 < n) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n;
-        for (std::size_t j = j0; j < n; ++j) {
-          double s = crow[j];
-          for (std::size_t t = 0; t < nnz; ++t) {
-            s = __builtin_fma(v[t], b[static_cast<std::size_t>(ix[t]) * n + j],
-                              s);
-          }
-          crow[j] = s;
-        }
-      }
+    const std::size_t rows = std::min(m - i0, kRowChunk);
+    scratch.pack_chunk(a + i0 * kk, rows, kk);
+    for (std::size_t j0 = 0; j0 < n; j0 += kStripeCols) {
+      const std::size_t width = std::min(n - j0, kStripeCols);
+      const std::size_t nv = (width + kLanes - 1) / kLanes;
+      // Lane l is live when l < the lanes left for the last accumulator.
+      const __m256i tail = _mm256_cmpgt_epi64(
+          _mm256_set1_epi64x(static_cast<long long>(width - (nv - 1) * kLanes)),
+          _mm256_setr_epi64x(0, 1, 2, 3));
+      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, kk, rows, tail);
     }
   }
 }

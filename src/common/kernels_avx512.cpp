@@ -25,6 +25,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/kernels_detail.hpp"
 
@@ -57,133 +58,57 @@ void saxpy_avx512(std::size_t n, double a, const double* x, double* y) {
 
 // Same compressed-nonzero structure as the AVX2 matmul (branchless per-row
 // nonzero packing, stripes-outer FMA body over the packed lists — see
-// kernels_avx2.cpp for the full rationale) with 512-bit accumulators: a
-// 64-wide stripe of one C row lives in eight zmm registers, so the eight
-// independent FMA chains cover the FMA latency at twice the AVX2 width.
+// kernels_avx2.cpp for the full rationale) with 512-bit accumulators. One
+// template covers every stripe width: a stripe of up to 64 columns of one C
+// row lives in NV zmm registers across the whole packed loop, and the last
+// register is masked to the stripe's tail lanes (masked-off lanes neither
+// fault on load nor get stored). A row of n columns is therefore n / 64 full
+// stripes plus one remainder stripe, and every element runs the same FMA
+// chain in increasing k whichever stripe it falls in.
+template <int NV>
+void stripe_avx512(double* c, const double* b, std::size_t n,
+                   const detail::MatmulScratch& packed, std::size_t kk,
+                   std::size_t rows, __mmask8 tail) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* v = packed.vals.data() + r * kk;
+    const std::int32_t* ix = packed.idx.data() + r * kk;
+    const std::size_t nnz = static_cast<std::size_t>(packed.cnt[r]);
+    double* crow = c + r * n;
+    __m512d acc[NV];
+    for (int q = 0; q + 1 < NV; ++q) acc[q] = _mm512_loadu_pd(crow + 8 * q);
+    acc[NV - 1] = _mm512_maskz_loadu_pd(tail, crow + 8 * (NV - 1));
+    for (std::size_t t = 0; t < nnz; ++t) {
+      const __m512d va = _mm512_set1_pd(v[t]);
+      const double* brow = b + static_cast<std::size_t>(ix[t]) * n;
+      for (int q = 0; q + 1 < NV; ++q) {
+        acc[q] = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 8 * q), acc[q]);
+      }
+      acc[NV - 1] = _mm512_fmadd_pd(
+          va, _mm512_maskz_loadu_pd(tail, brow + 8 * (NV - 1)), acc[NV - 1]);
+    }
+    for (int q = 0; q + 1 < NV; ++q) _mm512_storeu_pd(crow + 8 * q, acc[q]);
+    _mm512_mask_storeu_pd(crow + 8 * (NV - 1), tail, acc[NV - 1]);
+  }
+}
+
 void matmul_acc_avx512(double* c, const double* a, const double* b,
                        std::size_t m, std::size_t kk, std::size_t n) {
   constexpr std::size_t kRowChunk = 32;
+  constexpr std::size_t kLanes = 8;
+  static constexpr decltype(&stripe_avx512<1>) kStripes[] = {
+      stripe_avx512<1>, stripe_avx512<2>, stripe_avx512<3>, stripe_avx512<4>,
+      stripe_avx512<5>, stripe_avx512<6>, stripe_avx512<7>, stripe_avx512<8>};
+  constexpr std::size_t kStripeCols = std::size(kStripes) * kLanes;
   static thread_local detail::MatmulScratch scratch;
   scratch.reserve_chunk(std::min(m, kRowChunk), kk);
   for (std::size_t i0 = 0; i0 < m; i0 += kRowChunk) {
-    const std::size_t i1 = std::min(m, i0 + kRowChunk);
-    for (std::size_t i = i0; i < i1; ++i) {
-      scratch.cnt[i - i0] = static_cast<std::int32_t>(detail::pack_nonzeros(
-          a + i * kk, kk, scratch.vals.data() + (i - i0) * kk,
-          scratch.idx.data() + (i - i0) * kk));
-    }
-    std::size_t j0 = 0;
-    for (; j0 + 64 <= n; j0 += 64) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m512d c0 = _mm512_loadu_pd(crow + 0);
-        __m512d c1 = _mm512_loadu_pd(crow + 8);
-        __m512d c2 = _mm512_loadu_pd(crow + 16);
-        __m512d c3 = _mm512_loadu_pd(crow + 24);
-        __m512d c4 = _mm512_loadu_pd(crow + 32);
-        __m512d c5 = _mm512_loadu_pd(crow + 40);
-        __m512d c6 = _mm512_loadu_pd(crow + 48);
-        __m512d c7 = _mm512_loadu_pd(crow + 56);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          const __m512d va = _mm512_set1_pd(v[t]);
-          const double* brow = bcol + static_cast<std::size_t>(ix[t]) * n;
-          c0 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 0), c0);
-          c1 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 8), c1);
-          c2 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 16), c2);
-          c3 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 24), c3);
-          c4 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 32), c4);
-          c5 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 40), c5);
-          c6 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 48), c6);
-          c7 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 56), c7);
-        }
-        _mm512_storeu_pd(crow + 0, c0);
-        _mm512_storeu_pd(crow + 8, c1);
-        _mm512_storeu_pd(crow + 16, c2);
-        _mm512_storeu_pd(crow + 24, c3);
-        _mm512_storeu_pd(crow + 32, c4);
-        _mm512_storeu_pd(crow + 40, c5);
-        _mm512_storeu_pd(crow + 48, c6);
-        _mm512_storeu_pd(crow + 56, c7);
-      }
-    }
-    for (; j0 + 32 <= n; j0 += 32) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m512d c0 = _mm512_loadu_pd(crow + 0);
-        __m512d c1 = _mm512_loadu_pd(crow + 8);
-        __m512d c2 = _mm512_loadu_pd(crow + 16);
-        __m512d c3 = _mm512_loadu_pd(crow + 24);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          const __m512d va = _mm512_set1_pd(v[t]);
-          const double* brow = bcol + static_cast<std::size_t>(ix[t]) * n;
-          c0 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 0), c0);
-          c1 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 8), c1);
-          c2 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 16), c2);
-          c3 = _mm512_fmadd_pd(va, _mm512_loadu_pd(brow + 24), c3);
-        }
-        _mm512_storeu_pd(crow + 0, c0);
-        _mm512_storeu_pd(crow + 8, c1);
-        _mm512_storeu_pd(crow + 16, c2);
-        _mm512_storeu_pd(crow + 24, c3);
-      }
-    }
-    for (; j0 + 8 <= n; j0 += 8) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m512d c0 = _mm512_loadu_pd(crow);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          c0 = _mm512_fmadd_pd(
-              _mm512_set1_pd(v[t]),
-              _mm512_loadu_pd(bcol + static_cast<std::size_t>(ix[t]) * n),
-              c0);
-        }
-        _mm512_storeu_pd(crow, c0);
-      }
-    }
-    for (; j0 + 4 <= n; j0 += 4) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n + j0;
-        __m256d c0 = _mm256_loadu_pd(crow);
-        const double* bcol = b + j0;
-        for (std::size_t t = 0; t < nnz; ++t) {
-          c0 = _mm256_fmadd_pd(
-              _mm256_set1_pd(v[t]),
-              _mm256_loadu_pd(bcol + static_cast<std::size_t>(ix[t]) * n),
-              c0);
-        }
-        _mm256_storeu_pd(crow, c0);
-      }
-    }
-    if (j0 < n) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* v = scratch.vals.data() + (i - i0) * kk;
-        const std::int32_t* ix = scratch.idx.data() + (i - i0) * kk;
-        const std::size_t nnz = static_cast<std::size_t>(scratch.cnt[i - i0]);
-        double* crow = c + i * n;
-        for (std::size_t j = j0; j < n; ++j) {
-          double s = crow[j];
-          for (std::size_t t = 0; t < nnz; ++t) {
-            s = __builtin_fma(v[t], b[static_cast<std::size_t>(ix[t]) * n + j],
-                              s);
-          }
-          crow[j] = s;
-        }
-      }
+    const std::size_t rows = std::min(m - i0, kRowChunk);
+    scratch.pack_chunk(a + i0 * kk, rows, kk);
+    for (std::size_t j0 = 0; j0 < n; j0 += kStripeCols) {
+      const std::size_t width = std::min(n - j0, kStripeCols);
+      const std::size_t nv = (width + kLanes - 1) / kLanes;
+      const auto tail = static_cast<__mmask8>(0xFFu >> (nv * kLanes - width));
+      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, kk, rows, tail);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
@@ -74,29 +75,41 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
 void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   CTJ_CHECK(a.rows() == b.rows());
   CTJ_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  const auto& kernels = kern::ops();
   const std::size_t n = b.cols();
   const std::size_t ac = a.cols();
-  // Sparse-row fast path: the DQN's output gradient is one-hot per sample
-  // (Huber-clipped TD error on the taken action only), so the rank-1 update
-  // from such a row touches one column of C, not n. Skipping exact-zero
-  // terms is bit-exact: each skipped contribution is ±0.0, and a C entry can
-  // never hold -0.0 (it starts at +0.0, and +0.0 + -0.0 = +0.0), so adding
-  // the zero would not have changed a single bit.
+  // Row k adds the rank-1 term A[k,:]ᵀ·B[k,:] to C. Rows are applied in
+  // increasing k, so each C element accumulates in the naive product's
+  // order. Skipping exact-zero terms is bit-exact: each skipped contribution
+  // is ±0.0, and a C entry can never hold -0.0 (it starts at +0.0, and
+  // +0.0 + -0.0 = +0.0), so adding the zero would not have changed a bit.
+  //
+  // A sparse B row (the DQN's output gradient is one-hot per sample) touches
+  // at most kSparseCap columns of C and is added in place. A run of
+  // consecutive denser rows (the ReLU hidden-layer gradients) goes through
+  // the kernel matmul as C += (A_run)ᵀ·B_run on an explicit transpose: per
+  // element that is the zero-skipping chain one saxpy per nonzero A[k,i]
+  // would run, with the same arithmetic at every kernel level.
   constexpr std::size_t kSparseCap = 8;
-  std::size_t nz_idx[kSparseCap];
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.data() + k * ac;
+  // Lists B row k's nonzero columns in cols, up to kSparseCap of them, and
+  // returns their count (stopping once it passes kSparseCap).
+  const auto nonzero_cols = [&b, n](std::size_t k, std::size_t* cols) {
     const double* brow = b.data() + k * n;
     std::size_t nz = 0;
     for (std::size_t j = 0; j < n && nz <= kSparseCap; ++j) {
       if (brow[j] != 0.0) {
-        if (nz < kSparseCap) nz_idx[nz] = j;
+        if (nz < kSparseCap) cols[nz] = j;
         ++nz;
       }
     }
-    if (nz == 0) continue;
+    return nz;
+  };
+  static thread_local std::vector<double> at_run;  // (A_run)ᵀ, [ac × run]
+  std::size_t nz_idx[kSparseCap];
+  for (std::size_t k = 0; k < a.rows();) {
+    const std::size_t nz = nonzero_cols(k, nz_idx);
     if (nz <= kSparseCap) {
+      const double* arow = a.data() + k * ac;
+      const double* brow = b.data() + k * n;
       for (std::size_t i = 0; i < ac; ++i) {
         const double aki = arow[i];
         if (aki == 0.0) continue;
@@ -105,13 +118,20 @@ void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
           crow[nz_idx[s]] += aki * brow[nz_idx[s]];
         }
       }
+      ++k;
       continue;
     }
-    for (std::size_t i = 0; i < ac; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      kernels.saxpy(n, aki, brow, c.data() + i * n);
+    std::size_t k1 = k + 1;
+    while (k1 < a.rows() && nonzero_cols(k1, nz_idx) > kSparseCap) ++k1;
+    const std::size_t run = k1 - k;
+    at_run.resize(ac * run);
+    for (std::size_t t = 0; t < run; ++t) {
+      const double* arow = a.data() + (k + t) * ac;
+      for (std::size_t i = 0; i < ac; ++i) at_run[i * run + t] = arow[i];
     }
+    kern::ops().matmul_acc(c.data(), at_run.data(), b.data() + k * n, ac, run,
+                           n);
+    k = k1;
   }
 }
 

@@ -87,22 +87,15 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   for (std::size_t i = 0; i + 1 < sizes_.size(); ++i) {
     layers_.emplace_back(sizes_[i], sizes_[i + 1], rng);
   }
-  relu_masks_.resize(layers_.size() > 0 ? layers_.size() - 1 : 0);
 }
 
 const Matrix& Mlp::forward_hidden(const Matrix& x) {
   acts_.resize(layers_.size() + 1);
   acts_[0] = x;
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    Matrix& h = acts_[i + 1];
-    // ReLU fused into the bias kernel; the backward mask is recovered from
-    // the post-activation values (h > 0 post-ReLU iff pre-ReLU).
-    layers_[i].forward_into(acts_[i], h, /*relu=*/true);
-    Matrix& mask = relu_masks_[i];
-    mask.resize(h.rows(), h.cols());
-    for (std::size_t k = 0; k < h.size(); ++k) {
-      if (h.data()[k] > 0.0) mask.data()[k] = 1.0;
-    }
+    // ReLU fused into the bias kernel; backward_from() reads the unit's
+    // activity back from the output (h > 0 post-ReLU iff pre-ReLU).
+    layers_[i].forward_into(acts_[i], acts_[i + 1], /*relu=*/true);
   }
   return acts_[layers_.size() - 1];
 }
@@ -163,10 +156,13 @@ void Mlp::backward_from(std::size_t i) {
   Matrix* next = &grad_b_;
   for (;; --i) {
     if (i + 1 < layers_.size()) {
-      const Matrix& mask = relu_masks_[i];
-      CTJ_CHECK(mask.rows() == g->rows() && mask.cols() == g->cols());
+      // ReLU backward: an inactive unit passes +0.0. That gives the same
+      // gradient bits as g·0 (-0.0 for a negative g): every consumer skips
+      // ±0.0 alike, and the bias sum stays +0.0 either way.
+      const Matrix& h = acts_[i + 1];
+      CTJ_CHECK(h.rows() == g->rows() && h.cols() == g->cols());
       for (std::size_t k = 0; k < g->size(); ++k) {
-        g->data()[k] *= mask.data()[k];
+        g->data()[k] = h.data()[k] > 0.0 ? g->data()[k] : 0.0;
       }
     }
     layers_[i].backward_params_acc(acts_[i], *g);

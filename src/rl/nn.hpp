@@ -74,9 +74,9 @@ class Mlp {
   Matrix forward_const(const Matrix& x) const;
 
   /// Training forward pass reusing internal activation buffers; caches the
-  /// activations and ReLU masks backward() needs. The returned reference is
-  /// valid until the next forward on this network. The DQN learner uses
-  /// forward_taken(); this dense path is the reference it is tested against.
+  /// activations backward() needs. The returned reference is valid until
+  /// the next forward on this network. The DQN learner uses forward_taken();
+  /// this dense path is the reference it is tested against.
   const Matrix& forward_cached(const Matrix& x);
 
   /// Training forward for a loss that reads one output per row: writes
@@ -139,19 +139,18 @@ class Mlp {
   void save_state(io::ByteWriter& out) const;
 
  private:
-  /// Forward through every layer but the last, caching activations and
-  /// ReLU masks; returns the last layer's input.
+  /// Forward through every layer but the last, caching the activations;
+  /// returns the last layer's input.
   const Matrix& forward_hidden(const Matrix& x);
   void check_backward_rows(std::size_t rows) const;
   /// Backprop from grad_a_, the gradient at layer i's output (ahead of its
-  /// ReLU mask), down through layer 0.
+  /// ReLU), down through layer 0.
   void backward_from(std::size_t i);
 
   std::vector<std::size_t> sizes_;
   std::vector<LinearLayer> layers_;
-  std::vector<Matrix> relu_masks_;  // cached per forward pass
-  std::vector<Matrix> acts_;        // acts_[i]: input of layer i; back is output
-  Matrix grad_a_, grad_b_;          // ping-pong buffers for backward()
+  std::vector<Matrix> acts_;  // acts_[i]: input of layer i; back is output
+  Matrix grad_a_, grad_b_;    // ping-pong buffers for backward()
 };
 
 /// Adam optimizer over an Mlp's parameters.

@@ -1,8 +1,8 @@
 // SIMD kernel layer: scalar vs AVX2/AVX-512 parity (bit-exact where
-// promised, ULP-bounded where FMA contraction is allowed), gather_dot against
-// each level's own matmul, TD/Huber and Adam
-// semantics against straightforward references, and the CTJ_SIMD dispatch
-// resolver.
+// promised, ULP-bounded where FMA contraction is allowed), each level's
+// matmul against its own per-element chain, gather_dot against each level's
+// own matmul, TD/Huber and Adam semantics against straightforward
+// references, and the CTJ_SIMD dispatch resolver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,8 +94,8 @@ TEST(KernelDispatch, ActiveOpsNamedConsistently) {
 TEST(KernelParity, MatmulUlpBounded) {
   REQUIRE_SIMD(levels);
   const KernelOps& scalar = kern::scalar_ops();
-  // Shapes cover the DQN layers plus ragged tails for the stripe cascades
-  // (64/32/8/4-wide in the AVX-512 level, 32/8/4-wide in AVX2).
+  // Shapes cover the DQN layers plus full stripes and masked remainder
+  // stripes (64 columns per stripe in the AVX-512 level, 48 in AVX2).
   const struct { std::size_t m, k, n; } shapes[] = {
       {1, 24, 45},  {32, 24, 45}, {32, 45, 45},  {32, 45, 160},
       {45, 32, 160}, {3, 7, 5},   {2, 4, 17},    {8, 16, 33},
@@ -144,6 +144,64 @@ TEST(KernelParity, MatmulSkipsExactZeros) {
     simd->matmul_acc(c_simd.data(), a.data(), b.data(), m, k, n);
     for (std::size_t i = 0; i < c_ref.size(); ++i) {
       EXPECT_EQ(c_ref[i], c_simd[i]);
+    }
+  }
+}
+
+TEST(KernelParity, MatmulMatchesOwnFmaChainBitExact) {
+  // What keeps checkpoints identical across a rewrite of the SIMD matmul:
+  // every C element is one chain over the nonzero a[i,k] in increasing k,
+  // started from C's old value — fused (std::fma) at the SIMD levels, plain
+  // mul+add at the scalar level (this TU compiles without contraction) —
+  // whatever stripe or masked tail lane the element falls in. Widths 1..70,
+  // 130 and 160 hit every tail width of both levels; m straddles the 32-row
+  // packing chunk. A is ReLU-like with +0.0 and -0.0 entries, and row 1 is
+  // all zero. Sentinels past C's end catch a masked store that writes a
+  // dead lane.
+  std::vector<const KernelOps*> levels = simd_levels();
+  levels.insert(levels.begin(), &kern::scalar_ops());
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 70; ++n) widths.push_back(n);
+  widths.push_back(130);
+  widths.push_back(160);
+  constexpr std::size_t kk = 11;
+  constexpr std::size_t kGuard = 8;
+  for (const KernelOps* ops : levels) {
+    SCOPED_TRACE(ops->name);
+    const bool fused = ops != &kern::scalar_ops();
+    Rng rng(21);
+    for (const std::size_t m : {1u, 31u, 32u, 33u, 65u}) {
+      for (const std::size_t n : widths) {
+        auto a = random_vec(m * kk, rng);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (a[i] <= 0.0) a[i] = i % 3 == 0 ? -0.0 : 0.0;
+        }
+        if (m > 1) std::fill(a.begin() + kk, a.begin() + 2 * kk, 0.0);
+        const auto b = random_vec(kk * n, rng);
+        auto c = random_vec(m * n + kGuard, rng);
+        const auto c0 = c;
+        ops->matmul_acc(c.data(), a.data(), b.data(), m, kk, n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double ref = c0[i * n + j];
+            for (std::size_t k = 0; k < kk; ++k) {
+              const double aik = a[i * kk + k];
+              if (aik == 0.0) continue;
+              ref = fused ? std::fma(aik, b[k * n + j], ref)
+                          : ref + aik * b[k * n + j];
+            }
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i * n + j]),
+                      std::bit_cast<std::uint64_t>(ref))
+                << "m=" << m << " n=" << n << " elem (" << i << ", " << j
+                << ")";
+          }
+        }
+        for (std::size_t g = m * n; g < c.size(); ++g) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(c[g]),
+                    std::bit_cast<std::uint64_t>(c0[g]))
+              << "m=" << m << " n=" << n << " wrote past C";
+        }
+      }
     }
   }
 }

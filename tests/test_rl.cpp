@@ -5,9 +5,14 @@
 // test_checkpoint.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <vector>
 
+#include "common/check.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "io/container.hpp"
@@ -184,6 +189,100 @@ TEST(Matrix, AtBAccAccumulatesOnTopOfExisting) {
   }
 }
 
+// matmul_at_b_acc as it was before runs of dense rows went through the
+// kernel matmul, copied verbatim: one dispatched saxpy per nonzero A[k,i]
+// for a B row with more than eight nonzeros, an in-place update of the
+// touched columns otherwise. This TU builds with rl/matrix.cpp's flags, so
+// the in-place update contracts (or not) the same way in both.
+void per_row_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
+  CTJ_CHECK(a.rows() == b.rows());
+  CTJ_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
+  const auto& kernels = kern::ops();
+  const std::size_t n = b.cols();
+  const std::size_t ac = a.cols();
+  // Sparse-row fast path: the DQN's output gradient is one-hot per sample
+  // (Huber-clipped TD error on the taken action only), so the rank-1 update
+  // from such a row touches one column of C, not n. Skipping exact-zero
+  // terms is bit-exact: each skipped contribution is ±0.0, and a C entry can
+  // never hold -0.0 (it starts at +0.0, and +0.0 + -0.0 = +0.0), so adding
+  // the zero would not have changed a single bit.
+  constexpr std::size_t kSparseCap = 8;
+  std::size_t nz_idx[kSparseCap];
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const double* arow = a.data() + k * ac;
+    const double* brow = b.data() + k * n;
+    std::size_t nz = 0;
+    for (std::size_t j = 0; j < n && nz <= kSparseCap; ++j) {
+      if (brow[j] != 0.0) {
+        if (nz < kSparseCap) nz_idx[nz] = j;
+        ++nz;
+      }
+    }
+    if (nz == 0) continue;
+    if (nz <= kSparseCap) {
+      for (std::size_t i = 0; i < ac; ++i) {
+        const double aki = arow[i];
+        if (aki == 0.0) continue;
+        double* crow = c.data() + i * n;
+        for (std::size_t s = 0; s < nz; ++s) {
+          crow[nz_idx[s]] += aki * brow[nz_idx[s]];
+        }
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < ac; ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      kernels.saxpy(n, aki, brow, c.data() + i * n);
+    }
+  }
+}
+
+TEST(Matrix, AtBAccMatchesPerRowLoopBitExact) {
+  // B interleaves dense rows (> 8 nonzeros, in runs of 1 to 6), sparse rows
+  // (1 to 8, both sides of the boundary) and all-zero rows; A is ReLU-like.
+  // Both operands carry -0.0. Two accumulations on top of each other must
+  // match the per-row loop to the last bit at the active kernel level
+  // (CTJ_SIMD picks it; the learner ctest label runs this at each one).
+  const std::size_t nnz_per_row[] = {20, 45, 0, 3, 9,  8,  30, 22, 17, 0, 0,
+                                     1,  9,  9, 12, 44, 45, 2,  23, 0, 31, 40,
+                                     8,  10, 25, 26, 27, 28, 29, 5, 14, 7, 33};
+  const std::size_t rows = std::size(nnz_per_row);
+  const struct { std::size_t in, out; } shapes[] = {{45, 45}, {24, 45},
+                                                    {45, 160}};
+  Rng rng(31);
+  for (const auto& s : shapes) {
+    Matrix a(rows, s.in), b(rows, s.out);
+    std::vector<std::size_t> cols(s.out);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t i = 0; i < s.in; ++i) {
+        const double v = rng.normal();
+        a.at(r, i) = v > 0.0 ? v : (i % 4 == 0 ? -0.0 : 0.0);
+      }
+      for (std::size_t j = 0; j < s.out; ++j) {
+        b.at(r, j) = j % 2 == 0 ? -0.0 : 0.0;
+        cols[j] = j;
+      }
+      const std::size_t nnz = std::min(nnz_per_row[r], s.out);
+      for (std::size_t t = 0; t < nnz; ++t) {
+        std::swap(cols[t], cols[t + rng.index(s.out - t)]);
+        b.at(r, cols[t]) = rng.normal();
+      }
+    }
+    Matrix c(s.in, s.out, 0.0), expected(s.in, s.out, 0.0);
+    for (int pass = 0; pass < 2; ++pass) {
+      matmul_at_b_acc(c, a, b);
+      per_row_at_b_acc(expected, a, b);
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(c.data()[i]),
+                std::bit_cast<std::uint64_t>(expected.data()[i]))
+          << s.in << "x" << s.out << " elem " << i << " at "
+          << kern::simd_level_name();
+    }
+  }
+}
+
 TEST(Matrix, ResizeReusesCapacityAndResetsContents) {
   Matrix m(10, 10, 3.0);
   m.resize(4, 6, -1.0);
@@ -302,6 +401,81 @@ TEST(Mlp, GradientCheckFiniteDifferences) {
       const double numeric = (lp - lm) / (2.0 * eps);
       EXPECT_NEAR(gb.data()[k], numeric, 1e-4 * (1.0 + std::abs(numeric)))
           << "layer " << layer << " bias " << k;
+    }
+  }
+}
+
+TEST(Mlp, BackwardReluSelectMatchesMaskMultiplyBitExact) {
+  // backward() zeroes the gradient at an inactive ReLU unit by selecting
+  // +0.0; multiplying by a 0/1 mask would leave -0.0 wherever the upstream
+  // gradient is negative. The reference drives the same layers with the
+  // mask multiply. Weight, bias and input gradients must agree bit for bit,
+  // and no bias gradient may be -0.0.
+  const std::vector<std::size_t> sizes = {24, 45, 45, 160};
+  Rng rng(41), ref_rng(41);
+  Mlp net(sizes, rng);
+  Mlp ref(sizes, ref_rng);
+  Rng data_rng(42);
+  const std::size_t batch = 32;
+  Matrix x(batch, sizes.front()), grad_out(batch, sizes.back());
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.normal();
+  for (std::size_t i = 0; i < grad_out.size(); ++i) {
+    grad_out.data()[i] = data_rng.normal();
+  }
+
+  net.zero_grad();
+  net.forward_cached(x);
+  net.backward(grad_out);
+
+  const std::size_t layers = ref.num_layers();
+  std::vector<Matrix> acts(layers + 1);
+  acts[0] = x;
+  for (std::size_t i = 0; i < layers; ++i) {
+    ref.layer(i).forward_into(acts[i], acts[i + 1], i + 1 < layers);
+  }
+  ref.zero_grad();
+  Matrix g = grad_out;      // masked by multiplying with a 0/1 mask
+  Matrix g_sel = grad_out;  // masked by selecting +0.0
+  std::size_t negative_zeros = 0;
+  for (std::size_t i = layers; i-- > 0;) {
+    if (i + 1 < layers) {
+      const Matrix& h = acts[i + 1];
+      for (std::size_t k = 0; k < g.size(); ++k) {
+        g.data()[k] *= h.data()[k] > 0.0 ? 1.0 : 0.0;
+        g_sel.data()[k] = h.data()[k] > 0.0 ? g_sel.data()[k] : 0.0;
+        if (g.data()[k] == 0.0 && std::signbit(g.data()[k])) ++negative_zeros;
+      }
+    }
+    ref.layer(i).backward_params_acc(acts[i], g);
+    Matrix g_in, g_in_sel;
+    ref.layer(i).grad_input_into(g, g_in);
+    ref.layer(i).grad_input_into(g_sel, g_in_sel);
+    for (std::size_t k = 0; k < g_in.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g_in.data()[k]),
+                std::bit_cast<std::uint64_t>(g_in_sel.data()[k]))
+          << "input gradient of layer " << i << " elem " << k;
+    }
+    g = std::move(g_in);
+    g_sel = std::move(g_in_sel);
+  }
+  EXPECT_GT(negative_zeros, 0u) << "no negative gradient at an inactive unit";
+
+  for (std::size_t i = 0; i < layers; ++i) {
+    const Matrix& gw = net.layer(i).weight_grad();
+    const Matrix& gw_ref = ref.layer(i).weight_grad();
+    for (std::size_t k = 0; k < gw.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(gw.data()[k]),
+                std::bit_cast<std::uint64_t>(gw_ref.data()[k]))
+          << "layer " << i << " weight " << k;
+    }
+    const Matrix& gb = net.layer(i).bias_grad();
+    const Matrix& gb_ref = ref.layer(i).bias_grad();
+    for (std::size_t k = 0; k < gb.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(gb.data()[k]),
+                std::bit_cast<std::uint64_t>(gb_ref.data()[k]))
+          << "layer " << i << " bias " << k;
+      EXPECT_FALSE(gb.data()[k] == 0.0 && std::signbit(gb.data()[k]))
+          << "layer " << i << " bias " << k << " is -0.0";
     }
   }
 }
