@@ -457,7 +457,6 @@ void register_kernel_benches() {
   const auto b = random_matrix(kHidden, kActions, rng);
   const auto q = random_matrix(kBatch, kActions, rng);
   const auto next_q = random_matrix(kBatch, kActions, rng);
-  const auto next_q_online = random_matrix(kBatch, kActions, rng);
   std::vector<std::size_t> actions(kBatch);
   std::vector<double> rewards(kBatch);
   std::vector<std::uint8_t> dones(kBatch, 0);
@@ -466,9 +465,7 @@ void register_kernel_benches() {
     rewards[i] = rng.uniform() < 0.5 ? -10.0 : 1.0;
   }
   std::vector<double> bias(kActions);
-  std::vector<double> saxpy_x(kActions);
   for (auto& v : bias) v = rng.normal();
-  for (auto& v : saxpy_x) v = rng.normal();
   const std::size_t adam_n = kHidden * kActions;
   std::vector<double> grad_flat(adam_n);
   for (auto& v : grad_flat) v = 0.01 * rng.normal();
@@ -503,6 +500,33 @@ void register_kernel_benches() {
         }
       });
 
+  // The TD/Huber step is one kernel at every level too, fed the bootstrap
+  // values the learner's row reductions produce.
+  std::vector<double> q_taken(kBatch), next_v(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    q_taken[i] = q.at(i, actions[i]);
+    next_v[i] = kern::ops().row_max(next_q.data() + i * kActions, kActions);
+  }
+  benchmark::RegisterBenchmark(
+      "BM_KernTdHuberBatch",
+      [q_taken, next_v, rewards, dones](benchmark::State& state) {
+        std::vector<double> g(q_taken.size());
+        kern::TdHuberArgs args;
+        args.q_taken = q_taken.data();
+        args.next_v = next_v.data();
+        args.rewards = rewards.data();
+        args.dones = dones.data();
+        args.gamma = 0.9;
+        args.reward_scale = 0.1;
+        args.grad_div = static_cast<double>(q_taken.size());
+        args.batch = q_taken.size();
+        for (auto _ : state) {
+          const double loss = kern::td_huber_batch(args, g.data());
+          benchmark::DoNotOptimize(loss);
+          benchmark::DoNotOptimize(g.data());
+        }
+      });
+
   for (const Level& level : levels) {
     const kern::KernelOps* ops = level.ops;
     const std::string suffix = std::string("_") + level.name;
@@ -516,16 +540,6 @@ void register_kernel_benches() {
             ops->matmul_acc(c.data(), a.data(), b.data(), a.rows(), a.cols(),
                             b.cols());
             benchmark::DoNotOptimize(c.data());
-          }
-        });
-
-    benchmark::RegisterBenchmark(
-        ("BM_KernSaxpy" + suffix).c_str(),
-        [ops, saxpy_x](benchmark::State& state) {
-          std::vector<double> y(saxpy_x.size(), 0.25);
-          for (auto _ : state) {
-            ops->saxpy(y.size(), 0.125, saxpy_x.data(), y.data());
-            benchmark::DoNotOptimize(y.data());
           }
         });
 
@@ -551,33 +565,6 @@ void register_kernel_benches() {
               acc += static_cast<double>(ops->row_argmax(row, q.cols()));
             }
             benchmark::DoNotOptimize(acc);
-          }
-        });
-
-    benchmark::RegisterBenchmark(
-        ("BM_KernTdHuberBatch" + suffix).c_str(),
-        [ops, q, next_q, next_q_online, actions, rewards,
-         dones](benchmark::State& state) {
-          std::vector<double> q_taken(q.rows());
-          for (std::size_t i = 0; i < q.rows(); ++i) {
-            q_taken[i] = q.at(i, actions[i]);
-          }
-          std::vector<double> g(q.rows());
-          kern::TdHuberArgs args;
-          args.q_taken = q_taken.data();
-          args.next_q = next_q.data();
-          args.next_q_online = next_q_online.data();
-          args.rewards = rewards.data();
-          args.dones = dones.data();
-          args.gamma = 0.9;
-          args.reward_scale = 0.1;
-          args.grad_div = static_cast<double>(q.rows());
-          args.batch = q.rows();
-          args.num_actions = q.cols();
-          for (auto _ : state) {
-            const double loss = ops->td_huber_batch(args, g.data());
-            benchmark::DoNotOptimize(loss);
-            benchmark::DoNotOptimize(g.data());
           }
         });
 
@@ -666,15 +653,11 @@ void write_report(bench::BenchReport& report,
     const char* simd_name;
   } kSpeedups[] = {
       {"speedup_matmul_avx2", "BM_KernMatmul_scalar", "BM_KernMatmul_avx2"},
-      {"speedup_saxpy_avx2", "BM_KernSaxpy_scalar", "BM_KernSaxpy_avx2"},
       {"speedup_bias_relu_avx2", "BM_KernBiasRelu_scalar",
        "BM_KernBiasRelu_avx2"},
       {"speedup_row_max_avx2", "BM_KernRowMax_scalar", "BM_KernRowMax_avx2"},
-      {"speedup_td_huber_avx2", "BM_KernTdHuberBatch_scalar",
-       "BM_KernTdHuberBatch_avx2"},
       {"speedup_matmul_avx512", "BM_KernMatmul_scalar",
        "BM_KernMatmul_avx512"},
-      {"speedup_saxpy_avx512", "BM_KernSaxpy_scalar", "BM_KernSaxpy_avx512"},
       {"speedup_viterbi_acs_hard_avx2", "BM_KernViterbiAcsHard_scalar",
        "BM_KernViterbiAcsHard_avx2"},
       {"speedup_viterbi_acs_hard_avx512", "BM_KernViterbiAcsHard_scalar",

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/kernels_detail.hpp"
 #include "common/logging.hpp"
 
 namespace ctj::kern {
@@ -65,10 +64,6 @@ void gather_dot_scalar(double* out, const double* a, const double* b,
   }
 }
 
-void saxpy_scalar(std::size_t n, double a, const double* x, double* y) {
-  for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
-}
-
 void bias_act_scalar(double* y, const double* bias, std::size_t rows,
                      std::size_t cols, bool relu) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -96,10 +91,6 @@ std::size_t row_argmax_scalar(const double* x, std::size_t n) {
     if (x[j] > x[best]) best = j;
   }
   return best;
-}
-
-double td_huber_batch_scalar(const TdHuberArgs& args, double* g) {
-  return detail::td_huber_epilogue(args, g, row_max_scalar, row_argmax_scalar);
 }
 
 void viterbi_acs_hard_scalar(const std::int32_t* metric,
@@ -162,15 +153,29 @@ double qam64_error_scalar(const double* iq, std::size_t n, double alpha,
 
 const KernelOps& scalar_ops() {
   static constexpr KernelOps kOps{
-      "scalar",         matmul_acc_scalar, gather_dot_scalar,
-      saxpy_scalar,     bias_act_scalar,   row_max_scalar,
-      row_argmax_scalar, td_huber_batch_scalar,
+      "scalar",          matmul_acc_scalar, gather_dot_scalar,
+      bias_act_scalar,   row_max_scalar,    row_argmax_scalar,
       viterbi_acs_hard_scalar, viterbi_acs_soft_scalar, qam64_error_scalar,
   };
   return kOps;
 }
 
 namespace {
+
+// Huber derivative/objective for a scalar TD error — same arithmetic as
+// rl::huber_grad / rl::huber_loss, restated here so the kernel layer stays
+// below the RL library in the dependency order.
+double huber_grad(double error, double delta) {
+  if (error > delta) return delta;
+  if (error < -delta) return -delta;
+  return error;
+}
+
+double huber_loss(double error, double delta) {
+  const double abs_error = error < 0.0 ? -error : error;
+  if (abs_error <= delta) return 0.5 * error * error;
+  return delta * (abs_error - 0.5 * delta);
+}
 
 // The Adam loop with each bias-correction division compiled in only when
 // that correction still differs from 1.0.
@@ -189,6 +194,18 @@ void adam_loop(double* p, double* m, double* v, const double* g,
 }
 
 }  // namespace
+
+double td_huber_batch(const TdHuberArgs& a, double* g) {
+  double loss = 0.0;
+  for (std::size_t i = 0; i < a.batch; ++i) {
+    const double r = a.rewards[i] * a.reward_scale;
+    const double target = a.dones[i] ? r : r + a.gamma * a.next_v[i];
+    const double error = a.q_taken[i] - target;
+    loss += huber_loss(error, a.huber_delta);
+    g[i] = huber_grad(error, a.huber_delta) / a.grad_div;
+  }
+  return loss;
+}
 
 void adam_update(double* p, double* m, double* v, const double* g,
                  std::size_t n, double beta1, double beta2, double lr,

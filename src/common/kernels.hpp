@@ -7,16 +7,20 @@
 // portable build (the determinism baseline) — and an AVX2/FMA variant
 // compiled into its own translation unit with -mavx2 -mfma so even a
 // portable (-DCTJ_NATIVE=OFF) build carries the fast path and selects it at
-// run time from CPUID. An AVX-512 level widens matmul, saxpy and the PHY
-// kernels and inherits the rest from AVX2. The SIMD kernels preserve the
+// run time from CPUID. An AVX-512 level widens matmul and the PHY kernels
+// and inherits the rest from AVX2. The SIMD kernels preserve the
 // scalar per-element accumulation *order* — register blocking only tiles the
 // data-parallel dimensions — so the only numeric divergence from the scalar
 // reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
 // row_max / row_argmax / bias_act contain no FMA and match bit for bit, and
 // gather_dot matches its own level's matmul bit for bit.
 //
-// The Adam step is not dispatched: kern::adam_update is one scalar loop
-// (see below), because no SIMD variant beat it.
+// Two learner kernels are not dispatched. kern::adam_update is one scalar
+// loop, because no SIMD variant beat it. kern::td_huber_batch takes each
+// row's bootstrap value ready-made, so what is left is a few scalar ops per
+// row with nothing to vectorize. A bias-gradient row sum needs no kernel
+// either: rl::LinearLayer adds it in place (x + y is what a saxpy with
+// a = 1 computes at every level).
 //
 // End-to-end results are NOT build-independent at a fixed level, scalar
 // included: the rl library's own loops (the sparse gradient accumulation in
@@ -39,14 +43,12 @@ namespace ctj::kern {
 enum class SimdLevel { kScalar, kAvx2, kAvx512 };
 
 /// Inputs of the fused batched TD-target + Huber loss/grad kernel — the body
-/// of DqnAgent::train_on_batch after the forward passes. All matrices
-/// row-major.
+/// of DqnAgent::train_on_batch after the forward passes and the bootstrap.
 struct TdHuberArgs {
   const double* q_taken = nullptr;  // [batch] online Q(s_i, a_i)
-  const double* next_q = nullptr;   // [batch × num_actions] target Q(s', ·)
-  /// Online Q(s', ·) for Double-DQN action selection; nullptr for vanilla
-  /// max-operator bootstrapping.
-  const double* next_q_online = nullptr;
+  /// [batch] bootstrap value of each next state: max_a Q_target(s'_i, a),
+  /// or Q_target(s'_i, argmax_a Q_online(s'_i, a)) for Double DQN.
+  const double* next_v = nullptr;
   const double* rewards = nullptr;       // [batch] raw (unscaled) rewards
   const std::uint8_t* dones = nullptr;   // [batch] episode-termination flags
   double gamma = 0.9;
@@ -56,7 +58,6 @@ struct TdHuberArgs {
   double grad_div = 1.0;
   double huber_delta = 1.0;
   std::size_t batch = 0;
-  std::size_t num_actions = 0;
 };
 
 /// One resolved kernel set. All pointers are non-null.
@@ -76,9 +77,6 @@ struct KernelOps {
                      const std::size_t* col, std::size_t m, std::size_t k,
                      std::size_t n);
 
-  /// y += a·x over n doubles.
-  void (*saxpy)(std::size_t n, double a, const double* x, double* y);
-
   /// Row-broadcast bias add, optionally fused with ReLU:
   /// y[r][c] += bias[c], then y = max(y, 0) when relu is set.
   void (*bias_act)(double* y, const double* bias, std::size_t rows,
@@ -90,12 +88,6 @@ struct KernelOps {
 
   /// Index of the maximum, first on ties (matches ctj::argmax).
   std::size_t (*row_argmax)(const double* x, std::size_t n);
-
-  /// Fused TD target + Huber loss/gradient over a minibatch. Writes the
-  /// clipped gradient dL/dQ(s_i, a_i) of each row into g[i] ([batch]; the
-  /// loss reads no other output) and returns the summed Huber loss (callers
-  /// divide by the batch size for the mean).
-  double (*td_huber_batch)(const TdHuberArgs& args, double* g);
 
   /// One hard-decision add-compare-select step over the 64-state K=7
   /// convolutional trellis in butterfly order. For next state ns the two
@@ -131,6 +123,15 @@ struct KernelOps {
 /// The portable reference kernels (always available).
 const KernelOps& scalar_ops();
 
+/// Fused TD target + Huber loss/gradient over a minibatch. Writes the
+/// clipped gradient dL/dQ(s_i, a_i) of each row into g[i] ([batch]; the loss
+/// reads no other output) and returns the summed Huber loss (callers divide
+/// by the batch size for the mean). Not dispatched: a handful of scalar ops
+/// per row once the bootstrap's row reductions are done by the caller. It
+/// lives in the scalar TU (no FP contraction), so it gives the same bits on
+/// every build and at every CTJ_SIMD level.
+double td_huber_batch(const TdHuberArgs& args, double* g);
+
 /// One Adam update over n parameters: moment EMAs, bias correction by
 /// division with (1−βᵗ), and the sqrt-damped step. A correction that is
 /// exactly 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from t = 37 412) is not
@@ -147,7 +148,7 @@ void adam_update(double* p, double* m, double* v, const double* g,
 /// architecture or the compiler cannot emit AVX2.
 const KernelOps* avx2_ops();
 
-/// The AVX-512 kernels (matmul/saxpy widened to 512 bits, the rest shared
+/// The AVX-512 kernels (matmul widened to 512 bits, the rest shared
 /// with the AVX2 table), or nullptr when unavailable at build time.
 const KernelOps* avx512_ops();
 

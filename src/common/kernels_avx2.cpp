@@ -3,7 +3,7 @@
 // (-DCTJ_NATIVE=OFF) binary carries these paths; kern::ops() only selects
 // them when CPUID reports AVX2+FMA at run time.
 //
-// Numerics: the matmul/saxpy kernels contract multiply-add into FMA (one
+// Numerics: the matmul kernels contract multiply-add into FMA (one
 // rounding instead of two) while keeping the scalar k-accumulation order, so
 // they are ULP-close but not bit-identical to the scalar reference. The
 // max/argmax reductions and bias_act contain no FMA and max is
@@ -114,25 +114,6 @@ void gather_dot_avx2(double* out, const double* a, const double* b,
   }
 }
 
-void saxpy_avx2(std::size_t n, double a, const double* x, double* y) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_pd(
-        y + j, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j),
-                               _mm256_loadu_pd(y + j)));
-    _mm256_storeu_pd(
-        y + j + 4, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j + 4),
-                                   _mm256_loadu_pd(y + j + 4)));
-  }
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        y + j, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j),
-                               _mm256_loadu_pd(y + j)));
-  }
-  for (; j < n; ++j) y[j] = __builtin_fma(a, x[j], y[j]);
-}
-
 // Single-pass fused bias + ReLU (the scalar reference makes two passes, as
 // the pre-kernel MLP forward did). Plain add + max: no FMA, bit-exact
 // against the scalar level.
@@ -208,10 +189,6 @@ std::size_t row_argmax_avx2(const double* x, std::size_t n) {
     if (x[j] == m) return j;
   }
   return 0;  // only reachable for NaN input; mirror the scalar fold
-}
-
-double td_huber_batch_avx2(const TdHuberArgs& args, double* g) {
-  return detail::td_huber_epilogue(args, g, row_max_avx2, row_argmax_avx2);
 }
 
 // 64-state butterfly ACS, 8 next states per ymm. The 64 predecessors split
@@ -332,8 +309,7 @@ double qam64_error_avx2(const double* iq, std::size_t n, double alpha,
 const KernelOps* avx2_ops() {
   static constexpr KernelOps kOps{
       "avx2",          matmul_acc_avx2, gather_dot_avx2,
-      saxpy_avx2,      bias_act_avx2,   row_max_avx2,
-      row_argmax_avx2, td_huber_batch_avx2,
+      bias_act_avx2,   row_max_avx2,    row_argmax_avx2,
       viterbi_acs_hard_avx2, viterbi_acs_soft_avx2, qam64_error_avx2,
   };
   return &kOps;

@@ -6,12 +6,12 @@
 // matmul_acc (the batched-forward bottleneck — doubling the FMA width
 // doubles the compute roofline on machines whose 256-bit FMA throughput
 // matches their L2 streaming bandwidth, which is exactly the regime where
-// batched inference is otherwise compute-bound), saxpy, and the PHY hot-path
-// kernels (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed
-// 64-state / long-stream shapes fill full zmm lanes. Everything else
-// (gather_dot, bias_act, reductions, TD/Huber) is inherited from the AVX2
-// table: those kernels are bandwidth-bound or tiny, so a wider vector buys
-// nothing. gather_dot stays exact against this level's matmul because both
+// batched inference is otherwise compute-bound) and the PHY hot-path kernels
+// (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed 64-state /
+// long-stream shapes fill full zmm lanes. Everything else (gather_dot,
+// bias_act, the row reductions) is inherited from the AVX2 table: those
+// kernels are bandwidth-bound or tiny, so a wider vector buys nothing.
+// gather_dot stays exact against this level's matmul because both
 // run the same per-element FMA chain.
 //
 // Numerics match the AVX2 level's contract: FMA contraction only,
@@ -31,30 +31,6 @@
 
 namespace ctj::kern {
 namespace {
-
-void saxpy_avx512(std::size_t n, double a, const double* x, double* y) {
-  const __m512d va = _mm512_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    _mm512_storeu_pd(
-        y + j, _mm512_fmadd_pd(va, _mm512_loadu_pd(x + j),
-                               _mm512_loadu_pd(y + j)));
-    _mm512_storeu_pd(
-        y + j + 8, _mm512_fmadd_pd(va, _mm512_loadu_pd(x + j + 8),
-                                   _mm512_loadu_pd(y + j + 8)));
-  }
-  for (; j + 8 <= n; j += 8) {
-    _mm512_storeu_pd(
-        y + j, _mm512_fmadd_pd(va, _mm512_loadu_pd(x + j),
-                               _mm512_loadu_pd(y + j)));
-  }
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        y + j, _mm256_fmadd_pd(_mm256_set1_pd(a), _mm256_loadu_pd(x + j),
-                               _mm256_loadu_pd(y + j)));
-  }
-  for (; j < n; ++j) y[j] = __builtin_fma(a, x[j], y[j]);
-}
 
 // Same compressed-nonzero structure as the AVX2 matmul (branchless per-row
 // nonzero packing, stripes-outer FMA body over the packed lists — see
@@ -229,10 +205,9 @@ const KernelOps* avx512_ops() {
   const KernelOps* base = avx2_ops();
   if (base == nullptr) return nullptr;
   static const KernelOps kOps = [base] {
-    KernelOps ops = *base;  // inherit gather_dot/bias_act/reductions/td_huber
+    KernelOps ops = *base;  // inherit gather_dot/bias_act/reductions
     ops.name = "avx512";
     ops.matmul_acc = matmul_acc_avx512;
-    ops.saxpy = saxpy_avx512;
     ops.viterbi_acs_hard = viterbi_acs_hard_avx512;
     ops.viterbi_acs_soft = viterbi_acs_soft_avx512;
     ops.qam64_error = qam64_error_avx512;

@@ -1,13 +1,10 @@
-// Shared bodies for the kernel layer, included by the scalar and the SIMD
-// translation units so the levels differ only in the vectorized primitives,
-// never in the surrounding arithmetic.
+// The compressed-nonzero packing the AVX2 and AVX-512 translation units
+// share, so their matmul and gather_dot skip exactly the same entries.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "common/kernels.hpp"
 
 namespace ctj::kern::detail {
 
@@ -53,48 +50,5 @@ struct MatmulScratch {
     }
   }
 };
-
-// Huber derivative/objective for a scalar TD error — same arithmetic as
-// rl::huber_grad / rl::huber_loss, restated here so the kernel layer stays
-// below the RL library in the dependency order.
-inline double huber_grad(double error, double delta) {
-  if (error > delta) return delta;
-  if (error < -delta) return -delta;
-  return error;
-}
-
-inline double huber_loss(double error, double delta) {
-  const double abs_error = error < 0.0 ? -error : error;
-  if (abs_error <= delta) return 0.5 * error * error;
-  return delta * (abs_error - 0.5 * delta);
-}
-
-// The per-row epilogue of the fused TD + Huber kernel. The row reductions
-// (the O(batch × num_actions) part) are the injected primitives; everything
-// after them is a handful of scalar ops per row, written identically in both
-// levels so a level switch can only move results through the reductions.
-template <typename RowMaxFn, typename RowArgmaxFn>
-double td_huber_epilogue(const TdHuberArgs& a, double* g, RowMaxFn row_max,
-                         RowArgmaxFn row_argmax) {
-  const std::size_t A = a.num_actions;
-  double loss = 0.0;
-  for (std::size_t i = 0; i < a.batch; ++i) {
-    const double* nq = a.next_q + i * A;
-    double max_next;
-    if (a.next_q_online != nullptr) {
-      // Double-DQN: the online network selects the bootstrap action, the
-      // target network evaluates it.
-      max_next = nq[row_argmax(a.next_q_online + i * A, A)];
-    } else {
-      max_next = row_max(nq, A);
-    }
-    const double r = a.rewards[i] * a.reward_scale;
-    const double target = a.dones[i] ? r : r + a.gamma * max_next;
-    const double error = a.q_taken[i] - target;
-    loss += huber_loss(error, a.huber_delta);
-    g[i] = huber_grad(error, a.huber_delta) / a.grad_div;
-  }
-  return loss;
-}
 
 }  // namespace ctj::kern::detail

@@ -109,7 +109,8 @@ void DqnAgent::observe(const Transition& transition) {
   CTJ_CHECK(transition.state.size() == config_.state_dim);
   CTJ_CHECK(transition.next_state.size() == config_.state_dim);
   CTJ_CHECK(transition.action < config_.num_actions);
-  replay_.push(transition);
+  const std::size_t slot = replay_.push(transition);
+  if (slot < bootstrap_cache_.size()) bootstrap_cache_[slot].epoch = 0;
   ++env_steps_;
   if (config_.train_every > 0 && env_steps_ % config_.train_every == 0) {
     train_step();
@@ -119,45 +120,101 @@ void DqnAgent::observe(const Transition& transition) {
 std::optional<double> DqnAgent::train_step() {
   if (replay_.size() < config_.min_replay_before_training) return std::nullopt;
   replay_.sample_into(config_.batch_size, rng_, batch_);
-  return train_on_batch(batch_.states, batch_.next_states, batch_.actions,
-                        batch_.rewards, batch_.dones);
+  return learn(batch_.states, batch_.next_states, batch_.actions,
+               batch_.rewards, batch_.dones, batch_.slots);
 }
 
 double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
                                 std::span<const std::size_t> actions,
                                 std::span<const double> rewards,
                                 std::span<const std::uint8_t> dones) {
+  return learn(states, next_states, actions, rewards, dones, {});
+}
+
+void DqnAgent::bootstrap(const Matrix& next_states,
+                         std::span<const std::size_t> slots) {
+  const std::size_t B = next_states.rows(), A = config_.num_actions;
+  const auto& kernels = kern::ops();
+  next_v_.resize(B);
+  if (config_.double_dqn) {
+    // The online network selects the bootstrap action, the target network
+    // evaluates only that entry: forward_taken's entry is the dense
+    // forward's bit for bit.
+    online_.forward_scratch(next_states, next_q_, infer_a_, infer_b_);
+    next_act_.resize(B);
+    for (std::size_t i = 0; i < B; ++i) {
+      next_act_[i] = kernels.row_argmax(next_q_.data() + i * A, A);
+    }
+    target_.forward_taken(next_states, next_act_, next_v_);
+    return;
+  }
+  stale_rows_.clear();
+  for (std::size_t i = 0; i < B; ++i) {
+    if (!slots.empty() && slots[i] < bootstrap_cache_.size() &&
+        bootstrap_cache_[slots[i]].epoch == target_epoch_) {
+      next_v_[i] = bootstrap_cache_[slots[i]].value;
+    } else {
+      stale_rows_.push_back(i);
+    }
+  }
+  const std::size_t n = stale_rows_.size();
+  if (n == 0) return;
+  // The forward is row-independent, so a compacted row gets the bits it
+  // would get in the full batch.
+  const Matrix* in = &next_states;
+  if (n < B) {
+    const std::size_t dim = config_.state_dim;
+    stale_next_.resize(n, dim);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double* src = next_states.data() + stale_rows_[j] * dim;
+      std::copy(src, src + dim, stale_next_.data() + j * dim);
+    }
+    in = &stale_next_;
+  }
+  target_.forward_scratch(*in, next_q_, infer_a_, infer_b_);
+  if (!slots.empty() && bootstrap_cache_.size() < replay_.size()) {
+    bootstrap_cache_.resize(replay_.size());
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = stale_rows_[j];
+    next_v_[i] = kernels.row_max(next_q_.data() + j * A, A);
+    if (!slots.empty()) {
+      bootstrap_cache_[slots[i]] = {next_v_[i], target_epoch_};
+    }
+  }
+}
+
+double DqnAgent::learn(const Matrix& states, const Matrix& next_states,
+                       std::span<const std::size_t> actions,
+                       std::span<const double> rewards,
+                       std::span<const std::uint8_t> dones,
+                       std::span<const std::size_t> slots) {
   const std::size_t B = states.rows();
   CTJ_CHECK(B > 0);
   CTJ_CHECK(states.cols() == config_.state_dim);
   CTJ_CHECK(next_states.rows() == B &&
             next_states.cols() == config_.state_dim);
   CTJ_CHECK(actions.size() == B && rewards.size() == B && dones.size() == B);
+  CTJ_CHECK(slots.empty() || slots.size() == B);
 
-  target_.forward_scratch(next_states, next_q_, infer_a_, infer_b_);
-  // For Double DQN the bootstrap action comes from the online network.
-  if (config_.double_dqn) {
-    online_.forward_scratch(next_states, next_q_online_, infer_a_, infer_b_);
-  }
+  bootstrap(next_states, slots);
   q_taken_.resize(B);
   online_.forward_taken(states, actions, q_taken_);
 
-  // Fused batched TD-target + Huber kernel: row-max/argmax bootstrap, TD
-  // error on the taken actions, one Huber-clipped gradient per row; the
-  // reported loss is the Huber objective those gradients actually optimize.
+  // Fused batched TD-target + Huber kernel: TD error on the taken actions,
+  // one Huber-clipped gradient per row; the reported loss is the Huber
+  // objective those gradients actually optimize.
   kern::TdHuberArgs td;
   td.q_taken = q_taken_.data();
-  td.next_q = next_q_.data();
-  td.next_q_online = config_.double_dqn ? next_q_online_.data() : nullptr;
+  td.next_v = next_v_.data();
   td.rewards = rewards.data();
   td.dones = dones.data();
   td.gamma = config_.gamma;
   td.reward_scale = config_.reward_scale;
   td.grad_div = static_cast<double>(B);
   td.batch = B;
-  td.num_actions = config_.num_actions;
   td_grad_.resize(B);
-  const double loss = kern::ops().td_huber_batch(td, td_grad_.data());
+  const double loss = kern::td_huber_batch(td, td_grad_.data());
 
   online_.zero_grad();
   online_.backward_taken(actions, td_grad_);
@@ -165,9 +222,11 @@ double DqnAgent::train_on_batch(const Matrix& states, const Matrix& next_states,
   ++grad_steps_;
   if (config_.target_tau > 0.0) {
     target_.lerp_parameters_from(online_, config_.target_tau);
+    ++target_epoch_;
   } else if (config_.target_sync_interval > 0 &&
              grad_steps_ % config_.target_sync_interval == 0) {
     target_.copy_parameters_from(online_);
+    ++target_epoch_;
   }
   return loss / static_cast<double>(B);
 }
@@ -330,6 +389,7 @@ void DqnAgent::load_state_impl(const io::ContainerReader& in,
   env_steps_ = static_cast<std::size_t>(counters.env_steps);
   grad_steps_ = static_cast<std::size_t>(counters.grad_steps);
   if (adopt_seed) config_.seed = counters.seed;
+  ++target_epoch_;  // a new target network and new replay rows
 }
 
 void DqnAgent::load_policy(const io::ContainerReader& in) {
@@ -339,6 +399,7 @@ void DqnAgent::load_policy(const io::ContainerReader& in) {
   online_.check_tensors(online);
   online_.apply_tensors(online);
   target_.copy_parameters_from(online_);
+  ++target_epoch_;
 }
 
 }  // namespace ctj::rl

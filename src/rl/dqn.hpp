@@ -6,7 +6,9 @@
 // textbook ε-greedy exploration: with probability ε the agent explores
 // uniformly over all C·PL actions (so the greedy action is played with total
 // probability 1−ε+ε/(C·PL)); experience replay and a periodically
-// synchronized target network stabilize learning.
+// synchronized target network stabilize learning. While the target network
+// is frozen, the learner computes each replay row's bootstrap once and keeps
+// it per slot.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +95,12 @@ class DqnAgent {
   /// One gradient step on a caller-assembled minibatch ([B × state_dim]
   /// states/next_states plus per-row action/reward/done): train_step()'s
   /// step after sampling, and the parallel trainer's learner path, which
-  /// samples from its sharded replay instead of the agent's ring. Target/
-  /// online forwards, fused TD-Huber kernel, Adam step, periodic target
-  /// sync. The loss reads the online Q only at the taken actions, so the
+  /// samples from its sharded replay instead of the agent's ring. Bootstrap,
+  /// taken-action online forward, fused TD-Huber kernel, Adam step, target
+  /// update. The loss reads the online Q only at the taken actions, so the
   /// online output layer is evaluated and backpropagated at those entries
-  /// alone. Returns the minibatch mean Huber loss.
+  /// alone. These rows have no replay slot, so every bootstrap is computed
+  /// afresh. Returns the minibatch mean Huber loss.
   double train_on_batch(const Matrix& states, const Matrix& next_states,
                         std::span<const std::size_t> actions,
                         std::span<const double> rewards,
@@ -144,6 +147,15 @@ class DqnAgent {
 
  private:
   void load_state_impl(const io::ContainerReader& in, bool adopt_seed);
+  /// train_on_batch() with each row's replay slot (empty: no slots).
+  double learn(const Matrix& states, const Matrix& next_states,
+               std::span<const std::size_t> actions,
+               std::span<const double> rewards,
+               std::span<const std::uint8_t> dones,
+               std::span<const std::size_t> slots);
+  /// Fills next_v_ with each row's bootstrap value.
+  void bootstrap(const Matrix& next_states,
+                 std::span<const std::size_t> slots);
 
   DqnConfig config_;
   Rng rng_;
@@ -157,13 +169,31 @@ class DqnAgent {
   // runs one step per slot — allocation churn here dominates the profile).
   Minibatch batch_;
   std::vector<double> q_taken_;  // online Q(s_i, a_i) of the minibatch
+  std::vector<double> next_v_;   // bootstrap value of each row's s'_i
   std::vector<double> td_grad_;  // dLoss/dQ(s_i, a_i)
-  Matrix next_q_;
-  Matrix next_q_online_;
+  Matrix next_q_;                // Q over all actions of the forwarded s'
+  std::vector<std::size_t> next_act_;  // Double DQN: online argmax at s'_i
+  std::vector<std::size_t> stale_rows_;  // rows whose bootstrap is computed
+  Matrix stale_next_;            // their next states, compacted
+  // The vanilla bootstrap max_a Q_target(s', a) of each replay slot's next
+  // state, valid while its epoch equals target_epoch_. Every change to the
+  // target network (sync, Polyak step, load) starts a new epoch, and
+  // observe() clears the slot it overwrites, so a row is forwarded through
+  // the target network at most once per epoch. Grows with the ring (never
+  // to capacity up front) and is never serialized: a loaded agent starts a
+  // new epoch. Double DQN is never cached — its online argmax moves with
+  // every step.
+  struct CachedBootstrap {
+    double value = 0.0;
+    std::uint64_t epoch = 0;  // 0: never valid
+  };
+  std::vector<CachedBootstrap> bootstrap_cache_;
+  std::uint64_t target_epoch_ = 1;
   // Inference scratch for the (logically const) greedy/Q readout paths;
-  // infer_a_/infer_b_ also carry the hidden layers of train_step's target
-  // forwards. Keeps act_greedy and the learner step allocation-free, under
-  // the same single-caller contract as the rest of the agent.
+  // infer_a_/infer_b_ also carry the hidden layers of the learner's
+  // next-state forwards. Keeps act_greedy and the learner step
+  // allocation-free, under the same single-caller contract as the rest of
+  // the agent.
   mutable Matrix infer_in_;
   mutable Matrix infer_q_;
   mutable Matrix infer_a_;

@@ -87,8 +87,9 @@ void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   // at most kSparseCap columns of C and is added in place. A run of
   // consecutive denser rows (the ReLU hidden-layer gradients) goes through
   // the kernel matmul as C += (A_run)ᵀ·B_run on an explicit transpose: per
-  // element that is the zero-skipping chain one saxpy per nonzero A[k,i]
-  // would run, with the same arithmetic at every kernel level.
+  // element that is the zero-skipping chain of one 1×1·1×n matmul_acc
+  // (C[i,:] += A[k,i]·B[k,:]) per nonzero A[k,i] in increasing k, with the
+  // same arithmetic at every kernel level.
   constexpr std::size_t kSparseCap = 8;
   // Lists B row k's nonzero columns in cols, up to kSparseCap of them, and
   // returns their count (stopping once it passes kSparseCap).

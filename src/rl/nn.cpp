@@ -24,11 +24,11 @@ void LinearLayer::backward_params_acc(const Matrix& input,
                                       const Matrix& grad_out) {
   CTJ_CHECK(input.rows() == grad_out.rows());
   matmul_at_b_acc(gw_, input, grad_out);
-  const auto& kernels = kern::ops();
+  const std::size_t n = grad_out.cols();
   double* gbias = gb_.data();
   for (std::size_t r = 0; r < grad_out.rows(); ++r) {
-    kernels.saxpy(grad_out.cols(), 1.0,
-                  grad_out.data() + r * grad_out.cols(), gbias);
+    const double* g = grad_out.data() + r * n;
+    for (std::size_t j = 0; j < n; ++j) gbias[j] += g[j];
   }
 }
 

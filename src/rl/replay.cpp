@@ -10,10 +10,10 @@ namespace ctj::rl {
 namespace {
 
 /// Fill `out` with `batch` rows: row_at(u) for one u = rng.index(size)
-/// per row.
+/// per row, recording each u in out.slots when `u_is_slot` is set.
 template <typename RowAt>
 void sample_rows(std::size_t batch, std::size_t size, std::size_t dim,
-                 Rng& rng, Minibatch& out, RowAt row_at) {
+                 Rng& rng, Minibatch& out, bool u_is_slot, RowAt row_at) {
   CTJ_CHECK(batch > 0);
   CTJ_CHECK_MSG(size > 0, "sampling from an empty replay");
   out.states.resize(batch, dim);
@@ -21,8 +21,11 @@ void sample_rows(std::size_t batch, std::size_t size, std::size_t dim,
   out.actions.resize(batch);
   out.rewards.resize(batch);
   out.dones.resize(batch);
+  out.slots.resize(u_is_slot ? batch : 0);
   for (std::size_t i = 0; i < batch; ++i) {
-    const TransitionRow t = unpack_transition(row_at(rng.index(size)), dim);
+    const std::size_t u = rng.index(size);
+    if (u_is_slot) out.slots[i] = u;
+    const TransitionRow t = unpack_transition(row_at(u), dim);
     out.actions[i] = t.action;
     out.rewards[i] = t.reward;
     out.dones[i] = t.done ? 1 : 0;
@@ -91,14 +94,15 @@ void ReplayRing::append(const double* row) {
   std::copy(row, row + stride_, claim());
 }
 
-void ReplayRing::push(const Transition& t) {
-  pack_transition(claim(), t.action, t.reward, t.done, t.state,
-                  t.next_state);
+std::size_t ReplayRing::push(const Transition& t) {
+  double* row = claim();
+  pack_transition(row, t.action, t.reward, t.done, t.state, t.next_state);
+  return static_cast<std::size_t>(row - rows_.data()) / stride_;
 }
 
 void ReplayRing::sample_into(std::size_t batch, Rng& rng,
                              Minibatch& out) const {
-  sample_rows(batch, size_, state_dim_, rng, out,
+  sample_rows(batch, size_, state_dim_, rng, out, /*u_is_slot=*/true,
               [this](std::size_t u) { return row(u); });
 }
 
@@ -223,7 +227,7 @@ std::size_t ShardedReplay::size() const {
 void ShardedReplay::sample_into(std::size_t batch, Rng& rng,
                                 Minibatch& out) const {
   sample_rows(batch, size(), shards_.front().state_dim(), rng, out,
-              [this](std::size_t u) {
+              /*u_is_slot=*/false, [this](std::size_t u) {
                 // Shard counts are small (one per actor), so a linear scan
                 // beats a prefix-sum structure.
                 std::size_t s = 0;

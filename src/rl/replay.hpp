@@ -64,6 +64,9 @@ struct Minibatch {
   std::vector<std::size_t> actions;
   std::vector<double> rewards;
   std::vector<std::uint8_t> dones;
+  /// The ring slot each row was read from (ReplayRing::sample_into); empty
+  /// when the rows have no single ring (ShardedReplay::sample_into).
+  std::vector<std::size_t> slots;
 };
 
 /// Bounded SPSC ring of rows. One producer (an actor thread) and one
@@ -117,9 +120,11 @@ class ReplayRing {
   const double* row(std::size_t i) const;
 
   void append(const double* row);
-  void push(const Transition& transition);
+  /// Returns the slot the transition was written to.
+  std::size_t push(const Transition& transition);
 
-  /// Uniform with replacement: one rng.index(size()) per row.
+  /// Uniform with replacement: one rng.index(size()) per row, which is also
+  /// the row's slot in out.slots.
   void sample_into(std::size_t batch, Rng& rng, Minibatch& out) const;
 
   // Two checkpoint encodings. Each decoder returns a new ring with this

@@ -26,6 +26,7 @@
 #include "core/train_parallel.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
+#include "rl/dqn.hpp"
 #include "rl/qlearning.hpp"
 #include "rl/replay.hpp"
 
@@ -904,6 +905,67 @@ TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
   const std::vector<double> q = row.f64_vec();
   EXPECT_EQ(q[3], config.learning_rate *
                       (-7.0 * config.reward_scale + config.gamma * 0.0));
+}
+
+// The learner keeps each replay slot's target bootstrap for as long as the
+// target network stays frozen; none of that is checkpointed. An agent that
+// has trained on its own rows (so it holds bootstraps for the current
+// target) then loads a checkpoint taken between two target syncs, whose
+// replay is fuller than its own. Training on must give the bytes of an
+// agent that never saved.
+TEST(DqnState, ResumeMidEpochUsesNoStaleBootstrap) {
+  rl::DqnConfig config;  // the paper net: 24-45-45-160, batch 32
+  config.replay_capacity = 128;
+  config.min_replay_before_training = 32;
+  config.target_sync_interval = 50;
+  config.seed = 4;
+  const auto make_stream = [&config](std::uint64_t seed, std::size_t n) {
+    Rng rng(seed);
+    std::vector<rl::Transition> stream(n);
+    for (rl::Transition& t : stream) {
+      t.state.resize(config.state_dim);
+      t.next_state.resize(config.state_dim);
+      for (std::size_t k = 0; k < config.state_dim; ++k) {
+        t.state[k] = rng.bernoulli(0.3) ? 0.0 : rng.normal();
+        t.next_state[k] = rng.bernoulli(0.3) ? 0.0 : rng.normal();
+      }
+      t.action = rng.index(config.num_actions);
+      t.reward = rng.uniform(-200.0, 0.0);
+    }
+    return stream;
+  };
+  const std::vector<rl::Transition> stream = make_stream(8, 300);
+  const std::size_t save_at = 175;  // 144 gradient steps: mid-epoch
+  ASSERT_NE((save_at - config.min_replay_before_training + 1) %
+                config.target_sync_interval,
+            0u);
+
+  rl::DqnAgent reference(config);
+  rl::DqnAgent source(config);
+  for (std::size_t i = 0; i < save_at; ++i) {
+    reference.observe(stream[i]);
+    source.observe(stream[i]);
+  }
+  io::ContainerWriter saved;
+  source.save_state(saved);
+
+  rl::DqnAgent live(config);
+  const std::vector<rl::Transition> detour = make_stream(9, 60);
+  for (const rl::Transition& t : detour) live.observe(t);
+  ASSERT_GT(live.gradient_steps(), 0u);
+  ASSERT_LT(detour.size(), config.replay_capacity);  // < the saved replay
+  live.load_state(io::ContainerReader::from_bytes(saved.to_bytes()));
+
+  for (std::size_t i = save_at; i < stream.size(); ++i) {
+    reference.observe(stream[i]);
+    live.observe(stream[i]);
+  }
+  const auto bytes_of = [](const rl::DqnAgent& agent) {
+    io::ContainerWriter out;
+    agent.save_state(out);
+    return out.to_bytes();
+  };
+  EXPECT_TRUE(bytes_of(live) == bytes_of(reference));
 }
 
 TEST(PolicyState, LoadPolicyRestoresGreedyBehaviourOnly) {

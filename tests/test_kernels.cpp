@@ -260,30 +260,6 @@ TEST(KernelParity, GatherDotMatchesMatmulEntriesBitExact) {
   }
 }
 
-TEST(KernelParity, SaxpyUlpBounded) {
-  REQUIRE_SIMD(levels);
-  for (const KernelOps* simd : levels) {
-    SCOPED_TRACE(simd->name);
-    Rng rng(13);
-    for (std::size_t n : {1u, 3u, 4u, 7u, 8u, 17u, 45u, 160u, 161u}) {
-      const auto x = random_vec(n, rng);
-      const auto y0 = random_vec(n, rng);
-      auto y_ref = y0;
-      auto y_simd = y0;
-      const double alpha = rng.normal();
-      kern::scalar_ops().saxpy(n, alpha, x.data(), y_ref.data());
-      simd->saxpy(n, alpha, x.data(), y_simd.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        // FMA saves one rounding of a·x, so the paths differ by at most one
-        // ulp of the operand magnitudes (not of the possibly-cancelled sum).
-        const double tol = 1e-15 * (std::abs(alpha * x[i]) + std::abs(y0[i]));
-        EXPECT_LE(std::abs(y_ref[i] - y_simd[i]), tol)
-            << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelParity, BiasActBitExact) {
   REQUIRE_SIMD(levels);
   for (const KernelOps* simd : levels) {
@@ -342,38 +318,60 @@ TEST(KernelParity, ArgmaxFirstOnTies) {
   }
 }
 
-/// Straight-line reference for the fused TD/Huber kernel, written against
-/// the rl:: Huber helpers rather than kernels_detail.
-double td_huber_reference(const TdHuberArgs& a, std::vector<double>& g) {
-  g.assign(a.batch, 0.0);
+/// The learner's bootstrap and TD/Huber step after the forward passes,
+/// written straight-line against ctj::argmax and the rl:: Huber helpers:
+/// max over the target Q row, or the target Q at the online argmax for
+/// Double DQN.
+struct TdInputs {
+  std::size_t batch = 0, num_actions = 0;
+  std::vector<double> q_taken, next_q, next_q_online, rewards;
+  std::vector<std::uint8_t> dones;
+  double gamma = 0.9, reward_scale = 0.01, huber_delta = 1.0;
+};
+
+double td_huber_reference(const TdInputs& in, bool double_dqn,
+                          std::vector<double>& g) {
+  const std::size_t A = in.num_actions;
+  g.assign(in.batch, 0.0);
   double loss = 0.0;
-  for (std::size_t i = 0; i < a.batch; ++i) {
-    const double* nq = a.next_q + i * a.num_actions;
-    double max_next;
-    if (a.next_q_online != nullptr) {
-      const double* nqo = a.next_q_online + i * a.num_actions;
-      max_next = nq[argmax(std::span<const double>(nqo, a.num_actions))];
-    } else {
-      max_next = nq[argmax(std::span<const double>(nq, a.num_actions))];
-    }
-    const double r = a.rewards[i] * a.reward_scale;
-    const double target = a.dones[i] ? r : r + a.gamma * max_next;
-    const double error = a.q_taken[i] - target;
-    loss += rl::huber_loss(error, a.huber_delta);
-    g[i] = rl::huber_grad(error, a.huber_delta) / a.grad_div;
+  for (std::size_t i = 0; i < in.batch; ++i) {
+    const double* nq = in.next_q.data() + i * A;
+    const double* select = double_dqn ? in.next_q_online.data() + i * A : nq;
+    const double max_next = nq[argmax(std::span<const double>(select, A))];
+    const double r = in.rewards[i] * in.reward_scale;
+    const double target = in.dones[i] ? r : r + in.gamma * max_next;
+    const double error = in.q_taken[i] - target;
+    loss += rl::huber_loss(error, in.huber_delta);
+    g[i] = rl::huber_grad(error, in.huber_delta) /
+           static_cast<double>(in.batch);
   }
   return loss;
 }
 
-TdHuberArgs make_td_args(std::size_t batch, std::size_t num_actions) {
-  TdHuberArgs a;
-  a.batch = batch;
-  a.num_actions = num_actions;
-  a.gamma = 0.9;
-  a.reward_scale = 0.01;
-  a.grad_div = static_cast<double>(batch);
-  a.huber_delta = 1.0;
-  return a;
+/// The learner's path at one kernel level: that level's row_max/row_argmax
+/// make each row's bootstrap value, then the one TD/Huber kernel.
+double td_huber_at_level(const KernelOps& ops, const TdInputs& in,
+                         bool double_dqn, std::vector<double>& g) {
+  const std::size_t A = in.num_actions;
+  std::vector<double> next_v(in.batch);
+  for (std::size_t i = 0; i < in.batch; ++i) {
+    const double* nq = in.next_q.data() + i * A;
+    next_v[i] = double_dqn
+                    ? nq[ops.row_argmax(in.next_q_online.data() + i * A, A)]
+                    : ops.row_max(nq, A);
+  }
+  TdHuberArgs args;
+  args.q_taken = in.q_taken.data();
+  args.next_v = next_v.data();
+  args.rewards = in.rewards.data();
+  args.dones = in.dones.data();
+  args.gamma = in.gamma;
+  args.reward_scale = in.reward_scale;
+  args.grad_div = static_cast<double>(in.batch);
+  args.huber_delta = in.huber_delta;
+  args.batch = in.batch;
+  g.assign(in.batch, 0.0);
+  return kern::td_huber_batch(args, g.data());
 }
 
 class TdHuberTest : public ::testing::TestWithParam<bool> {};
@@ -381,42 +379,38 @@ class TdHuberTest : public ::testing::TestWithParam<bool> {};
 TEST_P(TdHuberTest, MatchesReferenceAndAvx2BitExact) {
   const bool double_dqn = GetParam();
   Rng rng(16);
-  const std::size_t B = 32, A = 160;
-  const auto q_taken = random_vec(B, rng);
+  TdInputs in;
+  in.batch = 32;
+  in.num_actions = 160;
+  const std::size_t B = in.batch, A = in.num_actions;
+  in.q_taken = random_vec(B, rng);
   // Spread Q values wide enough to exercise both Huber branches.
-  auto next_q = random_vec(B * A, rng);
-  for (double& v : next_q) v *= 40.0;
-  const auto next_q_online = random_vec(B * A, rng);
-  std::vector<double> rewards(B);
-  std::vector<std::uint8_t> dones(B);
+  in.next_q = random_vec(B * A, rng);
+  for (double& v : in.next_q) v *= 40.0;
+  in.next_q_online = random_vec(B * A, rng);
+  in.rewards.resize(B);
+  in.dones.resize(B);
   for (std::size_t i = 0; i < B; ++i) {
-    rewards[i] = rng.uniform(-160.0, 0.0);
-    dones[i] = rng.bernoulli(0.2) ? 1 : 0;
+    in.rewards[i] = rng.uniform(-160.0, 0.0);
+    in.dones[i] = rng.bernoulli(0.2) ? 1 : 0;
   }
 
-  TdHuberArgs args = make_td_args(B, A);
-  args.q_taken = q_taken.data();
-  args.next_q = next_q.data();
-  args.next_q_online = double_dqn ? next_q_online.data() : nullptr;
-  args.rewards = rewards.data();
-  args.dones = dones.data();
-
   std::vector<double> g_ref;
-  const double loss_ref = td_huber_reference(args, g_ref);
+  const double loss_ref = td_huber_reference(in, double_dqn, g_ref);
 
-  std::vector<double> g_scalar(B, 0.0);
+  std::vector<double> g_scalar;
   const double loss_scalar =
-      kern::scalar_ops().td_huber_batch(args, g_scalar.data());
+      td_huber_at_level(kern::scalar_ops(), in, double_dqn, g_scalar);
   EXPECT_EQ(loss_scalar, loss_ref);
   EXPECT_EQ(g_scalar, g_ref);
 
-  // The SIMD variants only swap in the vector max/argmax, which are
-  // bit-exact (the AVX-512 table inherits this kernel from AVX2 outright);
-  // the whole fused kernel must therefore agree to the last bit.
+  // The SIMD levels only swap in the vector max/argmax, which are bit-exact
+  // (the AVX-512 table inherits them from AVX2 outright); the whole step
+  // must therefore agree to the last bit.
   for (const KernelOps* simd : simd_levels()) {
     SCOPED_TRACE(simd->name);
-    std::vector<double> g_simd(B, 0.0);
-    const double loss_simd = simd->td_huber_batch(args, g_simd.data());
+    std::vector<double> g_simd;
+    const double loss_simd = td_huber_at_level(*simd, in, double_dqn, g_simd);
     EXPECT_EQ(loss_simd, loss_ref);
     EXPECT_EQ(g_simd, g_ref);
   }

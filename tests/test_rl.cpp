@@ -14,6 +14,7 @@
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
+#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "io/container.hpp"
 #include "io/tensors.hpp"
@@ -190,9 +191,10 @@ TEST(Matrix, AtBAccAccumulatesOnTopOfExisting) {
 }
 
 // matmul_at_b_acc as it was before runs of dense rows went through the
-// kernel matmul, copied verbatim: one dispatched saxpy per nonzero A[k,i]
-// for a B row with more than eight nonzeros, an in-place update of the
-// touched columns otherwise. This TU builds with rl/matrix.cpp's flags, so
+// kernel matmul: one dispatched C[i,:] += A[k,i]·B[k,:] per nonzero A[k,i]
+// for a B row with more than eight nonzeros (a 1×1·1×n matmul_acc, the
+// saxpy the kernel layer used to carry), an in-place update of the touched
+// columns otherwise. This TU builds with rl/matrix.cpp's flags, so
 // the in-place update contracts (or not) the same way in both.
 void per_row_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   CTJ_CHECK(a.rows() == b.rows());
@@ -233,7 +235,7 @@ void per_row_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
     for (std::size_t i = 0; i < ac; ++i) {
       const double aki = arow[i];
       if (aki == 0.0) continue;
-      kernels.saxpy(n, aki, brow, c.data() + i * n);
+      kernels.matmul_acc(c.data() + i * n, &aki, brow, 1, 1, n);
     }
   }
 }
@@ -686,14 +688,119 @@ TEST(Dqn, DeployedSizeMatchesPaperScale) {
               2.0);
 }
 
+// The DQN learner step the dense way: forward_cached, a one-hot gradient
+// matrix through backward(), AdamOptimizer, and a full target forward for
+// every row's bootstrap on every step (max over the row, or the entry at the
+// online argmax for Double DQN). Built from the agent's construction
+// stream, so its networks start where the agent's do, and rng() continues
+// that stream the way the agent's replay sampling does.
+class DenseLearnerReplica {
+ public:
+  explicit DenseLearnerReplica(const DqnConfig& config)
+      : config_(config),
+        rng_(config.seed),
+        online_(layer_sizes(config), rng_),
+        target_(layer_sizes(config), rng_),
+        adam_(online_, {.lr = config.learning_rate,
+                        .beta1 = 0.9,
+                        .beta2 = 0.999,
+                        .epsilon = 1e-8}) {
+    target_.copy_parameters_from(online_);
+  }
+
+  Rng& rng() { return rng_; }
+  const Mlp& online() const { return online_; }
+  std::size_t steps() const { return steps_; }
+  /// dLoss/dQ(s_i, a_i) of the last step.
+  const std::vector<double>& grad() const { return g_; }
+
+  /// One learner step; returns the minibatch mean Huber loss.
+  double step(const Matrix& states, const Matrix& next_states,
+              std::span<const std::size_t> actions,
+              std::span<const double> rewards,
+              std::span<const std::uint8_t> dones) {
+    const std::size_t B = states.rows(), A = config_.num_actions;
+    const Matrix& q = online_.forward_cached(states);
+    target_.forward_scratch(next_states, next_q_, scratch_a_, scratch_b_);
+    if (config_.double_dqn) {
+      online_.forward_scratch(next_states, next_q_online_, scratch_a_,
+                              scratch_b_);
+    }
+    std::vector<double> q_taken(B), next_v(B);
+    for (std::size_t i = 0; i < B; ++i) {
+      q_taken[i] = q.at(i, actions[i]);
+      const Matrix& select = config_.double_dqn ? next_q_online_ : next_q_;
+      next_v[i] = next_q_.at(i, argmax(select.row_span(i)));
+    }
+    kern::TdHuberArgs td;
+    td.q_taken = q_taken.data();
+    td.next_v = next_v.data();
+    td.rewards = rewards.data();
+    td.dones = dones.data();
+    td.gamma = config_.gamma;
+    td.reward_scale = config_.reward_scale;
+    td.grad_div = static_cast<double>(B);
+    td.batch = B;
+    g_.resize(B);
+    const double loss = kern::td_huber_batch(td, g_.data());
+
+    grad_.resize(B, A);
+    for (std::size_t i = 0; i < B; ++i) grad_.at(i, actions[i]) = g_[i];
+    online_.zero_grad();
+    online_.backward(grad_);
+    adam_.step(online_);
+    ++steps_;
+    if (config_.target_tau > 0.0) {
+      target_.lerp_parameters_from(online_, config_.target_tau);
+    } else if (steps_ % config_.target_sync_interval == 0) {
+      target_.copy_parameters_from(online_);
+    }
+    return loss / static_cast<double>(B);
+  }
+
+  /// The agent's online, target and Adam chunks hold exactly this replica's
+  /// bytes.
+  void expect_same_bytes(const DqnAgent& agent) const {
+    io::ContainerWriter out;
+    agent.save_state(out);
+    const io::ContainerReader saved =
+        io::ContainerReader::from_bytes(out.to_bytes());
+    const auto bytes_of = [](const auto& part) {
+      io::ByteWriter w;
+      part.save_state(w);
+      return w.take();
+    };
+    EXPECT_TRUE(saved.chunk(io::tags::kNetOnline) == bytes_of(online_));
+    EXPECT_TRUE(saved.chunk(io::tags::kNetTarget) == bytes_of(target_));
+    EXPECT_TRUE(saved.chunk(io::tags::kAdam) == bytes_of(adam_));
+  }
+
+ private:
+  static std::vector<std::size_t> layer_sizes(const DqnConfig& config) {
+    std::vector<std::size_t> sizes = {config.state_dim};
+    sizes.insert(sizes.end(), config.hidden.begin(), config.hidden.end());
+    sizes.push_back(config.num_actions);
+    return sizes;
+  }
+
+  DqnConfig config_;
+  Rng rng_;
+  Mlp online_;
+  Mlp target_;
+  AdamOptimizer adam_;
+  std::size_t steps_ = 0;
+  Matrix next_q_, next_q_online_, scratch_a_, scratch_b_, grad_;
+  std::vector<double> g_;
+};
+
 // The learner evaluates and backpropagates the online output layer only at
-// the taken actions, and Adam stops dividing by a bias correction once it is
-// exactly 1.0. A test-local replica runs the dense path instead —
-// forward_cached, a one-hot gradient matrix through backward(), and
-// AdamOptimizer — on the same minibatches. Past t = 356 (where 1 − 0.9ᵗ
-// rounds to 1.0) and across a target sync, every online, target and
-// Adam-moment bit must agree. Row 0 of each batch is terminal with reward
-// equal to the current Q(s₀, a₀), so its TD gradient is exactly 0.
+// the taken actions, evaluates the Double DQN target only at the online
+// argmax, and Adam stops dividing by a bias correction once it is exactly
+// 1.0. The dense replica runs the full path on the same minibatches. Past
+// t = 356 (where 1 − 0.9ᵗ rounds to 1.0) and across a target sync, every
+// online, target and Adam-moment bit must agree. Row 0 of each batch is
+// terminal with reward equal to the current Q(s₀, a₀), so its TD gradient
+// is exactly 0.
 TEST(Dqn, TakenActionLearnerMatchesDenseReplica) {
   for (const bool double_dqn : {false, true}) {
     SCOPED_TRACE(double_dqn ? "double DQN" : "vanilla DQN");
@@ -702,18 +809,7 @@ TEST(Dqn, TakenActionLearnerMatchesDenseReplica) {
     config.double_dqn = double_dqn;
     config.seed = 21;
     DqnAgent agent(config);
-
-    std::vector<std::size_t> sizes = {config.state_dim};
-    sizes.insert(sizes.end(), config.hidden.begin(), config.hidden.end());
-    sizes.push_back(config.num_actions);
-    Rng init(config.seed);  // the agent's construction stream
-    Mlp online(sizes, init);
-    Mlp target(sizes, init);
-    target.copy_parameters_from(online);
-    AdamOptimizer adam(online, {.lr = config.learning_rate,
-                                .beta1 = 0.9,
-                                .beta2 = 0.999,
-                                .epsilon = 1e-8});
+    DenseLearnerReplica replica(config);
 
     const std::size_t B = config.batch_size, A = config.num_actions;
     Rng data(77);
@@ -721,8 +817,6 @@ TEST(Dqn, TakenActionLearnerMatchesDenseReplica) {
     std::vector<std::size_t> actions(B);
     std::vector<double> rewards(B);
     std::vector<std::uint8_t> dones(B);
-    Matrix next_q, next_q_online, scratch_a, scratch_b, grad;
-    std::vector<double> q_taken(B), g(B);
     const std::size_t steps = 420;
     for (std::size_t step = 1; step <= steps; ++step) {
       for (std::size_t i = 0; i < states.size(); ++i) {
@@ -734,58 +828,76 @@ TEST(Dqn, TakenActionLearnerMatchesDenseReplica) {
         rewards[i] = data.uniform(-2.0, 0.0);
         dones[i] = data.bernoulli(0.1) ? 1 : 0;
       }
-      const Matrix& q = online.forward_cached(states);
       dones[0] = 1;
-      rewards[0] = q.at(0, actions[0]);
+      rewards[0] = replica.online().forward_const(states).at(0, actions[0]);
 
       const double loss = agent.train_on_batch(states, next_states, actions,
                                                rewards, dones);
-
-      target.forward_scratch(next_states, next_q, scratch_a, scratch_b);
-      if (double_dqn) {
-        online.forward_scratch(next_states, next_q_online, scratch_a,
-                               scratch_b);
-      }
-      for (std::size_t i = 0; i < B; ++i) q_taken[i] = q.at(i, actions[i]);
-      kern::TdHuberArgs td;
-      td.q_taken = q_taken.data();
-      td.next_q = next_q.data();
-      td.next_q_online = double_dqn ? next_q_online.data() : nullptr;
-      td.rewards = rewards.data();
-      td.dones = dones.data();
-      td.gamma = config.gamma;
-      td.reward_scale = config.reward_scale;
-      td.grad_div = static_cast<double>(B);
-      td.batch = B;
-      td.num_actions = A;
-      const double replica_loss = kern::ops().td_huber_batch(td, g.data());
-      ASSERT_EQ(loss, replica_loss / static_cast<double>(B)) << "step " << step;
-      ASSERT_EQ(g[0], 0.0);
-
-      grad.resize(B, A);
-      for (std::size_t i = 0; i < B; ++i) grad.at(i, actions[i]) = g[i];
-      online.zero_grad();
-      online.backward(grad);
-      adam.step(online);
-      if (step % config.target_sync_interval == 0) {
-        target.copy_parameters_from(online);
-      }
+      const double replica_loss =
+          replica.step(states, next_states, actions, rewards, dones);
+      ASSERT_EQ(loss, replica_loss) << "step " << step;
+      ASSERT_EQ(replica.grad()[0], 0.0);
     }
     ASSERT_GT(steps, config.target_sync_interval);
     ASSERT_EQ(1.0 - std::pow(0.9, static_cast<double>(steps)), 1.0);
+    replica.expect_same_bytes(agent);
+  }
+}
 
-    io::ContainerWriter out;
-    agent.save_state(out);
-    const io::ContainerReader saved =
-        io::ContainerReader::from_bytes(out.to_bytes());
-    const auto bytes_of = [](const auto& part) {
-      io::ByteWriter w;
-      part.save_state(w);
-      return w.take();
-    };
-    EXPECT_TRUE(saved.chunk(io::tags::kNetOnline) == bytes_of(online));
-    EXPECT_TRUE(saved.chunk(io::tags::kNetTarget) == bytes_of(target));
-    EXPECT_TRUE(saved.chunk(io::tags::kAdam) == bytes_of(adam));
+// The agent keeps each replay slot's vanilla bootstrap until the target
+// network changes or the slot is overwritten. The replica recomputes every
+// row's bootstrap on every step from its own copy of the ring, sampled with
+// the agent's stream. A small ring wraps several times, and a short sync
+// interval crosses several target epochs; a Polyak target (a new epoch
+// every step) and Double DQN (never cached) run the same path.
+TEST(Dqn, BootstrapCacheMatchesUncachedReplica) {
+  const struct {
+    const char* name;
+    double tau;
+    bool double_dqn;
+  } variants[] = {{"hard sync", 0.0, false},
+                  {"Polyak target", 0.05, false},
+                  {"double DQN", 0.0, true}};
+  for (const auto& v : variants) {
+    SCOPED_TRACE(v.name);
+    DqnConfig config;  // the paper net: 24-45-45-160, batch 32
+    config.replay_capacity = 96;
+    config.min_replay_before_training = 48;
+    config.target_sync_interval = 40;
+    config.target_tau = v.tau;
+    config.double_dqn = v.double_dqn;
+    config.seed = 9;
+    DqnAgent agent(config);
+    DenseLearnerReplica replica(config);
+    ReplayRing ring(config.replay_capacity, config.state_dim,
+                    config.num_actions);
+    Minibatch batch;
+
+    Rng data(5);
+    Transition t;
+    t.state.resize(config.state_dim);
+    t.next_state.resize(config.state_dim);
+    const std::size_t slots = 400;
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      for (std::size_t k = 0; k < config.state_dim; ++k) {
+        t.state[k] = data.bernoulli(0.3) ? 0.0 : data.normal();
+        t.next_state[k] = data.bernoulli(0.3) ? 0.0 : data.normal();
+      }
+      t.action = data.index(config.num_actions);
+      t.reward = data.uniform(-200.0, 0.0);
+      t.done = data.bernoulli(0.05);
+      agent.observe(t);
+      ring.push(t);
+      if (ring.size() >= config.min_replay_before_training) {
+        ring.sample_into(config.batch_size, replica.rng(), batch);
+        replica.step(batch.states, batch.next_states, batch.actions,
+                     batch.rewards, batch.dones);
+      }
+    }
+    ASSERT_EQ(agent.gradient_steps(), replica.steps());
+    ASSERT_GE(slots, 4 * config.replay_capacity);
+    ASSERT_GE(replica.steps() / config.target_sync_interval, 3u);
+    replica.expect_same_bytes(agent);
   }
 }
 
