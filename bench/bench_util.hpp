@@ -129,6 +129,9 @@ class BenchReport {
   /// bench did not call it explicitly.
   void write();
 
+  /// Drop the record: neither write() nor the destructor will write it.
+  void discard() { written_ = true; }
+
  private:
   std::string name_;
   JsonValue sweeps_ = JsonValue::object();

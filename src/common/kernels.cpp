@@ -27,16 +27,17 @@ constexpr std::size_t kBlockI = 32;
 constexpr std::size_t kBlockJ = 128;
 
 void matmul_acc_scalar(double* c, const double* a, const double* b,
-                       std::size_t m, std::size_t kk, std::size_t n) {
+                       std::size_t m, std::size_t kk, std::size_t n,
+                       std::size_t rs, std::size_t cs) {
   for (std::size_t i0 = 0; i0 < m; i0 += kBlockI) {
     const std::size_t i1 = std::min(m, i0 + kBlockI);
     for (std::size_t j0 = 0; j0 < n; j0 += kBlockJ) {
       const std::size_t j1 = std::min(n, j0 + kBlockJ);
       for (std::size_t i = i0; i < i1; ++i) {
-        const double* arow = a + i * kk;
+        const double* arow = a + i * rs;
         double* crow = c + i * n;
         for (std::size_t k = 0; k < kk; ++k) {
-          const double aik = arow[k];
+          const double aik = arow[k * cs];
           if (aik == 0.0) continue;
           const double* brow = b + k * n;
           for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
@@ -180,11 +181,12 @@ double huber_loss(double error, double delta) {
 // The Adam loop with each bias-correction division compiled in only when
 // that correction still differs from 1.0.
 template <bool kDivM, bool kDivV>
-void adam_loop(double* p, double* m, double* v, const double* g,
-               std::size_t n, double beta1, double beta2, double lr,
-               double bc1, double bc2, double epsilon) {
+void adam_loop(double* p, double* m, double* v, double* g, std::size_t n,
+               double beta1, double beta2, double lr, double bc1, double bc2,
+               double epsilon) {
   for (std::size_t k = 0; k < n; ++k) {
     const double gk = g[k];
+    g[k] = 0.0;
     m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
     v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
     const double mhat = kDivM ? m[k] / bc1 : m[k];
@@ -207,7 +209,7 @@ double td_huber_batch(const TdHuberArgs& a, double* g) {
   return loss;
 }
 
-void adam_update(double* p, double* m, double* v, const double* g,
+void adam_update(double* p, double* m, double* v, double* g,
                  std::size_t n, double beta1, double beta2, double lr,
                  double bc1, double bc2, double epsilon) {
   using Loop = decltype(&adam_loop<true, true>);

@@ -7,16 +7,17 @@
 // portable build (the determinism baseline) — and an AVX2/FMA variant
 // compiled into its own translation unit with -mavx2 -mfma so even a
 // portable (-DCTJ_NATIVE=OFF) build carries the fast path and selects it at
-// run time from CPUID. An AVX-512 level widens matmul and the PHY kernels
-// and inherits the rest from AVX2. The SIMD kernels preserve the
+// run time from CPUID. An AVX-512 level widens matmul, gather_dot and the
+// PHY kernels and inherits the rest from AVX2. The SIMD kernels preserve the
 // scalar per-element accumulation *order* — register blocking only tiles the
 // data-parallel dimensions — so the only numeric divergence from the scalar
 // reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
 // row_max / row_argmax / bias_act contain no FMA and match bit for bit, and
 // gather_dot matches its own level's matmul bit for bit.
 //
-// Two learner kernels are not dispatched. kern::adam_update is one scalar
-// loop, because no SIMD variant beat it. kern::td_huber_batch takes each
+// Two learner kernels are not dispatched. kern::adam_update is one loop
+// bound by its divisions and square root, so no hand-written SIMD variant
+// beat it. kern::td_huber_batch takes each
 // row's bootstrap value ready-made, so what is left is a few scalar ops per
 // row with nothing to vectorize. A bias-gradient row sum needs no kernel
 // either: rl::LinearLayer adds it in place (x + y is what a saxpy with
@@ -64,10 +65,14 @@ struct TdHuberArgs {
 struct KernelOps {
   const char* name;  // "scalar" | "avx2" | "avx512"
 
-  /// C += A·B over row-major buffers (callers zero C for a plain product).
-  /// Per-element accumulation runs over k in increasing order.
+  /// C += A·B for row-major C [m × n] and B [k × n] (callers zero C for a
+  /// plain product). A is read through strides: entry (i, k) is
+  /// a[i·rs + k·cs], so (k, 1) is a row-major A and (1, m) is the transpose
+  /// of a row-major [k × m] matrix, read in place. Per-element accumulation
+  /// runs over k in increasing order.
   void (*matmul_acc)(double* c, const double* a, const double* b,
-                     std::size_t m, std::size_t k, std::size_t n);
+                     std::size_t m, std::size_t k, std::size_t n,
+                     std::size_t rs, std::size_t cs);
 
   /// out[i] = Σ_k a[i,k]·b[k, col[i]] for A [m × k] and B [k × n]: entry
   /// (i, col[i]) of this level's matmul_acc into a zeroed C, bit for bit —
@@ -133,14 +138,19 @@ const KernelOps& scalar_ops();
 double td_huber_batch(const TdHuberArgs& args, double* g);
 
 /// One Adam update over n parameters: moment EMAs, bias correction by
-/// division with (1−βᵗ), and the sqrt-damped step. A correction that is
-/// exactly 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from t = 37 412) is not
-/// divided by: x / 1.0 == x in IEEE arithmetic, so skipping it changes no
-/// bit. Not dispatched: the step is elementwise and memory-bound, and an
-/// AVX2 variant measured no faster than this loop. It lives in the scalar
-/// TU (no FP contraction), so it gives the same bits on every build and at
-/// every CTJ_SIMD level.
-void adam_update(double* p, double* m, double* v, const double* g,
+/// division with (1−βᵗ), and the sqrt-damped step. It consumes the
+/// gradient: each g[k] is +0.0 once read, so the next backward accumulates
+/// from zero with no separate clearing pass. A correction that is exactly
+/// 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from t = 37 412) is not divided by:
+/// x / 1.0 == x in IEEE arithmetic, so skipping it changes no bit. Not
+/// dispatched: the loop is bound by its divisions and square root, not by
+/// memory (10 555 parameters take ≈ 30 µs with the 1−β₂ᵗ division and
+/// ≈ 21 µs without it, and four copies on four threads each run at
+/// single-thread speed), and a native build already vectorizes it, which
+/// is why a hand-written AVX2 variant gained nothing. It lives in the
+/// scalar TU (no FP contraction), so it gives the same bits on every build
+/// and at every CTJ_SIMD level.
+void adam_update(double* p, double* m, double* v, double* g,
                  std::size_t n, double beta1, double beta2, double lr,
                  double bc1, double bc2, double epsilon);
 
@@ -148,8 +158,8 @@ void adam_update(double* p, double* m, double* v, const double* g,
 /// architecture or the compiler cannot emit AVX2.
 const KernelOps* avx2_ops();
 
-/// The AVX-512 kernels (matmul widened to 512 bits, the rest shared
-/// with the AVX2 table), or nullptr when unavailable at build time.
+/// The AVX-512 kernels (matmul and gather_dot on 512-bit packs, the rest
+/// shared with the AVX2 table), or nullptr when unavailable at build time.
 const KernelOps* avx512_ops();
 
 /// True when the CPU this process runs on supports AVX2 and FMA.

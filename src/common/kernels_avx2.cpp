@@ -23,31 +23,88 @@
 namespace ctj::kern {
 namespace {
 
+// Lane-compress tables for a 4-lane nonzero mask m: perm[m] moves the set
+// f64 lanes to the front of a ymm (as permutevar8x32 indices, two 32-bit
+// halves per lane), and pos[m] lists their lane numbers.
+struct CompressLut {
+  std::int32_t perm[16][8];
+  std::int32_t pos[16][4];
+};
+
+constexpr CompressLut make_compress_lut() {
+  CompressLut lut{};
+  for (int m = 0; m < 16; ++m) {
+    for (int l = 0, t = 0; l < 4; ++l) {
+      if ((m >> l & 1) == 0) continue;
+      lut.perm[m][2 * t] = 2 * l;
+      lut.perm[m][2 * t + 1] = 2 * l + 1;
+      lut.pos[m][t++] = l;
+    }
+  }
+  return lut;
+}
+
+alignas(32) constexpr CompressLut kCompress = make_compress_lut();
+
+// Vector nonzero pack (detail::PackRow), four lanes at a time: a masked
+// load of the row (a masked gather when cs != 1), a NEQ_UQ compare against
+// zero — false on ±0.0 and true on NaN, exactly what `!= 0.0` tests — and
+// a table permutation that moves the nonzero lanes and their k indices to
+// the cursor. Both stores are full width, into the scratch's slack.
+std::size_t pack_row_avx2(const double* arow, std::size_t cs, std::size_t kk,
+                          double* v, std::int32_t* ix) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const auto s = static_cast<long long>(cs);
+  const __m256i offs = _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
+  std::size_t t = 0;
+  for (std::size_t k = 0; k < kk; k += 4) {
+    // Lane l is live when k + l < kk.
+    const __m256i live = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(kk - k)), lane);
+    const __m256d x = cs == 1 ? _mm256_maskload_pd(arow + k, live)
+                              : _mm256_mask_i64gather_pd(
+                                    zero, arow + k * cs, offs,
+                                    _mm256_castsi256_pd(live), 8);
+    const int nz = _mm256_movemask_pd(_mm256_cmp_pd(x, zero, _CMP_NEQ_UQ));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kCompress.perm[nz]));
+    _mm256_storeu_pd(v + t, _mm256_castps_pd(_mm256_permutevar8x32_ps(
+                                _mm256_castpd_ps(x), perm)));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(ix + t),
+        _mm_add_epi32(_mm_set1_epi32(static_cast<std::int32_t>(k)),
+                      _mm_load_si128(reinterpret_cast<const __m128i*>(
+                          kCompress.pos[nz]))));
+    t += static_cast<std::size_t>(__builtin_popcount(nz));
+  }
+  return t;
+}
+
 // Register-blocked compressed-nonzero C += A·B. Each A row of the current
-// chunk is packed once into a (value, k-index) list of its nonzeros — a
-// branchless pass, so the ~half-zero ReLU activation rows that made a
-// data-dependent `if (aik == 0.0) continue` mispredict catastrophically cost
-// nothing here — and the FMA loops then run over the packed list only. That
-// skips exactly the entries the scalar reference skips (one-hot DQN output
-// gradients stay bit-exact) and halves both FMAs and B-row loads on ReLU
-// activations. One template covers every stripe width: a stripe of up to 48
-// columns of one C row lives in NV ymm accumulators across the whole packed
-// loop (up to twelve independent dependency chains cover the FMA latency,
-// and C traffic drops k-fold versus the load/store-per-k pattern the
-// autovectorizer produces), and the last accumulator is masked to the
-// stripe's tail lanes. A row of n columns is n / 48 full stripes plus one
-// remainder stripe, so a 24- or 45-wide layer takes a single pass. Stripes
-// stay in the outer loop so the touched B columns remain L1-resident while
-// the row loop streams over them. Per C element the packed accumulation
-// preserves the scalar k order, so results stay ULP-bounded against the
-// scalar reference.
+// chunk is packed once into a (value, k-index) list of its nonzeros by the
+// vector pack above, so the ~half-zero ReLU activation rows that made a
+// data-dependent `if (aik == 0.0) continue` mispredict cost nothing here,
+// and the FMA loops then run over the packed list only. That skips exactly
+// the entries the scalar reference skips (one-hot DQN output gradients stay
+// bit-exact) and halves both FMAs and B-row loads on ReLU activations. One
+// template covers every stripe width: a stripe of up to 48 columns of one C
+// row lives in NV ymm accumulators across the whole packed loop (up to
+// twelve independent dependency chains cover the FMA latency, and C traffic
+// drops k-fold versus the load/store-per-k pattern the autovectorizer
+// produces), and the last accumulator is masked to the stripe's tail lanes.
+// A row of n columns is n / 48 full stripes plus one remainder stripe, so a
+// 24- or 45-wide layer takes a single pass. Stripes stay in the outer loop
+// so the touched B columns remain L1-resident while the row loop streams
+// over them. Per C element the packed accumulation preserves the scalar k
+// order, so results stay ULP-bounded against the scalar reference.
 template <int NV>
 void stripe_avx2(double* c, const double* b, std::size_t n,
-                 const detail::MatmulScratch& packed, std::size_t kk,
-                 std::size_t rows, __m256i tail) {
+                 const detail::MatmulScratch& packed, std::size_t rows,
+                 __m256i tail) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* v = packed.vals.data() + r * kk;
-    const std::int32_t* ix = packed.idx.data() + r * kk;
+    const double* v = packed.vals.data() + r * packed.stride;
+    const std::int32_t* ix = packed.idx.data() + r * packed.stride;
     const std::size_t nnz = static_cast<std::size_t>(packed.cnt[r]);
     double* crow = c + r * n;
     __m256d acc[NV];
@@ -68,7 +125,8 @@ void stripe_avx2(double* c, const double* b, std::size_t n,
 }
 
 void matmul_acc_avx2(double* c, const double* a, const double* b,
-                     std::size_t m, std::size_t kk, std::size_t n) {
+                     std::size_t m, std::size_t kk, std::size_t n,
+                     std::size_t rs, std::size_t cs) {
   constexpr std::size_t kRowChunk = 32;
   constexpr std::size_t kLanes = 4;
   static constexpr decltype(&stripe_avx2<1>) kStripes[] = {
@@ -80,7 +138,7 @@ void matmul_acc_avx2(double* c, const double* a, const double* b,
   scratch.reserve_chunk(std::min(m, kRowChunk), kk);
   for (std::size_t i0 = 0; i0 < m; i0 += kRowChunk) {
     const std::size_t rows = std::min(m - i0, kRowChunk);
-    scratch.pack_chunk(a + i0 * kk, rows, kk);
+    scratch.pack_chunk<pack_row_avx2>(a + i0 * rs, rs, cs, rows, kk);
     for (std::size_t j0 = 0; j0 < n; j0 += kStripeCols) {
       const std::size_t width = std::min(n - j0, kStripeCols);
       const std::size_t nv = (width + kLanes - 1) / kLanes;
@@ -88,31 +146,12 @@ void matmul_acc_avx2(double* c, const double* a, const double* b,
       const __m256i tail = _mm256_cmpgt_epi64(
           _mm256_set1_epi64x(static_cast<long long>(width - (nv - 1) * kLanes)),
           _mm256_setr_epi64x(0, 1, 2, 3));
-      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, kk, rows, tail);
+      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, rows, tail);
     }
   }
 }
 
-// One matmul_acc_avx2 entry per row: the row's nonzeros packed the same
-// way, then one FMA chain from 0 in increasing k — the per-element sequence
-// every stripe width of the AVX2 and AVX-512 products runs.
-void gather_dot_avx2(double* out, const double* a, const double* b,
-                     const std::size_t* col, std::size_t m, std::size_t kk,
-                     std::size_t n) {
-  static thread_local detail::MatmulScratch scratch;
-  scratch.reserve_chunk(1, kk);
-  double* v = scratch.vals.data();
-  std::int32_t* ix = scratch.idx.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t nnz = detail::pack_nonzeros(a + i * kk, kk, v, ix);
-    const double* bcol = b + col[i];
-    double s = 0.0;
-    for (std::size_t t = 0; t < nnz; ++t) {
-      s = __builtin_fma(v[t], bcol[static_cast<std::size_t>(ix[t]) * n], s);
-    }
-    out[i] = s;
-  }
-}
+constexpr auto gather_dot_avx2 = &detail::gather_dot_packed<pack_row_avx2>;
 
 // Single-pass fused bias + ReLU (the scalar reference makes two passes, as
 // the pre-kernel MLP forward did). Plain add + max: no FMA, bit-exact

@@ -6,13 +6,14 @@
 // matmul_acc (the batched-forward bottleneck — doubling the FMA width
 // doubles the compute roofline on machines whose 256-bit FMA throughput
 // matches their L2 streaming bandwidth, which is exactly the regime where
-// batched inference is otherwise compute-bound) and the PHY hot-path kernels
-// (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed 64-state /
-// long-stream shapes fill full zmm lanes. Everything else (gather_dot,
-// bias_act, the row reductions) is inherited from the AVX2 table: those
-// kernels are bandwidth-bound or tiny, so a wider vector buys nothing.
-// gather_dot stays exact against this level's matmul because both
-// run the same per-element FMA chain.
+// batched inference is otherwise compute-bound), gather_dot (on this
+// level's eight-lane nonzero pack) and the PHY hot-path kernels (Viterbi
+// ACS hard/soft, 64-QAM quantization error) whose fixed 64-state /
+// long-stream shapes fill full zmm lanes. Everything else (bias_act, the
+// row reductions) is inherited from the AVX2 table: those kernels are
+// bandwidth-bound or tiny, so a wider vector buys nothing. gather_dot stays
+// exact against this level's matmul because both run the same per-element
+// FMA chain over the same pack.
 //
 // Numerics match the AVX2 level's contract: FMA contraction only,
 // per-element k-accumulation order unchanged and exact zeros skipped like
@@ -32,7 +33,40 @@
 namespace ctj::kern {
 namespace {
 
-// Same compressed-nonzero structure as the AVX2 matmul (branchless per-row
+// Vector nonzero pack (detail::PackRow), eight lanes at a time, with
+// AVX-512F only: a masked load of the row (a masked gather when cs != 1), a
+// NEQ_UQ compare against zero — false on ±0.0 and true on NaN, exactly what
+// `!= 0.0` tests — and vcompress of the values and of their 64-bit k
+// indices, narrowed to 32 bits. Both stores are full width, into the
+// scratch's slack.
+std::size_t pack_row_avx512(const double* arow, std::size_t cs,
+                            std::size_t kk, double* v, std::int32_t* ix) {
+  const __m512d zero = _mm512_setzero_pd();
+  const auto s = static_cast<long long>(cs);
+  const __m512i offs =
+      _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
+  const __m512i step = _mm512_set1_epi64(8);
+  __m512i kv = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t t = 0;
+  for (std::size_t k = 0; k < kk; k += 8) {
+    const std::size_t left = kk - k;
+    const auto live =
+        static_cast<__mmask8>(left >= 8 ? 0xFFu : 0xFFu >> (8 - left));
+    const __m512d x =
+        cs == 1 ? _mm512_maskz_loadu_pd(live, arow + k)
+                : _mm512_mask_i64gather_pd(zero, live, offs, arow + k * cs, 8);
+    const __mmask8 nz = _mm512_mask_cmp_pd_mask(live, x, zero, _CMP_NEQ_UQ);
+    _mm512_storeu_pd(v + t, _mm512_maskz_compress_pd(nz, x));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(ix + t),
+        _mm512_cvtepi64_epi32(_mm512_maskz_compress_epi64(nz, kv)));
+    t += static_cast<std::size_t>(__builtin_popcount(nz));
+    kv = _mm512_add_epi64(kv, step);
+  }
+  return t;
+}
+
+// Same compressed-nonzero structure as the AVX2 matmul (vector per-row
 // nonzero packing, stripes-outer FMA body over the packed lists — see
 // kernels_avx2.cpp for the full rationale) with 512-bit accumulators. One
 // template covers every stripe width: a stripe of up to 64 columns of one C
@@ -43,11 +77,11 @@ namespace {
 // chain in increasing k whichever stripe it falls in.
 template <int NV>
 void stripe_avx512(double* c, const double* b, std::size_t n,
-                   const detail::MatmulScratch& packed, std::size_t kk,
-                   std::size_t rows, __mmask8 tail) {
+                   const detail::MatmulScratch& packed, std::size_t rows,
+                   __mmask8 tail) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* v = packed.vals.data() + r * kk;
-    const std::int32_t* ix = packed.idx.data() + r * kk;
+    const double* v = packed.vals.data() + r * packed.stride;
+    const std::int32_t* ix = packed.idx.data() + r * packed.stride;
     const std::size_t nnz = static_cast<std::size_t>(packed.cnt[r]);
     double* crow = c + r * n;
     __m512d acc[NV];
@@ -68,7 +102,8 @@ void stripe_avx512(double* c, const double* b, std::size_t n,
 }
 
 void matmul_acc_avx512(double* c, const double* a, const double* b,
-                       std::size_t m, std::size_t kk, std::size_t n) {
+                       std::size_t m, std::size_t kk, std::size_t n,
+                       std::size_t rs, std::size_t cs) {
   constexpr std::size_t kRowChunk = 32;
   constexpr std::size_t kLanes = 8;
   static constexpr decltype(&stripe_avx512<1>) kStripes[] = {
@@ -79,12 +114,12 @@ void matmul_acc_avx512(double* c, const double* a, const double* b,
   scratch.reserve_chunk(std::min(m, kRowChunk), kk);
   for (std::size_t i0 = 0; i0 < m; i0 += kRowChunk) {
     const std::size_t rows = std::min(m - i0, kRowChunk);
-    scratch.pack_chunk(a + i0 * kk, rows, kk);
+    scratch.pack_chunk<pack_row_avx512>(a + i0 * rs, rs, cs, rows, kk);
     for (std::size_t j0 = 0; j0 < n; j0 += kStripeCols) {
       const std::size_t width = std::min(n - j0, kStripeCols);
       const std::size_t nv = (width + kLanes - 1) / kLanes;
       const auto tail = static_cast<__mmask8>(0xFFu >> (nv * kLanes - width));
-      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, kk, rows, tail);
+      kStripes[nv - 1](c + i0 * n + j0, b + j0, n, scratch, rows, tail);
     }
   }
 }
@@ -205,9 +240,10 @@ const KernelOps* avx512_ops() {
   const KernelOps* base = avx2_ops();
   if (base == nullptr) return nullptr;
   static const KernelOps kOps = [base] {
-    KernelOps ops = *base;  // inherit gather_dot/bias_act/reductions
+    KernelOps ops = *base;  // inherit bias_act and the reductions
     ops.name = "avx512";
     ops.matmul_acc = matmul_acc_avx512;
+    ops.gather_dot = detail::gather_dot_packed<pack_row_avx512>;
     ops.viterbi_acs_hard = viterbi_acs_hard_avx512;
     ops.viterbi_acs_soft = viterbi_acs_soft_avx512;
     ops.qam64_error = qam64_error_avx512;

@@ -216,7 +216,8 @@ double DqnAgent::learn(const Matrix& states, const Matrix& next_states,
   td_grad_.resize(B);
   const double loss = kern::td_huber_batch(td, td_grad_.data());
 
-  online_.zero_grad();
+  // No zero_grad(): the previous step's Adam update consumed the gradients,
+  // and a new network starts at zero.
   online_.backward_taken(actions, td_grad_);
   optimizer_.step(online_);
   ++grad_steps_;

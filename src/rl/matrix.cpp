@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
@@ -69,48 +68,44 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
                                           << b.cols());
   const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
   c.resize(m, n, 0.0);
-  kern::ops().matmul_acc(c.data(), a.data(), b.data(), m, kk, n);
+  kern::ops().matmul_acc(c.data(), a.data(), b.data(), m, kk, n, kk, 1);
 }
 
 void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   CTJ_CHECK(a.rows() == b.rows());
   CTJ_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  const std::size_t n = b.cols();
-  const std::size_t ac = a.cols();
+  const std::size_t rows = a.rows(), n = b.cols(), ac = a.cols();
   // Row k adds the rank-1 term A[k,:]ᵀ·B[k,:] to C. Rows are applied in
   // increasing k, so each C element accumulates in the naive product's
   // order. Skipping exact-zero terms is bit-exact: each skipped contribution
   // is ±0.0, and a C entry can never hold -0.0 (it starts at +0.0, and
   // +0.0 + -0.0 = +0.0), so adding the zero would not have changed a bit.
   //
-  // A sparse B row (the DQN's output gradient is one-hot per sample) touches
-  // at most kSparseCap columns of C and is added in place. A run of
-  // consecutive denser rows (the ReLU hidden-layer gradients) goes through
-  // the kernel matmul as C += (A_run)ᵀ·B_run on an explicit transpose: per
+  // Each B row's nonzeros are counted once, without a branch. A sparse row
+  // (the DQN's output gradient is one-hot per sample) touches at most
+  // kSparseCap columns of C: only then are its column indices collected, and
+  // it is added in place. A run of consecutive denser rows (the ReLU
+  // hidden-layer gradients) goes through the kernel matmul as
+  // C += (A_run)ᵀ·B_run, reading A_run in place as a strided operand: per
   // element that is the zero-skipping chain of one 1×1·1×n matmul_acc
   // (C[i,:] += A[k,i]·B[k,:]) per nonzero A[k,i] in increasing k, with the
   // same arithmetic at every kernel level.
   constexpr std::size_t kSparseCap = 8;
-  // Lists B row k's nonzero columns in cols, up to kSparseCap of them, and
-  // returns their count (stopping once it passes kSparseCap).
-  const auto nonzero_cols = [&b, n](std::size_t k, std::size_t* cols) {
+  const auto count_nonzeros = [&b, n](std::size_t k) {
     const double* brow = b.data() + k * n;
     std::size_t nz = 0;
-    for (std::size_t j = 0; j < n && nz <= kSparseCap; ++j) {
-      if (brow[j] != 0.0) {
-        if (nz < kSparseCap) cols[nz] = j;
-        ++nz;
-      }
-    }
+    for (std::size_t j = 0; j < n; ++j) nz += brow[j] != 0.0 ? 1 : 0;
     return nz;
   };
-  static thread_local std::vector<double> at_run;  // (A_run)ᵀ, [ac × run]
   std::size_t nz_idx[kSparseCap];
-  for (std::size_t k = 0; k < a.rows();) {
-    const std::size_t nz = nonzero_cols(k, nz_idx);
+  std::size_t nz = rows > 0 ? count_nonzeros(0) : 0;  // row k's count
+  for (std::size_t k = 0; k < rows;) {
     if (nz <= kSparseCap) {
-      const double* arow = a.data() + k * ac;
       const double* brow = b.data() + k * n;
+      for (std::size_t j = 0, s = 0; s < nz; ++j) {
+        if (brow[j] != 0.0) nz_idx[s++] = j;
+      }
+      const double* arow = a.data() + k * ac;
       for (std::size_t i = 0; i < ac; ++i) {
         const double aki = arow[i];
         if (aki == 0.0) continue;
@@ -120,18 +115,13 @@ void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
         }
       }
       ++k;
+      if (k < rows) nz = count_nonzeros(k);
       continue;
     }
     std::size_t k1 = k + 1;
-    while (k1 < a.rows() && nonzero_cols(k1, nz_idx) > kSparseCap) ++k1;
-    const std::size_t run = k1 - k;
-    at_run.resize(ac * run);
-    for (std::size_t t = 0; t < run; ++t) {
-      const double* arow = a.data() + (k + t) * ac;
-      for (std::size_t i = 0; i < ac; ++i) at_run[i * run + t] = arow[i];
-    }
-    kern::ops().matmul_acc(c.data(), at_run.data(), b.data() + k * n, ac, run,
-                           n);
+    while (k1 < rows && (nz = count_nonzeros(k1)) > kSparseCap) ++k1;
+    kern::ops().matmul_acc(c.data(), a.data() + k * ac, b.data() + k * n, ac,
+                           k1 - k, n, /*rs=*/1, /*cs=*/ac);
     k = k1;
   }
 }

@@ -68,8 +68,10 @@ void LinearLayer::backward_gather(const Matrix& input,
     double* gin = grad_in.data() + r * in;
     for (std::size_t k = 0; k < in; ++k) {
       // matmul_at_b_acc's sparse-row update, written the same way so this TU
-      // contracts it the same way.
-      if (h[k] != 0.0) gw[k * out + c] += h[k] * gr;
+      // contracts it the same way. It has no `h[k] != 0.0` test: h and gr
+      // are finite and no gradient entry holds -0.0, so a zero h adds ±0.0,
+      // and fma(±0, gr, gw) and gw + ±0 both give gw back.
+      gw[k * out + c] += h[k] * gr;
       gin[k] = 0.0 + gr * w[k * out + c];
     }
     gb_.data()[c] += gr;
@@ -349,7 +351,7 @@ void AdamOptimizer::step(Mlp& net) {
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
   std::size_t slot = 0;
-  auto update = [&](Matrix& param, const Matrix& grad) {
+  auto update = [&](Matrix& param, Matrix& grad) {
     kern::adam_update(param.data(), m_[slot].data(), v_[slot].data(),
                       grad.data(), param.size(), config_.beta1, config_.beta2,
                       config_.lr, bc1, bc2, config_.epsilon);

@@ -52,6 +52,8 @@ class LinearLayer {
   const Matrix& bias() const { return b_; }
   Matrix& weight_grad() { return gw_; }
   Matrix& bias_grad() { return gb_; }
+  const Matrix& weight_grad() const { return gw_; }
+  const Matrix& bias_grad() const { return gb_; }
 
   std::size_t param_count() const { return w_.size() + b_.size(); }
 
@@ -165,7 +167,9 @@ class AdamOptimizer {
 
   AdamOptimizer(const Mlp& net, Config config);
 
-  /// Apply one update using the gradients currently stored in the network.
+  /// Apply one update using the gradients currently stored in the network,
+  /// and consume them: every gradient is +0.0 afterwards, so the next
+  /// backward accumulates from zero without a zero_grad() call.
   void step(Mlp& net);
 
   const Config& config() const { return config_; }

@@ -109,8 +109,10 @@ TEST(KernelParity, MatmulUlpBounded) {
       const auto b = random_vec(s.k * s.n, rng);
       std::vector<double> c_ref(s.m * s.n, 0.0);
       std::vector<double> c_simd(s.m * s.n, 0.0);
-      scalar.matmul_acc(c_ref.data(), a.data(), b.data(), s.m, s.k, s.n);
-      simd->matmul_acc(c_simd.data(), a.data(), b.data(), s.m, s.k, s.n);
+      scalar.matmul_acc(c_ref.data(), a.data(), b.data(), s.m, s.k, s.n, s.k,
+                        1);
+      simd->matmul_acc(c_simd.data(), a.data(), b.data(), s.m, s.k, s.n, s.k,
+                       1);
       for (std::size_t i = 0; i < c_ref.size(); ++i) {
         // Condition-aware bound: both levels run the same k-order sum, the
         // only divergence is one rounding per FMA, so the difference is tiny
@@ -140,8 +142,9 @@ TEST(KernelParity, MatmulSkipsExactZeros) {
     for (std::size_t i = 0; i < m; ++i) a[i * k + rng.index(k)] = rng.normal();
     const auto b = random_vec(k * n, rng);
     std::vector<double> c_ref(m * n, 0.0), c_simd(m * n, 0.0);
-    kern::scalar_ops().matmul_acc(c_ref.data(), a.data(), b.data(), m, k, n);
-    simd->matmul_acc(c_simd.data(), a.data(), b.data(), m, k, n);
+    kern::scalar_ops().matmul_acc(c_ref.data(), a.data(), b.data(), m, k, n,
+                                  k, 1);
+    simd->matmul_acc(c_simd.data(), a.data(), b.data(), m, k, n, k, 1);
     for (std::size_t i = 0; i < c_ref.size(); ++i) {
       EXPECT_EQ(c_ref[i], c_simd[i]);
     }
@@ -153,53 +156,76 @@ TEST(KernelParity, MatmulMatchesOwnFmaChainBitExact) {
   // every C element is one chain over the nonzero a[i,k] in increasing k,
   // started from C's old value — fused (std::fma) at the SIMD levels, plain
   // mul+add at the scalar level (this TU compiles without contraction) —
-  // whatever stripe or masked tail lane the element falls in. Widths 1..70,
-  // 130 and 160 hit every tail width of both levels; m straddles the 32-row
-  // packing chunk. A is ReLU-like with +0.0 and -0.0 entries, and row 1 is
-  // all zero. Sentinels past C's end catch a masked store that writes a
-  // dead lane.
+  // whatever stripe or masked tail lane the element falls in, and whether A
+  // is read row-major (strides (k, 1)) or as the transpose of a row-major
+  // [k × m] buffer (strides (1, m)). Widths 1..70, 130 and 160 hit every
+  // tail width of both levels' stripes; depths 1..17, 24, 45, 64 and 65 hit
+  // every tail of both levels' nonzero packs; m straddles the 32-row packing
+  // chunk. A is ReLU-like with +0.0 and -0.0 entries, and row 1 is all
+  // zero. Sentinels past C's end catch a masked store that writes a dead
+  // lane.
   std::vector<const KernelOps*> levels = simd_levels();
   levels.insert(levels.begin(), &kern::scalar_ops());
+  constexpr std::size_t kGuard = 8;
+  const auto check = [](const KernelOps& ops, std::size_t m, std::size_t kk,
+                        std::size_t n, bool transposed, Rng& rng) {
+    const bool fused = &ops != &kern::scalar_ops();
+    // Entry (i, k) of A sits at a[i * rs + k * cs].
+    const std::size_t rs = transposed ? 1 : kk, cs = transposed ? m : 1;
+    auto a = random_vec(m * kk, rng);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] <= 0.0) a[i] = i % 3 == 0 ? -0.0 : 0.0;
+    }
+    if (m > 1) {
+      for (std::size_t k = 0; k < kk; ++k) a[rs + k * cs] = 0.0;
+    }
+    const auto b = random_vec(kk * n, rng);
+    auto c = random_vec(m * n + kGuard, rng);
+    const auto c0 = c;
+    ops.matmul_acc(c.data(), a.data(), b.data(), m, kk, n, rs, cs);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double ref = c0[i * n + j];
+        for (std::size_t k = 0; k < kk; ++k) {
+          const double aik = a[i * rs + k * cs];
+          if (aik == 0.0) continue;
+          ref = fused ? std::fma(aik, b[k * n + j], ref)
+                      : ref + aik * b[k * n + j];
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i * n + j]),
+                  std::bit_cast<std::uint64_t>(ref))
+            << "m=" << m << " k=" << kk << " n=" << n
+            << (transposed ? " transposed" : " row-major") << " elem (" << i
+            << ", " << j << ")";
+      }
+    }
+    for (std::size_t g = m * n; g < c.size(); ++g) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(c[g]),
+                std::bit_cast<std::uint64_t>(c0[g]))
+          << "m=" << m << " k=" << kk << " n=" << n << " wrote past C";
+    }
+  };
   std::vector<std::size_t> widths;
   for (std::size_t n = 1; n <= 70; ++n) widths.push_back(n);
   widths.push_back(130);
   widths.push_back(160);
-  constexpr std::size_t kk = 11;
-  constexpr std::size_t kGuard = 8;
+  std::vector<std::size_t> depths;
+  for (std::size_t kk = 1; kk <= 17; ++kk) depths.push_back(kk);
+  for (const std::size_t kk : {24u, 45u, 64u, 65u}) depths.push_back(kk);
   for (const KernelOps* ops : levels) {
     SCOPED_TRACE(ops->name);
-    const bool fused = ops != &kern::scalar_ops();
     Rng rng(21);
-    for (const std::size_t m : {1u, 31u, 32u, 33u, 65u}) {
-      for (const std::size_t n : widths) {
-        auto a = random_vec(m * kk, rng);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i] <= 0.0) a[i] = i % 3 == 0 ? -0.0 : 0.0;
+    for (const bool transposed : {false, true}) {
+      for (const std::size_t m : {1u, 31u, 32u, 33u, 65u}) {
+        for (const std::size_t n : widths) {
+          check(*ops, m, 11, n, transposed, rng);
+          if (HasFatalFailure()) return;
         }
-        if (m > 1) std::fill(a.begin() + kk, a.begin() + 2 * kk, 0.0);
-        const auto b = random_vec(kk * n, rng);
-        auto c = random_vec(m * n + kGuard, rng);
-        const auto c0 = c;
-        ops->matmul_acc(c.data(), a.data(), b.data(), m, kk, n);
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            double ref = c0[i * n + j];
-            for (std::size_t k = 0; k < kk; ++k) {
-              const double aik = a[i * kk + k];
-              if (aik == 0.0) continue;
-              ref = fused ? std::fma(aik, b[k * n + j], ref)
-                          : ref + aik * b[k * n + j];
-            }
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i * n + j]),
-                      std::bit_cast<std::uint64_t>(ref))
-                << "m=" << m << " n=" << n << " elem (" << i << ", " << j
-                << ")";
+        for (const std::size_t kk : depths) {
+          for (const std::size_t n : {3u, 45u, 70u}) {
+            check(*ops, m, kk, n, transposed, rng);
+            if (HasFatalFailure()) return;
           }
-        }
-        for (std::size_t g = m * n; g < c.size(); ++g) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(c[g]),
-                    std::bit_cast<std::uint64_t>(c0[g]))
-              << "m=" << m << " n=" << n << " wrote past C";
         }
       }
     }
@@ -231,7 +257,7 @@ TEST(KernelParity, GatherDotMatchesMatmulEntriesBitExact) {
       col[s.m - 1] = s.n - 1;
 
       std::vector<double> c(s.m * s.n, 0.0);
-      ops->matmul_acc(c.data(), a.data(), b.data(), s.m, s.k, s.n);
+      ops->matmul_acc(c.data(), a.data(), b.data(), s.m, s.k, s.n, s.k, 1);
       std::vector<double> out(s.m, 1.0);
       ops->gather_dot(out.data(), a.data(), b.data(), col.data(), s.m, s.k,
                       s.n);
@@ -433,10 +459,11 @@ void adam_reference(std::vector<double>& p, std::vector<double>& m,
 
 TEST(KernelParity, AdamUpdateBitExact) {
   // kern::adam_update is not dispatched; it must equal the reference to the
-  // last bit on every build — also once a bias correction has rounded to
-  // exactly 1.0 and the kernel stops dividing by it (1−0.9ᵗ at t ≥ 356,
-  // 1−0.999ᵗ at t ≥ 37 412), while the reference still divides, and on the
-  // last steps before that, where it must still divide.
+  // last bit on every build and leave every gradient at +0.0 — also once a
+  // bias correction has rounded to exactly 1.0 and the kernel stops
+  // dividing by it (1−0.9ᵗ at t ≥ 356, 1−0.999ᵗ at t ≥ 37 412), while the
+  // reference still divides, and on the last steps before that, where it
+  // must still divide.
   const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
   const auto bc = [](double beta, double t) { return 1.0 - std::pow(beta, t); };
   ASSERT_EQ(bc(beta1, 356.0), 1.0);
@@ -456,15 +483,20 @@ TEST(KernelParity, AdamUpdateBitExact) {
       auto m_ref = random_vec(n, rng);
       auto v_ref = random_vec(n, rng);
       for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
-      const auto g = random_vec(n, rng);
-      auto p = p_ref, m = m_ref, v = v_ref;
-      adam_reference(p_ref, m_ref, v_ref, g, beta1, beta2, lr, c.bc1, c.bc2,
-                     eps);
+      const auto g_ref = random_vec(n, rng);
+      auto p = p_ref, m = m_ref, v = v_ref, g = g_ref;
+      adam_reference(p_ref, m_ref, v_ref, g_ref, beta1, beta2, lr, c.bc1,
+                     c.bc2, eps);
       kern::adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1,
                         beta2, lr, c.bc1, c.bc2, eps);
       EXPECT_EQ(p, p_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
       EXPECT_EQ(m, m_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
       EXPECT_EQ(v, v_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
+      // The update consumes the gradient: every entry is +0.0 afterwards.
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(g[k]), 0u)
+            << "n=" << n << " entry " << k;
+      }
     }
   }
 }

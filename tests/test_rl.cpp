@@ -235,20 +235,24 @@ void per_row_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
     for (std::size_t i = 0; i < ac; ++i) {
       const double aki = arow[i];
       if (aki == 0.0) continue;
-      kernels.matmul_acc(c.data() + i * n, &aki, brow, 1, 1, n);
+      kernels.matmul_acc(c.data() + i * n, &aki, brow, 1, 1, n, 1, 1);
     }
   }
 }
 
 TEST(Matrix, AtBAccMatchesPerRowLoopBitExact) {
-  // B interleaves dense rows (> 8 nonzeros, in runs of 1 to 6), sparse rows
-  // (1 to 8, both sides of the boundary) and all-zero rows; A is ReLU-like.
+  // B interleaves dense rows (> 8 nonzeros, in runs of 1 to 13, so a run
+  // spans several vector chunks of each level's strided nonzero pack),
+  // sparse rows (1 to 8, both sides of the boundary) and all-zero rows; A is
+  // ReLU-like.
   // Both operands carry -0.0. Two accumulations on top of each other must
   // match the per-row loop to the last bit at the active kernel level
   // (CTJ_SIMD picks it; the learner ctest label runs this at each one).
   const std::size_t nnz_per_row[] = {20, 45, 0, 3, 9,  8,  30, 22, 17, 0, 0,
                                      1,  9,  9, 12, 44, 45, 2,  23, 0, 31, 40,
-                                     8,  10, 25, 26, 27, 28, 29, 5, 14, 7, 33};
+                                     8,  10, 25, 26, 27, 28, 29, 5, 14, 7, 33,
+                                     18, 40, 45, 11, 19, 27, 36, 9, 44, 21, 13,
+                                     30};
   const std::size_t rows = std::size(nnz_per_row);
   const struct { std::size_t in, out; } shapes[] = {{45, 45}, {24, 45},
                                                     {45, 160}};
@@ -899,6 +903,82 @@ TEST(Dqn, BootstrapCacheMatchesUncachedReplica) {
     ASSERT_GE(replica.steps() / config.target_sync_interval, 3u);
     replica.expect_same_bytes(agent);
   }
+}
+
+// The learner has no zero_grad(): each Adam step consumes the gradients it
+// applies. So between steps every online gradient must be +0.0, bit for
+// bit: after a replay step, after a caller's minibatch, and in an agent
+// that trained, was restored from a checkpoint and trained on.
+TEST(Dqn, LearnerLeavesGradientsZero) {
+  const auto expect_zero = [](const DqnAgent& agent, const char* when) {
+    const Mlp& net = agent.online_network();
+    for (std::size_t l = 0; l < net.num_layers(); ++l) {
+      for (const Matrix* g :
+           {&net.layer(l).weight_grad(), &net.layer(l).bias_grad()}) {
+        for (std::size_t k = 0; k < g->size(); ++k) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g->data()[k]), 0u)
+              << when << ": layer " << l << " entry " << k;
+        }
+      }
+    }
+  };
+  DqnConfig config;  // the paper net: 24-45-45-160, batch 32
+  config.replay_capacity = 128;
+  config.min_replay_before_training = 64;
+  config.seed = 13;
+  DqnAgent agent(config);
+  expect_zero(agent, "new agent");
+
+  Rng data(3);
+  Transition t;
+  t.state.resize(config.state_dim);
+  t.next_state.resize(config.state_dim);
+  const auto next_transition = [&]() -> const Transition& {
+    for (std::size_t k = 0; k < config.state_dim; ++k) {
+      t.state[k] = data.bernoulli(0.3) ? 0.0 : data.normal();
+      t.next_state[k] = data.bernoulli(0.3) ? 0.0 : data.normal();
+    }
+    t.action = data.index(config.num_actions);
+    t.reward = data.uniform(-200.0, 0.0);
+    t.done = data.bernoulli(0.05);
+    return t;
+  };
+  for (std::size_t slot = 0; slot < 100; ++slot) {
+    agent.observe(next_transition());
+  }
+  ASSERT_GT(agent.gradient_steps(), 0u);
+  expect_zero(agent, "observe");
+  ASSERT_TRUE(agent.train_step().has_value());
+  expect_zero(agent, "train_step");
+
+  const std::size_t B = config.batch_size;
+  Matrix states(B, config.state_dim), next_states(B, config.state_dim);
+  std::vector<std::size_t> actions(B);
+  std::vector<double> rewards(B);
+  std::vector<std::uint8_t> dones(B);
+  for (std::size_t i = 0; i < B; ++i) {
+    next_transition();
+    std::copy(t.state.begin(), t.state.end(), states.row_span(i).begin());
+    std::copy(t.next_state.begin(), t.next_state.end(),
+              next_states.row_span(i).begin());
+    actions[i] = t.action;
+    rewards[i] = t.reward;
+    dones[i] = t.done ? 1 : 0;
+  }
+  agent.train_on_batch(states, next_states, actions, rewards, dones);
+  expect_zero(agent, "train_on_batch");
+
+  io::ContainerWriter out;
+  agent.save_state(out);
+  const io::ContainerReader saved =
+      io::ContainerReader::from_bytes(out.to_bytes());
+  agent.load_state(saved);
+  expect_zero(agent, "load_state");
+  DqnAgent restored(config);
+  restored.load_state(saved);
+  expect_zero(restored, "load_state into a new agent");
+  ASSERT_TRUE(restored.train_step().has_value());
+  expect_zero(restored, "train_step after load_state");
 }
 
 TEST(Dqn, TrainStepRequiresMinimumReplay) {
