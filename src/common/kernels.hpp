@@ -44,7 +44,7 @@ namespace ctj::kern {
 enum class SimdLevel { kScalar, kAvx2, kAvx512 };
 
 /// Inputs of the fused batched TD-target + Huber loss/grad kernel — the body
-/// of DqnAgent::train_on_batch after the forward passes and the bootstrap.
+/// of the DQN learner step after the forward passes and the bootstrap.
 struct TdHuberArgs {
   const double* q_taken = nullptr;  // [batch] online Q(s_i, a_i)
   /// [batch] bootstrap value of each next state: max_a Q_target(s'_i, a),

@@ -2,15 +2,14 @@
 //
 // The serve engine (src/serve/engine.hpp) uses one of these as its job
 // submission/ready ring: client threads and every worker push tenant ids,
-// every worker pops them, so unlike the SPSC rings of the actor-learner
-// trainer both ends are contended. The slots carry a per-cell sequence
-// number (Vyukov's bounded MPMC design): a producer claims a cell by CASing
-// the shared tail, writes the value, then publishes by bumping the cell's
-// sequence; a consumer symmetrically claims via the head and releases the
-// cell for the producer one lap later. Each push/pop is one CAS on the
-// shared cursor plus one release store on the cell — no locks, no spurious
-// blocking: try_push fails only when the ring is full, try_pop only when it
-// is empty.
+// every worker pops them, so both ends are contended. The slots carry a
+// per-cell sequence number (Vyukov's bounded MPMC design): a producer claims
+// a cell by CASing the shared tail, writes the value, then publishes by
+// bumping the cell's sequence; a consumer symmetrically claims via the head
+// and releases the cell for the producer one lap later. Each push/pop is one
+// CAS on the shared cursor plus one release store on the cell — no locks, no
+// spurious blocking: try_push fails only when the ring is full, try_pop only
+// when it is empty.
 //
 // Blocking/wakeup is deliberately left to the caller (the engine pairs the
 // ring with a condition variable), so the queue itself stays allocation-free
@@ -23,9 +22,21 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/spsc_queue.hpp"  // kCacheLineSize, next_pow2
 
 namespace ctj {
+
+// Fixed 64 rather than std::hardware_destructive_interference_size: the
+// value is part of the struct layout, and GCC warns (-Winterference-size)
+// that the standard constant can drift across compiler versions/-mtune.
+// 64 bytes is correct for every x86-64 and the common AArch64 cores.
+inline constexpr std::size_t kCacheLineSize = 64;
+
+/// Round up to the next power of two (minimum 1).
+constexpr std::size_t next_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
 
 /// Bounded MPMC queue of movable elements. Capacity is rounded up to a
 /// power of two (minimum 2). Any number of threads may push and pop.

@@ -45,9 +45,9 @@ DqnScheme::Config read_scheme_config(const std::string& path);
 void load_policy(DqnScheme& scheme, const std::string& path);
 
 /// The training loop's own mutable state, as stored in the TRAINPRG chunk.
-/// Shared by every trainer flavor: mode 0 = sequential train(), 1 =
-/// train_batched(), 2 = train_parallel(). Each trainer runs its loop on one
-/// of these, so a checkpoint writes it as is.
+/// Shared by both trainers: mode 0 = sequential train(), 1 =
+/// train_batched(). Each trainer runs its loop on one of these, so a
+/// checkpoint writes it as is.
 struct TrainProgress {
   std::uint8_t mode = 0;
   std::uint64_t replicas = 1;

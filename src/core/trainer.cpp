@@ -11,7 +11,7 @@ namespace ctj::core {
 
 // TrainProgress (the TRAINPRG chunk, with the reward window and per-slot
 // bookkeeping) and the resume/cadence helpers live in
-// core/checkpoint.{hpp,cpp}, shared with train_parallel().
+// core/checkpoint.{hpp,cpp}.
 
 TrainingStats train(DqnScheme& scheme, CompetitionEnvironment& env,
                     const TrainerConfig& config) {

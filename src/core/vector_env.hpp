@@ -16,8 +16,7 @@
 // row is DqnScheme::observation() by construction, not by a second copy.
 //
 // DqnRollout puts the two together into the one lockstep DQN rollout that
-// train_batched, evaluate_batched, the serve DqnTenant and train_parallel's
-// actor shards all step.
+// train_batched, evaluate_batched and the serve DqnTenant all step.
 #pragma once
 
 #include <algorithm>
@@ -119,17 +118,14 @@ class DqnRollout {
   std::span<const std::size_t> actions() const { return actions_; }
   std::span<const std::size_t> powers() const { return powers_; }
   /// Replica r's observation before the round (the transition's state);
-  /// windows().row(r) is the one after (its next_state).
+  /// transition(r) pairs it with the window after the push.
   std::span<const double> pre_state(std::size_t r) const {
     return pre_.row_span(r);
   }
   /// Replica r's slot as a replay transition (continuing task: done=false).
   rl::Transition transition(std::size_t r) const;
 
-  VectorEnv& venv() { return venv_; }
   const VectorEnv& venv() const { return venv_; }
-  ObservationWindows& windows() { return windows_; }
-  const ObservationWindows& windows() const { return windows_; }
   /// The adversary as the live environments carry it (post geometry sync).
   const jammer::JammerSpec& jammer_spec() const {
     return venv_.env(0).config().jammer;

@@ -94,23 +94,20 @@ class DqnAgent {
 
   /// One gradient step on a caller-assembled minibatch ([B × state_dim]
   /// states/next_states plus per-row action/reward/done): train_step()'s
-  /// step after sampling, and the parallel trainer's learner path, which
-  /// samples from its sharded replay instead of the agent's ring. Bootstrap,
-  /// taken-action online forward, fused TD-Huber kernel, Adam step, target
-  /// update. The loss reads the online Q only at the taken actions, so the
-  /// online output layer is evaluated and backpropagated at those entries
-  /// alone. These rows have no replay slot, so every bootstrap is computed
-  /// afresh. Returns the minibatch mean Huber loss.
+  /// step after sampling, exposed as a test seam so a test can feed the
+  /// learner rows it built itself. Bootstrap, taken-action online forward,
+  /// fused TD-Huber kernel, Adam step, target update. The loss reads the
+  /// online Q only at the taken actions, so the online output layer is
+  /// evaluated and backpropagated at those entries alone. These rows have
+  /// no replay slot, so every bootstrap is computed afresh. Returns the
+  /// minibatch mean Huber loss.
   double train_on_batch(const Matrix& states, const Matrix& next_states,
                         std::span<const std::size_t> actions,
                         std::span<const double> rewards,
                         std::span<const std::uint8_t> dones);
 
-  /// The ε-greedy exploration rate after `env_steps` observed transitions
-  /// under `config`'s linear decay schedule (pure function — the parallel
-  /// trainer computes the published ε from its consumed-slot counter).
-  static double epsilon_for(const DqnConfig& config, std::size_t env_steps);
-
+  /// The ε-greedy exploration rate: linear decay over the observed
+  /// transitions.
   double epsilon() const;
   std::size_t steps() const { return env_steps_; }
   std::size_t gradient_steps() const { return grad_steps_; }

@@ -235,21 +235,6 @@ void Mlp::copy_flat_to(std::span<double> out) const {
   }
 }
 
-void Mlp::copy_flat_from(std::span<const double> in) {
-  CTJ_CHECK_MSG(in.size() == param_count(),
-                "flat buffer holds " << in.size() << " doubles, network has "
-                                     << param_count());
-  const double* src = in.data();
-  for (auto& layer : layers_) {
-    Matrix& w = layer.weights();
-    Matrix& b = layer.bias();
-    std::copy(src, src + w.size(), w.data());
-    src += w.size();
-    std::copy(src, src + b.size(), b.data());
-    src += b.size();
-  }
-}
-
 namespace {
 
 std::string shape_string(std::uint64_t rows, std::uint64_t cols) {

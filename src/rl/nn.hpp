@@ -121,11 +121,9 @@ class Mlp {
   void lerp_parameters_from(const Mlp& other, double tau);
 
   /// Flatten all parameters into a caller-sized buffer of param_count()
-  /// doubles (layer order, weights then bias per layer) — the wire format
-  /// of the parallel trainer's policy snapshot bus.
+  /// doubles (layer order, weights then bias per layer), so two networks
+  /// can be compared parameter by parameter.
   void copy_flat_to(std::span<double> out) const;
-  /// Inverse of copy_flat_to(): overwrite all parameters from a flat buffer.
-  void copy_flat_from(std::span<const double> in);
 
   // Checkpoint-format serialization (io::NamedTensor blobs, tensors named
   // "layer<i>.w" / "layer<i>.b"). The three-step export/check/apply split

@@ -9,34 +9,7 @@
 namespace ctj::rl {
 namespace {
 
-/// Fill `out` with `batch` rows: row_at(u) for one u = rng.index(size)
-/// per row, recording each u in out.slots when `u_is_slot` is set.
-template <typename RowAt>
-void sample_rows(std::size_t batch, std::size_t size, std::size_t dim,
-                 Rng& rng, Minibatch& out, bool u_is_slot, RowAt row_at) {
-  CTJ_CHECK(batch > 0);
-  CTJ_CHECK_MSG(size > 0, "sampling from an empty replay");
-  out.states.resize(batch, dim);
-  out.next_states.resize(batch, dim);
-  out.actions.resize(batch);
-  out.rewards.resize(batch);
-  out.dones.resize(batch);
-  out.slots.resize(u_is_slot ? batch : 0);
-  for (std::size_t i = 0; i < batch; ++i) {
-    const std::size_t u = rng.index(size);
-    if (u_is_slot) out.slots[i] = u;
-    const TransitionRow t = unpack_transition(row_at(u), dim);
-    out.actions[i] = t.action;
-    out.rewards[i] = t.reward;
-    out.dones[i] = t.done ? 1 : 0;
-    std::copy(t.state.begin(), t.state.end(), out.states.data() + i * dim);
-    std::copy(t.next_state.begin(), t.next_state.end(),
-              out.next_states.data() + i * dim);
-  }
-}
-
-}  // namespace
-
+/// `next_state` has the length of `state`.
 void pack_transition(double* row, std::size_t action, double reward,
                      bool done, std::span<const double> state,
                      std::span<const double> next_state) {
@@ -48,18 +21,12 @@ void pack_transition(double* row, std::size_t action, double reward,
             row + kTransState + state.size());
 }
 
+}  // namespace
+
 TransitionRow unpack_transition(const double* row, std::size_t state_dim) {
   return {static_cast<std::size_t>(row[kTransAction]), row[kTransReward],
           row[kTransDone] != 0.0, {row + kTransState, state_dim},
           {row + kTransState + state_dim, state_dim}};
-}
-
-TransitionQueue::TransitionQueue(std::size_t capacity, std::size_t state_dim)
-    : state_dim_(state_dim),
-      stride_(transition_stride(state_dim)),
-      index_(next_pow2(capacity)),
-      buf_(index_.capacity() * stride_) {
-  CTJ_CHECK(state_dim > 0);
 }
 
 ReplayRing::ReplayRing(std::size_t capacity, std::size_t state_dim,
@@ -90,10 +57,6 @@ double* ReplayRing::claim() {
   return slot;
 }
 
-void ReplayRing::append(const double* row) {
-  std::copy(row, row + stride_, claim());
-}
-
 std::size_t ReplayRing::push(const Transition& t) {
   double* row = claim();
   pack_transition(row, t.action, t.reward, t.done, t.state, t.next_state);
@@ -102,8 +65,26 @@ std::size_t ReplayRing::push(const Transition& t) {
 
 void ReplayRing::sample_into(std::size_t batch, Rng& rng,
                              Minibatch& out) const {
-  sample_rows(batch, size_, state_dim_, rng, out, /*u_is_slot=*/true,
-              [this](std::size_t u) { return row(u); });
+  CTJ_CHECK(batch > 0);
+  CTJ_CHECK_MSG(size_ > 0, "sampling from an empty replay");
+  out.states.resize(batch, state_dim_);
+  out.next_states.resize(batch, state_dim_);
+  out.actions.resize(batch);
+  out.rewards.resize(batch);
+  out.dones.resize(batch);
+  out.slots.resize(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    const std::size_t u = rng.index(size_);
+    out.slots[i] = u;
+    const TransitionRow t = unpack_transition(row(u), state_dim_);
+    out.actions[i] = t.action;
+    out.rewards[i] = t.reward;
+    out.dones[i] = t.done ? 1 : 0;
+    std::copy(t.state.begin(), t.state.end(),
+              out.states.data() + i * state_dim_);
+    std::copy(t.next_state.begin(), t.next_state.end(),
+              out.next_states.data() + i * state_dim_);
+  }
 }
 
 void ReplayRing::check_fill(std::uint64_t capacity, std::uint64_t count,
@@ -183,84 +164,6 @@ ReplayRing ReplayRing::decode_transitions(io::ByteReader& in) const {
   }
   ring.cursor_ = static_cast<std::size_t>(cursor);
   return ring;
-}
-
-void ReplayRing::save_rows(io::ByteWriter& out) const {
-  out.u64(size_);
-  out.u64(cursor_);
-  out.f64_array(rows_);
-}
-
-ReplayRing ReplayRing::decode_rows(io::ByteReader& in) const {
-  const std::uint64_t count = in.u64();
-  const std::uint64_t cursor = in.u64();
-  check_fill(capacity_, count, cursor);
-  ReplayRing ring(capacity_, state_dim_, num_actions_);
-  ring.rows_.resize(static_cast<std::size_t>(count) * stride_);
-  in.f64_array(ring.rows_);
-  ring.size_ = static_cast<std::size_t>(count);
-  ring.cursor_ = static_cast<std::size_t>(cursor);
-  for (std::size_t i = 0; i < ring.size_; ++i) {
-    const double* r = ring.row(i);
-    check_fields(r[kTransAction], r[kTransDone]);
-  }
-  return ring;
-}
-
-ShardedReplay::ShardedReplay(std::size_t shards,
-                             std::size_t capacity_per_shard,
-                             std::size_t state_dim, std::size_t num_actions) {
-  CTJ_CHECK(shards > 0);
-  // Emplaced, not copied: a copied ring would drop its reservation.
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.emplace_back(capacity_per_shard, state_dim, num_actions);
-  }
-}
-
-std::size_t ShardedReplay::size() const {
-  std::size_t total = 0;
-  for (const ReplayRing& shard : shards_) total += shard.size();
-  return total;
-}
-
-void ShardedReplay::sample_into(std::size_t batch, Rng& rng,
-                                Minibatch& out) const {
-  sample_rows(batch, size(), shards_.front().state_dim(), rng, out,
-              /*u_is_slot=*/false, [this](std::size_t u) {
-                // Shard counts are small (one per actor), so a linear scan
-                // beats a prefix-sum structure.
-                std::size_t s = 0;
-                while (u >= shards_[s].size()) u -= shards_[s++].size();
-                return shards_[s].row(u);
-              });
-}
-
-void ShardedReplay::save_state(io::ByteWriter& out) const {
-  out.u64(shards_.size());
-  out.u64(shards_.front().capacity());
-  out.u64(shards_.front().state_dim());
-  for (const ReplayRing& shard : shards_) shard.save_rows(out);
-}
-
-void ShardedReplay::load_state(io::ByteReader& in) {
-  const auto mismatch = [](const std::string& what) -> io::IoError {
-    return io::IoError(io::ErrorKind::kStateMismatch,
-                       "sharded replay state differs in " + what);
-  };
-  if (in.u64() != shards_.size()) throw mismatch("shard count");
-  if (in.u64() != shards_.front().capacity()) {
-    throw mismatch("shard capacity");
-  }
-  if (in.u64() != shards_.front().state_dim()) {
-    throw mismatch("state dimension");
-  }
-  std::vector<ReplayRing> loaded;
-  loaded.reserve(shards_.size());
-  for (const ReplayRing& shard : shards_) {
-    loaded.push_back(shard.decode_rows(in));
-  }
-  shards_ = std::move(loaded);
 }
 
 }  // namespace ctj::rl

@@ -1,15 +1,12 @@
 // Checkpoint & resume tests for the training stack: RNG stream round trips,
 // agent/scheme state round trips with the strong no-mutation-on-failure
-// guarantee, the replay ring (ring order, sampling, and both of its chunk
-// encodings with their decoders), and the headline property — a killed
-// and resumed training run is bit-identical to an uninterrupted one, for
-// both the sequential and the batched trainer.
+// guarantee, the replay ring (ring order, sampling, its REPLAY chunk and
+// decoder), and the headline property — a killed and resumed training run
+// is bit-identical to an uninterrupted one, for both the sequential and the
+// batched trainer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -23,7 +20,6 @@
 #include "core/checkpoint.hpp"
 #include "core/environment.hpp"
 #include "core/qlearning_scheme.hpp"
-#include "core/train_parallel.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
 #include "rl/dqn.hpp"
@@ -118,17 +114,6 @@ double first_state(const rl::ReplayRing& ring, std::size_t i) {
   return transition_at(ring, i).state[0];
 }
 
-/// A flat row tagged `tag`: action tag, reward tag + 0.5, state and next
-/// state tag, tag + 1, ...
-void fill_record(double* rec, std::size_t state_dim, double tag) {
-  rec[rl::kTransAction] = tag;
-  rec[rl::kTransReward] = tag + 0.5;
-  rec[rl::kTransDone] = 0.0;
-  for (std::size_t i = 0; i < 2 * state_dim; ++i) {
-    rec[rl::kTransState + i] = tag + static_cast<double>(i);
-  }
-}
-
 void expect_same_transition(const rl::Transition& a, const rl::Transition& b) {
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.action, b.action);
@@ -171,9 +156,8 @@ TEST(RngState, MalformedStateThrowsWithoutMutating) {
 }
 
 // ---------------------------------------------------------- replay ring ----
-// The one replay ring (the DqnAgent's REPLAY chunk) and its sharded form
-// (the parallel trainer's SHRDRPLY chunk): ring order, sampling, and both
-// decoders.
+// The DqnAgent's replay ring and its REPLAY chunk: ring order, sampling,
+// and the decoder.
 
 TEST(Replay, PushAndSize) {
   rl::ReplayRing ring(4, 1, 1);
@@ -233,11 +217,9 @@ TEST(Replay, SampleIsDeterministicGivenSeed) {
 
 TEST(Replay, SampleFromEmptyThrows) {
   rl::ReplayRing ring(2, 1, 1);
-  rl::ShardedReplay sharded(2, 2, 1, 1);
   Rng rng(1);
   rl::Minibatch batch;
   EXPECT_THROW(ring.sample_into(1, rng, batch), CheckFailure);
-  EXPECT_THROW(sharded.sample_into(1, rng, batch), CheckFailure);
 }
 
 TEST(Replay, SampleCoversBuffer) {
@@ -254,37 +236,29 @@ TEST(Replay, SampleCoversBuffer) {
 }
 
 TEST(ReplayState, MidWrapRoundTrip) {
-  // Both encodings: the per-transition REPLAY form and the flat form one
-  // SHRDRPLY shard uses.
-  for (const bool flat : {false, true}) {
-    SCOPED_TRACE(flat ? "flat rows" : "per transition");
-    rl::ReplayRing ring(4, 2, 3);
-    for (int i = 0; i < 6; ++i) ring.push(make_transition(i));  // wrapped
-    ASSERT_EQ(ring.size(), 4u);
-    ASSERT_EQ(ring.cursor(), 2u);
+  rl::ReplayRing ring(4, 2, 3);
+  for (int i = 0; i < 6; ++i) ring.push(make_transition(i));  // wrapped
+  ASSERT_EQ(ring.size(), 4u);
+  ASSERT_EQ(ring.cursor(), 2u);
 
-    io::ByteWriter w;
-    flat ? ring.save_rows(w) : ring.save_transitions(w);
-    io::ByteReader r(w.buffer());
-    rl::ReplayRing restored =
-        flat ? ring.decode_rows(r) : ring.decode_transitions(r);
-    r.expect_end();
+  io::ByteWriter w;
+  ring.save_transitions(w);
+  io::ByteReader r(w.buffer());
+  rl::ReplayRing restored = ring.decode_transitions(r);
+  r.expect_end();
 
-    EXPECT_EQ(restored.size(), ring.size());
-    EXPECT_EQ(restored.cursor(), ring.cursor());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      expect_same_transition(transition_at(restored, i),
-                             transition_at(ring, i));
-    }
+  EXPECT_EQ(restored.size(), ring.size());
+  EXPECT_EQ(restored.cursor(), ring.cursor());
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    expect_same_transition(transition_at(restored, i), transition_at(ring, i));
+  }
 
-    // The restored ring keeps overwriting exactly where the original would.
-    ring.push(make_transition(50));
-    restored.push(make_transition(50));
-    EXPECT_EQ(restored.cursor(), ring.cursor());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      expect_same_transition(transition_at(restored, i),
-                             transition_at(ring, i));
-    }
+  // The restored ring keeps overwriting exactly where the original would.
+  ring.push(make_transition(50));
+  restored.push(make_transition(50));
+  EXPECT_EQ(restored.cursor(), ring.cursor());
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    expect_same_transition(transition_at(restored, i), transition_at(ring, i));
   }
 }
 
@@ -334,19 +308,6 @@ TEST(ReplayState, CapacityMismatchThrowsWithoutMutating) {
   }
   ASSERT_EQ(other.size(), 1u);
   expect_same_transition(transition_at(other, 0), make_transition(77));
-
-  // The sharded form carries the per-shard capacity in its header.
-  rl::ShardedReplay sharded(2, 4, 2, 3);
-  io::ByteWriter sw;
-  sharded.save_state(sw);
-  rl::ShardedReplay bigger(2, 8, 2, 3);
-  io::ByteReader sr(sw.buffer());
-  try {
-    bigger.load_state(sr);
-    FAIL() << "expected IoError";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
-  }
 }
 
 TEST(ReplayState, TransitionsEncodingIsPinned) {
@@ -413,197 +374,6 @@ TEST(ReplayState, DecodersRejectRowsTheLearnerCannotUse) {
   bad[state_len] = 3;
   expect_rejected(decode_replay(bad), io::ErrorKind::kStateMismatch);
 
-  // SHRDRPLY: the same row checks on the flat doubles, at 1 and 2 shards;
-  // a failed load leaves every shard as it was.
-  for (const std::size_t shards : {1u, 2u}) {
-    SCOPED_TRACE(shards);
-    rl::ShardedReplay replay(shards, 4, 2, kActions);
-    std::vector<double> row(rl::transition_stride(2));
-    const rl::Transition t = make_transition(1);
-    rl::pack_transition(row.data(), t.action, t.reward, t.done, t.state,
-                        t.next_state);
-    replay.append(shards - 1, row.data());
-    io::ByteWriter sw;
-    replay.save_state(sw);
-    const std::string saved = sw.take();
-    // Diverge from the saved bytes, so a partial commit would show.
-    replay.append(0, row.data());
-    io::ByteWriter before;
-    replay.save_state(before);
-    // Header (3 × u64), then each shard's size and cursor; the last shard
-    // holds the one row.
-    const std::size_t row_at = 24 + 16 * shards;
-    const struct {
-      std::size_t field;
-      double value;
-      io::ErrorKind kind;
-    } cases[] = {
-        {rl::kTransAction, -1.0, io::ErrorKind::kBadPayload},
-        {rl::kTransAction, std::nan(""), io::ErrorKind::kBadPayload},
-        {rl::kTransAction, 0.5, io::ErrorKind::kBadPayload},
-        {rl::kTransAction, static_cast<double>(kActions),
-         io::ErrorKind::kStateMismatch},
-        {rl::kTransDone, 0.5, io::ErrorKind::kBadPayload},
-    };
-    for (const auto& c : cases) {
-      std::string corrupt = saved;
-      const std::uint64_t bits = std::bit_cast<std::uint64_t>(c.value);
-      std::memcpy(corrupt.data() + row_at + 8 * c.field, &bits, 8);
-      expect_rejected(
-          [&] {
-            io::ByteReader r(corrupt);
-            replay.load_state(r);
-          },
-          c.kind);
-      io::ByteWriter after;
-      replay.save_state(after);
-      EXPECT_EQ(after.buffer(), before.buffer());
-    }
-  }
-}
-
-TEST(ShardedReplay, WrapSampleAndRoundTrip) {
-  constexpr std::size_t kStateDim = 2;
-  for (const std::size_t shards : {1u, 2u}) {
-    SCOPED_TRACE(shards);
-    rl::ShardedReplay replay(shards, /*capacity_per_shard=*/4, kStateDim,
-                             /*num_actions=*/300);
-    // Shard 0 wraps (6 appends into capacity 4), shard 1 stays partial.
-    std::vector<double> rec(rl::transition_stride(kStateDim));
-    rl::ReplayRing ring(4, kStateDim, 300);
-    for (std::size_t i = 0; i < 6; ++i) {
-      fill_record(rec.data(), kStateDim, 100.0 + static_cast<double>(i));
-      replay.append(0, rec.data());
-      ring.append(rec.data());
-    }
-    if (shards == 2) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        fill_record(rec.data(), kStateDim, 200.0 + static_cast<double>(i));
-        replay.append(1, rec.data());
-      }
-    }
-    EXPECT_EQ(replay.size(), shards == 2 ? 7u : 4u);
-
-    // Identical RNG streams sample identical minibatches.
-    rl::Minibatch b1, b2;
-    Rng rng1(7), rng2(7);
-    replay.sample_into(16, rng1, b1);
-    replay.sample_into(16, rng2, b2);
-    EXPECT_EQ(b1.actions, b2.actions);
-    EXPECT_EQ(b1.rewards, b2.rewards);
-    for (std::size_t i = 0; i < b1.states.size(); ++i) {
-      EXPECT_EQ(b1.states.data()[i], b2.states.data()[i]);
-    }
-    // Every sampled reward is one of the appended ones (wrapped shard
-    // holds only the last 4 of its 6).
-    for (double reward : b1.rewards) {
-      const double tag = reward - 0.5;
-      const bool from_shard0 = tag >= 102.0 && tag <= 105.0;
-      const bool from_shard1 = tag >= 200.0 && tag <= 202.0;
-      EXPECT_TRUE(from_shard0 || from_shard1) << "sampled stale entry " << tag;
-    }
-    // One shard draws exactly as the agent's ring does.
-    if (shards == 1) {
-      Rng rng3(7);
-      ring.sample_into(16, rng3, b2);
-      EXPECT_EQ(b1.rewards, b2.rewards);
-    }
-
-    // save → load → save is byte-identical, and the loaded buffer samples
-    // the same stream.
-    io::ByteWriter w1;
-    replay.save_state(w1);
-    const std::string bytes = w1.take();
-    rl::ShardedReplay loaded(shards, 4, kStateDim, 300);
-    io::ByteReader in(bytes);
-    loaded.load_state(in);
-    in.expect_end();
-    io::ByteWriter w2;
-    loaded.save_state(w2);
-    EXPECT_EQ(bytes, w2.take());
-
-    Rng rng4(7);
-    loaded.sample_into(16, rng4, b2);
-    EXPECT_EQ(b1.rewards, b2.rewards);
-  }
-}
-
-TEST(ShardedReplay, TopologyMismatchThrowsWithoutMutating) {
-  constexpr std::size_t kStateDim = 2;
-  rl::ShardedReplay replay(2, 4, kStateDim, 300);
-  std::vector<double> rec(rl::transition_stride(kStateDim));
-  fill_record(rec.data(), kStateDim, 1.0);
-  replay.append(0, rec.data());
-  io::ByteWriter w;
-  replay.save_state(w);
-  const std::string bytes = w.take();
-
-  rl::ShardedReplay other(3, 4, kStateDim, 300);  // different shard count
-  fill_record(rec.data(), kStateDim, 9.0);
-  other.append(2, rec.data());
-  io::ByteReader in(bytes);
-  try {
-    other.load_state(in);
-    FAIL() << "expected IoError";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
-  }
-  EXPECT_EQ(other.size(), 1u);  // untouched
-}
-
-TEST(ShardedReplay, ResumeRejectsRowsTheLearnerCannotUse) {
-  // A parallel-trainer checkpoint whose SHRDRPLY chunk holds a row the
-  // learner could not train on (CRC re-stamped, so only the replay decoder
-  // can catch it) must fail at resume with a typed IoError, not at the
-  // first gradient step.
-  const std::string path = temp_path("ctj_resume_parallel_rows.ctjs");
-  std::filesystem::remove(path);
-  TrainerConfig config;
-  config.max_slots = 32;
-  config.reward_window = 20;
-  config.checkpoint = CheckpointOptions{path, 0, true};
-  ParallelTrainerConfig pconfig;
-  pconfig.actors = 2;
-  pconfig.replicas_per_actor = 2;
-  pconfig.sync_every_rounds = 4;
-  std::size_t num_actions = 0;
-  {
-    DqnScheme scheme(small_scheme_config());
-    num_actions = scheme.agent().config().num_actions;
-    train_parallel(scheme, small_env_config(), config, pconfig);
-  }
-  const io::ContainerReader saved = io::ContainerReader::from_file(path);
-  config.max_slots = 64;
-
-  // Shard 0's first row starts after the header (shards, capacity,
-  // state_dim) and shard 0's size and cursor.
-  constexpr std::size_t kRow0 = 5 * 8;
-  const struct {
-    std::size_t field;
-    double value;
-  } cases[] = {
-      {rl::kTransAction, -1.0},
-      {rl::kTransAction, std::numeric_limits<double>::quiet_NaN()},
-      {rl::kTransAction, static_cast<double>(num_actions)},
-      {rl::kTransDone, 0.5},
-  };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.value);
-    io::ContainerWriter tampered;
-    for (const io::ChunkInfo& chunk : saved.chunks()) {
-      std::string payload(saved.chunk(chunk.tag));
-      if (chunk.tag == io::tags::kShardReplay) {
-        const std::uint64_t bits = std::bit_cast<std::uint64_t>(c.value);
-        std::memcpy(payload.data() + kRow0 + 8 * c.field, &bits, 8);
-      }
-      tampered.add_chunk(chunk.tag, std::move(payload));
-    }
-    tampered.write_file(path);
-    DqnScheme resumed(small_scheme_config());
-    EXPECT_THROW(train_parallel(resumed, small_env_config(), config, pconfig),
-                 io::IoError);
-  }
-  std::filesystem::remove(path);
 }
 
 TEST(SchemeState, SaveLoadSaveIsByteIdentical) {
@@ -1200,6 +970,43 @@ TEST(TrainerCheckpoint, ResumeValidatesTrainerConfig) {
     FAIL() << "expected IoError";
   } catch (const io::IoError& e) {
     EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+  }
+
+  // A checkpoint of the retired parallel trainer: TRAINPRG mode 2 plus its
+  // three chunks. Both trainers refuse it on the mode byte, before they
+  // touch the scheme.
+  const io::ContainerReader written = io::ContainerReader::from_file(path);
+  io::ContainerWriter retired;
+  for (const io::ChunkInfo& chunk : written.chunks()) {
+    std::string payload(written.chunk(chunk.tag));
+    if (chunk.tag == io::tags::kTrainProgress) payload[0] = 2;
+    retired.add_chunk(chunk.tag, std::move(payload));
+  }
+  for (const char* tag : {"PARTRNST", "SHRDRPLY", "ACTSHRDS"}) {
+    retired.add_chunk(tag, std::string(16, '\0'));
+  }
+  retired.write_file(path);
+  const std::string fresh = scheme_bytes(DqnScheme(small_scheme_config()));
+  {
+    DqnScheme sequential(small_scheme_config());
+    CompetitionEnvironment env2(small_env_config());
+    try {
+      train(sequential, env2, config);
+      FAIL() << "expected IoError";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+    }
+    EXPECT_EQ(scheme_bytes(sequential), fresh);
+  }
+  {
+    DqnScheme batched2(small_scheme_config());
+    try {
+      train_batched(batched2, small_env_config(), batched_config, 3);
+      FAIL() << "expected IoError";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+    }
+    EXPECT_EQ(scheme_bytes(batched2), fresh);
   }
   std::filesystem::remove(path);
 }

@@ -82,11 +82,11 @@ def validate(doc, errors):
             "micro record measured BM_EnvironmentStep but reports "
             "simulated_slots=0 (slot counting is broken)")
 
-    # The train and serve records scale their headline throughput with the
-    # host's core count, so a record without host_cpus cannot be compared
-    # across machines; require it where it matters instead of schema-wide so
-    # older single-threaded bench records stay valid.
-    if doc.get("bench") in ("train", "serve"):
+    # The serve record scales its headline throughput with the host's core
+    # count, so a record without host_cpus cannot be compared across
+    # machines; require it where it matters instead of schema-wide so older
+    # single-threaded bench records stay valid.
+    if doc.get("bench") in ("serve",):
         host_cpus = metrics_obj.get("host_cpus") \
             if isinstance(metrics_obj, dict) else None
         if not (isinstance(host_cpus, int)
