@@ -14,24 +14,17 @@
 // benches compares per-slot greedy evaluation against the batched
 // VectorEnv + act_greedy_batch path at the same work per decision.
 //
-// Unlike BENCHMARK_MAIN(), the custom main funnels every result through a
-// capturing reporter and writes the measured times (plus derived
-// SIMD-vs-scalar and batched-vs-per-slot speedups) to BENCH_micro.json via
-// BenchReport, so the perf record is generated from the run that produced
-// the console output rather than maintained by hand.
+// A diagnostic with no committed record: for machine-readable results pass
+// --benchmark_out=FILE --benchmark_out_format=json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <iostream>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "core/environment.hpp"
@@ -50,11 +43,6 @@
 namespace {
 
 using namespace ctj;
-
-// Slots actually simulated by the environment-driving benches (each bench
-// invocation adds its iteration count), reported as simulated_slots /
-// slots_per_second in BENCH_micro.json.
-std::size_t g_simulated_slots = 0;
 
 rl::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   rl::Matrix m(rows, cols);
@@ -292,7 +280,6 @@ void BM_EnvironmentStep(benchmark::State& state) {
     auto step = env.step(channel, 3);
     benchmark::DoNotOptimize(step.reward);
   }
-  g_simulated_slots += static_cast<std::size_t>(state.iterations());
 }
 BENCHMARK(BM_EnvironmentStep);
 
@@ -354,7 +341,6 @@ void BM_EvalPerSlotDecision(benchmark::State& state) {
     benchmark::DoNotOptimize(a);
   }
   state.SetItemsProcessed(state.iterations());
-  g_simulated_slots += static_cast<std::size_t>(state.iterations());
 }
 BENCHMARK(BM_EvalPerSlotDecision);
 
@@ -403,7 +389,6 @@ void BM_EvalPerSlotScalarDecision(benchmark::State& state) {
     benchmark::DoNotOptimize(a);
   }
   state.SetItemsProcessed(state.iterations());
-  g_simulated_slots += static_cast<std::size_t>(state.iterations());
 }
 BENCHMARK(BM_EvalPerSlotScalarDecision);
 
@@ -427,7 +412,6 @@ void BM_EvalBatchedDecision(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(replicas));
-  g_simulated_slots += static_cast<std::size_t>(state.iterations()) * replicas;
 }
 BENCHMARK(BM_EvalBatchedDecision)->Arg(kEvalReplicas);
 
@@ -614,130 +598,13 @@ void register_kernel_benches() {
   }
 }
 
-// ------------------------------------------------------- JSON perf record --
-
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  // benchmark name → adjusted real time in the benchmark's time unit (all
-  // benches in this binary use the default, nanoseconds).
-  std::map<std::string, double> real_ns;
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      // RT_Iteration only (no aggregates); `error_occurred` is not checked
-      // because the field was renamed across the google-benchmark versions
-      // this builds against (1.7 local, 1.8 CI).
-      if (run.run_type == Run::RT_Iteration) {
-        real_ns[run.benchmark_name()] = run.GetAdjustedRealTime();
-      }
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-};
-
-void write_report(bench::BenchReport& report,
-                  const std::map<std::string, double>& real_ns) {
-  for (const auto& [name, ns] : real_ns) {
-    std::string key = name;
-    std::replace(key.begin(), key.end(), '/', '_');
-    report.set_metric(key + "_ns", ns);
-  }
-
-  // Derived speedups, when both sides ran (a --benchmark_filter smoke run
-  // may measure only a subset).
-  auto ratio = [&](const char* num, const char* den) -> double {
-    const auto n = real_ns.find(num);
-    const auto d = real_ns.find(den);
-    if (n == real_ns.end() || d == real_ns.end() || d->second <= 0.0) {
-      return 0.0;
-    }
-    return n->second / d->second;
-  };
-  const struct {
-    const char* metric;
-    const char* scalar_name;
-    const char* simd_name;
-  } kSpeedups[] = {
-      {"speedup_matmul_avx2", "BM_KernMatmul_scalar", "BM_KernMatmul_avx2"},
-      {"speedup_bias_relu_avx2", "BM_KernBiasRelu_scalar",
-       "BM_KernBiasRelu_avx2"},
-      {"speedup_row_max_avx2", "BM_KernRowMax_scalar", "BM_KernRowMax_avx2"},
-      {"speedup_matmul_avx512", "BM_KernMatmul_scalar",
-       "BM_KernMatmul_avx512"},
-      {"speedup_viterbi_acs_hard_avx2", "BM_KernViterbiAcsHard_scalar",
-       "BM_KernViterbiAcsHard_avx2"},
-      {"speedup_viterbi_acs_hard_avx512", "BM_KernViterbiAcsHard_scalar",
-       "BM_KernViterbiAcsHard_avx512"},
-      {"speedup_viterbi_acs_soft_avx2", "BM_KernViterbiAcsSoft_scalar",
-       "BM_KernViterbiAcsSoft_avx2"},
-      {"speedup_viterbi_acs_soft_avx512", "BM_KernViterbiAcsSoft_scalar",
-       "BM_KernViterbiAcsSoft_avx512"},
-      {"speedup_qam64_error_avx2", "BM_KernQam64Error_scalar",
-       "BM_KernQam64Error_avx2"},
-      {"speedup_qam64_error_avx512", "BM_KernQam64Error_scalar",
-       "BM_KernQam64Error_avx512"},
-      // Algorithmic (not SIMD) wins from this PR, as before/after ratios of
-      // same-binary benches: threshold-family MDP solve vs full value
-      // iteration, and warm-start Eq. (2) vs the cold full scan.
-      {"speedup_threshold_solve_16", "BM_ValueIterationSolve/16",
-       "BM_ThresholdSolve/16"},
-      {"speedup_alpha_warm_480", "BM_OptimalAlpha/480",
-       "BM_AlphaWarmStart/480"},
-  };
-  for (const auto& s : kSpeedups) {
-    const double r = ratio(s.scalar_name, s.simd_name);
-    if (r > 0.0) report.set_metric(s.metric, r);
-  }
-
-  // Two batched-eval speedups, against the two meanings of "the per-slot
-  // path": the pre-kernel-layer path this PR replaced (scalar kernels +
-  // per-slot allocation — the headline engine speedup), and the per-slot
-  // path of this same binary at the dispatched SIMD level (the residual
-  // batching win once both paths use the fast kernels; bounded by the
-  // host's compute-to-memory-bandwidth ratio, see EXPERIMENTS.md).
-  const auto batched = real_ns.find(
-      "BM_EvalBatchedDecision/" + std::to_string(kEvalReplicas));
-  if (batched != real_ns.end() && batched->second > 0.0) {
-    const double batched_per_decision =
-        batched->second / static_cast<double>(kEvalReplicas);
-    const auto scalar_slot = real_ns.find("BM_EvalPerSlotScalarDecision");
-    if (scalar_slot != real_ns.end()) {
-      report.set_metric(
-          "speedup_batched_eval_r" + std::to_string(kEvalReplicas),
-          scalar_slot->second / batched_per_decision);
-    }
-    const auto per_slot = real_ns.find("BM_EvalPerSlotDecision");
-    if (per_slot != real_ns.end()) {
-      report.set_metric("speedup_batched_eval_same_level_r" +
-                            std::to_string(kEvalReplicas),
-                        per_slot->second / batched_per_decision);
-    }
-  }
-  report.write();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Construct the report before running anything so wall_seconds spans the
-  // whole run (constructing it inside write_report used to clock only the
-  // JSON serialization — the committed record showed wall_seconds ≈ 3e-5).
-  bench::BenchReport report("micro");
   register_kernel_benches();
-  CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (reporter.real_ns.empty()) {
-    // --benchmark_list_tests, or a run that reports aggregates only: there
-    // is nothing to record, so the existing record stays as it is.
-    std::cerr << "bench_micro: no iteration run captured; BENCH_micro.json "
-                 "not written\n";
-    report.discard();
-    return 0;
-  }
-  report.add_slots(g_simulated_slots);
-  write_report(report, reporter.real_ns);
   return 0;
 }

@@ -108,7 +108,9 @@ std::vector<ModeSweepPoint> run_mode_sweep(
 
 std::vector<double> lj_sweep() { return linspace(10.0, 100.0, 10); }
 
-std::vector<int> sweep_cycle_sweep() { return {2, 4, 6, 8, 10, 12, 14, 16}; }
+std::vector<double> sweep_cycle_sweep() {
+  return {2, 4, 6, 8, 10, 12, 14, 16};
+}
 
 std::vector<double> lh_sweep() { return linspace(0.0, 100.0, 11); }
 
@@ -121,13 +123,13 @@ core::EnvironmentConfig env_with_lj(double lj, JammerPowerMode mode) {
   return env;
 }
 
-core::EnvironmentConfig env_with_cycle(int cycle, JammerPowerMode mode) {
+core::EnvironmentConfig env_with_cycle(double cycle, JammerPowerMode mode) {
   auto env = core::EnvironmentConfig::defaults();
   // The hazard structure only depends on N = ⌈K/m⌉, so sweep the cycle with
   // m = 1 and K = cycle; this keeps the DQN action space (C × PL) small for
   // large cycles.
   env.channels_per_sweep = 1;
-  env.num_channels = cycle;
+  env.num_channels = static_cast<int>(cycle);
   env.mode = mode;
   return env;
 }

@@ -1,10 +1,10 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Figs. 6–8 all sweep the same four parameters (L_J, sweep cycle, L_H, and
-// the lower bound of the transmit-power range) under the two jammer modes;
-// each bench binary prints a different subset of the Table-I metrics from
-// the same kind of run: train a fresh DQN on the configuration, freeze it,
-// evaluate 20 000 slots.
+// Figs. 6–8 sweep the same four parameters (L_J, sweep cycle, L_H, and the
+// lower bound of the transmit-power range) under the two jammer modes; each
+// figure reads a different subset of the Table-I metrics from the same runs
+// (bench_fig6_8_dqn_sweeps): train a fresh DQN on the configuration, freeze
+// it, evaluate 20 000 slots.
 //
 // Sweep points are embarrassingly parallel (every point trains its own
 // independently seeded DQN), so run_mode_sweep() fans them out over
@@ -12,7 +12,7 @@
 // bit-identical to a sequential run regardless of the thread count.
 //
 // Every bench also writes a machine-readable BENCH_<name>.json next to its
-// text output (see BenchReport) so the perf trajectory is tracked run-over-run.
+// text output (see BenchReport).
 #pragma once
 
 #include <cstdlib>
@@ -71,13 +71,13 @@ std::vector<ModeSweepPoint> run_mode_sweep(
 
 /// The four parameter sweeps of Figs. 6–8 (paper x-axes).
 std::vector<double> lj_sweep();          // L_J: 10..100
-std::vector<int> sweep_cycle_sweep();    // 2..16 time slots
+std::vector<double> sweep_cycle_sweep(); // 2..16 time slots
 std::vector<double> lh_sweep();          // L_H: 0..100
 std::vector<double> lp_lower_sweep();    // lower bound of L^T_p: 6..14
 
 /// Build the default environment with one parameter overridden.
 core::EnvironmentConfig env_with_lj(double lj, JammerPowerMode mode);
-core::EnvironmentConfig env_with_cycle(int cycle, JammerPowerMode mode);
+core::EnvironmentConfig env_with_cycle(double cycle, JammerPowerMode mode);
 core::EnvironmentConfig env_with_lh(double lh, JammerPowerMode mode);
 core::EnvironmentConfig env_with_lp_lower(double lower, JammerPowerMode mode);
 
@@ -87,14 +87,14 @@ void print_header(const std::string& title, const std::string& paper_note);
 /// The full Table-I metric set of one run as a JSON object.
 JsonValue metrics_json(const core::MetricsReport& m);
 
-/// Machine-readable perf record emitted by every bench binary.
+/// Machine-readable record emitted by every bench binary but bench_micro.
 ///
 /// On write() (or destruction) the report lands in BENCH_<name>.json under
 /// CTJ_BENCH_JSON_DIR (default: the current directory) with the schema:
 ///
 ///   {
 ///     "schema_version": 1,
-///     "bench": "<name>",            // e.g. "fig6_success_rate"
+///     "bench": "<name>",            // e.g. "fig6_8_dqn_sweeps"
 ///     "git_rev": "<short rev>",     // of the build ("-dirty" when the tree
 ///                                   // had uncommitted changes), "unknown"
 ///                                   // outside git
@@ -128,9 +128,6 @@ class BenchReport {
   /// Finalize and write BENCH_<name>.json; called by the destructor if the
   /// bench did not call it explicitly.
   void write();
-
-  /// Drop the record: neither write() nor the destructor will write it.
-  void discard() { written_ = true; }
 
  private:
   std::string name_;

@@ -126,11 +126,6 @@ class ServeEngine {
 
   EngineStats stats() const;
 
-  /// Lock-free view of total slots stepped (for throughput sampling).
-  std::uint64_t slots_total() const {
-    return slots_total_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Tenant {
     std::uint64_t id = 0;

@@ -4,9 +4,9 @@
 Usage: validate_bench_schema.py FILE [FILE...]
 
 Stdlib only; exits non-zero and prints one line per violation when any file
-fails. Used by CI after the bench_micro smoke run so a harness regression
-that silently stops emitting (or emits malformed) perf records fails the
-build instead of going unnoticed.
+fails. Used by CI after the bench smoke runs so a harness regression that
+silently stops emitting (or emits malformed) records fails the build
+instead of going unnoticed.
 """
 
 import json
@@ -42,8 +42,7 @@ def validate(doc, errors):
     require("scale", lambda v: _is_number(v) and v > 0, "a positive number")
     # Every bench binary runs for at least milliseconds; a sub-millisecond
     # wall clock means the report was constructed right before being written
-    # instead of at program start (the bug the pre-overhaul micro record
-    # shipped with: wall_seconds ≈ 3e-5).
+    # instead of at program start.
     require("wall_seconds", lambda v: _is_number(v) and v >= 1e-3,
             "a number >= 1e-3 (whole-binary wall clock)")
     require("simulated_slots", lambda v: isinstance(v, int) and v >= 0,
@@ -70,30 +69,6 @@ def validate(doc, errors):
                 errors.append(
                     f"slots_per_second={sps} inconsistent with "
                     f"simulated_slots/wall_seconds={expected:.6g}")
-
-    # The micro record drives the environment in several benches; a full
-    # (unfiltered) run must therefore report simulated slots. Filtered smoke
-    # runs that skip the env benches simply lack the metric and stay exempt.
-    metrics_obj = doc.get("metrics")
-    if doc.get("bench") == "micro" and isinstance(metrics_obj, dict) \
-            and "BM_EnvironmentStep_ns" in metrics_obj \
-            and isinstance(slots, int) and slots == 0:
-        errors.append(
-            "micro record measured BM_EnvironmentStep but reports "
-            "simulated_slots=0 (slot counting is broken)")
-
-    # The serve record scales its headline throughput with the host's core
-    # count, so a record without host_cpus cannot be compared across
-    # machines; require it where it matters instead of schema-wide so older
-    # single-threaded bench records stay valid.
-    if doc.get("bench") in ("serve",):
-        host_cpus = metrics_obj.get("host_cpus") \
-            if isinstance(metrics_obj, dict) else None
-        if not (isinstance(host_cpus, int)
-                and not isinstance(host_cpus, bool) and host_cpus > 0):
-            errors.append(
-                f"bench {doc.get('bench')!r} requires a positive integer "
-                f"'metrics.host_cpus' (got {host_cpus!r})")
 
     # Optional sections.
     sweeps = doc.get("sweeps")
