@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "common/kernels.hpp"
 #include "common/math_util.hpp"
@@ -50,6 +52,18 @@ std::optional<core::CheckpointOptions> checkpoint_options(
     const std::string& tag) {
   const char* dir = std::getenv("CTJ_CKPT_DIR");
   if (dir == nullptr || *dir == '\0' || tag.empty()) return std::nullopt;
+  // Work items call this from pool threads: create the directory once.
+  static const bool made = [dir] {
+    std::error_code error;
+    std::filesystem::create_directories(dir, error);
+    if (error) {
+      std::cerr << "CTJ_CKPT_DIR: cannot create directory '" << dir
+                << "': " << error.message() << "\n";
+      std::exit(EXIT_FAILURE);
+    }
+    return true;
+  }();
+  (void)made;
   core::CheckpointOptions options;
   options.path = std::string(dir) + "/" + tag + ".ctjs";
   options.every_slots = 5000;

@@ -44,8 +44,9 @@ std::size_t train_slots();
 /// set (and `tag` is non-empty), training checkpoints land in
 /// <dir>/<tag>.ctjs every CTJ_CKPT_EVERY slots (default 5000) with resume
 /// enabled, so a killed bench re-run picks up where it stopped instead of
-/// retraining from scratch. Returns nullopt (checkpointing off) when the
-/// variable is unset.
+/// retraining from scratch. A missing directory is created; one that
+/// cannot be ends the bench with a message naming it. Returns nullopt
+/// (checkpointing off) when the variable is unset.
 std::optional<core::CheckpointOptions> checkpoint_options(
     const std::string& tag);
 

@@ -3,7 +3,10 @@
 // ByteWriter appends primitives to an in-memory buffer; ByteReader decodes
 // the same sequence and throws a typed IoError (kBadPayload) the moment a
 // read would run past the end — a truncated or corrupted payload can never
-// yield silently wrong values. Doubles travel as their IEEE-754 bit
+// yield silently wrong values. A digest writer (ByteWriter::digest()) takes
+// the same calls but folds each append into a running CRC-32 and keeps no
+// bytes, so a payload's checksum comes from its one encoder without the
+// payload ever being held in memory. Doubles travel as their IEEE-754 bit
 // patterns, so serialization is exact: save → load → save is byte-identical
 // and restored training state is bit-identical, not merely close.
 //
@@ -20,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "io/crc32.hpp"
 #include "io/format.hpp"
 
 namespace ctj::io {
@@ -29,21 +33,29 @@ inline constexpr bool kLittleEndianHost =
 
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  ByteWriter() = default;
+
+  /// A writer that keeps no bytes: every append folds into crc() instead
+  /// of the buffer, which stays empty.
+  static ByteWriter digest() {
+    ByteWriter out;
+    out.digest_ = true;
+    return out;
+  }
+
+  void u8(std::uint8_t v) { append(&v, 1); }
   void u16(std::uint16_t v) { put_le(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void i32(std::int32_t v) { put_le(static_cast<std::uint32_t>(v)); }
   void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
 
-  void bytes(const void* data, std::size_t size) {
-    buf_.append(static_cast<const char*>(data), size);
-  }
+  void bytes(const void* data, std::size_t size) { append(data, size); }
 
   /// Length-prefixed string (u64 byte count + raw bytes).
   void str(std::string_view s) {
     u64(s.size());
-    buf_.append(s.data(), s.size());
+    append(s.data(), s.size());
   }
 
   /// Doubles back to back with no length prefix: the same bytes as calling
@@ -63,23 +75,39 @@ class ByteWriter {
   }
 
   /// Make room for `extra` more bytes, so a large payload of known size is
-  /// written into one allocation instead of a regrown one.
-  void reserve(std::size_t extra) { buf_.reserve(buf_.size() + extra); }
+  /// written into one allocation instead of a regrown one (a no-op for a
+  /// digest writer).
+  void reserve(std::size_t extra) {
+    if (!digest_) buf_.reserve(buf_.size() + extra);
+  }
+
+  /// CRC-32 of every byte written so far, in either mode.
+  std::uint32_t crc() const { return digest_ ? crc_ : crc32(buf_); }
 
   const std::string& buffer() const { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
+  void append(const void* data, std::size_t size) {
+    if (digest_) {
+      crc_ = crc32_update(crc_, data, size);
+    } else {
+      buf_.append(static_cast<const char*>(data), size);
+    }
+  }
+
   template <typename T>
   void put_le(T v) {
     char le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       le[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
     }
-    buf_.append(le, sizeof(T));
+    append(le, sizeof(T));
   }
 
   std::string buf_;
+  bool digest_ = false;
+  std::uint32_t crc_ = 0;
 };
 
 class ByteReader {

@@ -253,9 +253,9 @@ void ServeEngine::worker_loop() {
       slots_total_.fetch_add(runner->run(config_.quantum_slots),
                              std::memory_order_relaxed);
       slots_done = runner->slots_done();
-      // result() digests the whole scheme state — for a short QL job it
-      // costs more than the stepping — so it runs here, not in the locked
-      // hand-back below.
+      // result() digests the whole scheme state (for DQN it serializes the
+      // network, Adam moments and replay), so it runs here, not in the
+      // locked hand-back below.
       if (runner->done()) result = runner->result();
     } catch (const std::exception& e) {
       failed = true;

@@ -147,9 +147,9 @@ class SlotTenant final : public TenantRunner {
   }
 
   std::uint32_t scheme_state_crc() const override {
-    io::ByteWriter out;
+    io::ByteWriter out = io::ByteWriter::digest();
     write_scheme(out);
-    return io::crc32(out.buffer());
+    return out.crc();
   }
 
  private:

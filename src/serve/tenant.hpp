@@ -81,7 +81,9 @@ class TenantRunner {
   virtual const jammer::JammerSpec& live_jammer_spec() const = 0;
   /// JobResult::state_crc: the CRC-32 of the scheme's serialized state —
   /// the CTJS container of its chunks for DQN, the QLSTATE/FHSTATE payload
-  /// otherwise.
+  /// otherwise. The latter is written by the same encoder as the spool's
+  /// chunk, into a digest writer that CRCs the bytes as they come and keeps
+  /// none of them (a QL table's payload is 2.4 MB after 2 048 slots).
   virtual std::uint32_t scheme_state_crc() const = 0;
 
   /// Per-slot bookkeeping shared by every scheme: reward window, stream

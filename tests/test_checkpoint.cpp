@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
 #include "core/environment.hpp"
@@ -25,6 +27,8 @@
 #include "rl/dqn.hpp"
 #include "rl/qlearning.hpp"
 #include "rl/replay.hpp"
+
+#include "dense_ql_reference.hpp"
 
 using namespace ctj;
 using namespace ctj::core;
@@ -675,6 +679,72 @@ TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
   const std::vector<double> q = row.f64_vec();
   EXPECT_EQ(q[3], config.learning_rate *
                       (-7.0 * config.reward_scale + config.gamma * 0.0));
+}
+
+TEST(QlState, DecoderRoundTripsEveryValueBitForBit) {
+  // The agent keeps a loaded row's values except those whose bits are
+  // +0.0; everything else (-0.0, NaN payloads, subnormals) must come back
+  // bit for bit, an all-zero row must stay a row, and the greedy action on
+  // each row must be the dense row's argmax.
+  rl::QLearningConfig config;
+  config.state_dim = 4;
+  config.num_actions = 6;
+  const rl::DenseQlReference reference(config);
+  const double nan = std::bit_cast<double>(0x7ff8000000000123ULL);
+  const double neg_nan = std::bit_cast<double>(0xfff0000000000001ULL);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> rows = {
+      {0.0, -0.0, 1.5, 0.0, -0.0, -2.0},
+      {-0.0, 0.0, 0.0, -1.0, 0.0, 0.0},
+      {nan, 3.0, 0.0, 0.0, 0.0, 0.0},
+      {-1.0, -2.0, neg_nan, -0.5, -3.0, -4.0},
+      {tiny, -tiny, 0.0, 4.9e-310, 0.0, -4.9e-310},
+      {-1.0, 0.0, 0.0, 0.0, 0.0, -0.0},
+      std::vector<double>(6, 0.0),
+  };
+  // One state per row, each in its own discretization cell.
+  std::vector<std::vector<double>> states;
+  std::map<std::uint64_t, std::size_t> row_of_key;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    states.push_back({0.1 + 0.4 * static_cast<double>(i % 3),
+                      0.1 + 0.4 * static_cast<double>(i / 3), 0.5, 0.5});
+    ASSERT_TRUE(row_of_key.emplace(reference.key_of(states[i]), i).second);
+  }
+  io::ByteWriter payload;
+  payload.str(Rng(5).serialize_state());
+  payload.u64(77);
+  payload.u64(rows.size());
+  for (const auto& [key, i] : row_of_key) {  // keys ascending
+    payload.u64(key);
+    payload.f64_vec(rows[i]);
+  }
+
+  rl::QLearningAgent agent(config);
+  io::ByteReader in(payload.buffer());
+  agent.load_state(in);
+  in.expect_end();
+  EXPECT_EQ(agent.table_size(), rows.size());
+  io::ByteWriter saved;
+  agent.save_state(saved);
+  EXPECT_EQ(saved.buffer(), payload.buffer());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(agent.act_greedy(states[i]), argmax(rows[i])) << "row " << i;
+  }
+
+  // Bootstrapping from each row takes the same maximum as the dense
+  // reference loaded from the same payload.
+  rl::DenseQlReference dense(config);
+  io::ByteReader dense_in(payload.buffer());
+  dense.load_state(dense_in);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    agent.update(states[(i + 1) % rows.size()], i % 6, -3.0, states[i]);
+    dense.update(states[(i + 1) % rows.size()], i % 6, -3.0, states[i]);
+  }
+  io::ByteWriter agent_after;
+  agent.save_state(agent_after);
+  io::ByteWriter dense_after;
+  dense.save_state(dense_after);
+  EXPECT_EQ(agent_after.buffer(), dense_after.buffer());
 }
 
 // The learner keeps each replay slot's target bootstrap for as long as the

@@ -208,6 +208,48 @@ TEST(Bytes, PrimitivesRoundTrip) {
   EXPECT_NO_THROW(r.expect_end());
 }
 
+TEST(Bytes, DigestWriterCrcsWhatABufferWouldHold) {
+  // One call sequence over every writer method, on a buffering writer and
+  // on a digest writer: the digest is the CRC-32 of the buffered bytes, and
+  // the digest writer holds none of them. The long array crosses the
+  // CRC's 64-byte folding threshold between short appends.
+  std::vector<double> long_row(300);
+  for (std::size_t i = 0; i < long_row.size(); ++i) {
+    long_row[i] = std::ldexp(static_cast<double>(i) - 150.0, -3);
+  }
+  const auto write_all = [&](ByteWriter& w) {
+    w.reserve(4096);
+    w.u8(0xAB);
+    w.u16(0xBEEF);
+    w.u32(0xDEADBEEFu);
+    w.u64(0x0123456789ABCDEFull);
+    w.i32(-7);
+    w.f64(-0.0);
+    w.f64(std::numeric_limits<double>::quiet_NaN());
+    const char raw[] = {'\x00', '\xff', 'c', 't', 'j'};
+    w.bytes(raw, sizeof(raw));
+    w.bytes(raw, 0);
+    w.str("chunky");
+    w.str("");
+    w.f64_array(long_row);
+    w.u8(1);
+    w.f64_vec(long_row);
+    w.f64_vec({});
+    w.reserve(16);
+    w.u8(2);
+  };
+  ByteWriter buffered;
+  write_all(buffered);
+  ByteWriter digest = ByteWriter::digest();
+  write_all(digest);
+  EXPECT_GT(buffered.buffer().size(), 4800u);
+  EXPECT_EQ(digest.crc(), crc32(buffered.buffer()));
+  EXPECT_EQ(buffered.crc(), crc32(buffered.buffer()));
+  EXPECT_TRUE(digest.buffer().empty());
+  EXPECT_TRUE(digest.take().empty());
+  EXPECT_EQ(ByteWriter::digest().crc(), crc32(""));
+}
+
 TEST(Bytes, OverReadThrowsBadPayload) {
   ByteWriter w;
   w.u32(1);

@@ -1,8 +1,8 @@
 // Tests for the from-scratch RL stack: matrix algebra, MLP backprop
 // (finite-difference gradient check), optimizers, the DQN agent (including
 // the Fig. 4 architecture's parameter footprint and Double DQN) and tabular
-// Q-learning. The replay ring's tests live with its decoders in
-// test_checkpoint.cpp.
+// Q-learning (against a transcribed dense-table reference). The replay
+// ring's tests live with its decoders in test_checkpoint.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -22,6 +24,8 @@
 #include "rl/matrix.hpp"
 #include "rl/nn.hpp"
 #include "rl/qlearning.hpp"
+
+#include "dense_ql_reference.hpp"
 
 namespace ctj::rl {
 namespace {
@@ -1060,6 +1064,81 @@ TEST(QLearning, EpsilonDecays) {
   const std::vector<double> s = {0.5};
   for (int i = 0; i < 100; ++i) agent.update(s, 0, 0.0, s);
   EXPECT_NEAR(agent.epsilon(), config.epsilon_end, 1e-9);
+}
+
+std::string ql_bytes(const QLearningAgent& agent) {
+  io::ByteWriter out;
+  agent.save_state(out);
+  return out.take();
+}
+
+std::string ql_bytes(const DenseQlReference& agent) {
+  io::ByteWriter out;
+  agent.save_state(out);
+  return out.take();
+}
+
+TEST(QLearning, SparseRowsMatchDenseReference) {
+  // The agent stores only the actions written to a row; the dense
+  // transcription stores all six. Few actions and a 3-bit key space make
+  // rows collide, fill up and go all-negative; the starting table holds a
+  // -0.0 row, a NaN behind a stored first action, and a zero row.
+  for (const double learning_rate : {0.5, 1.0}) {
+    SCOPED_TRACE(learning_rate);
+    QLearningConfig config;
+    config.state_dim = 3;
+    config.num_actions = 6;
+    config.bins_per_dim = 2;
+    config.learning_rate = learning_rate;
+    config.reward_scale = 1.0;
+    config.epsilon_decay_steps = 400;
+    config.seed = 17;
+    QLearningAgent agent(config);
+    DenseQlReference dense(config);
+
+    const auto state_of = [](std::uint64_t bits) {
+      std::vector<double> s(3);
+      for (std::size_t d = 0; d < 3; ++d) s[d] = (bits >> d & 1) ? 0.75 : 0.25;
+      return s;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    dense.table[dense.key_of(state_of(0))] = {-0.0, -0.0, 0.0, -1.0, 0.0, -0.0};
+    dense.table[dense.key_of(state_of(1))] = {-2.0, -3.0, 0.0, nan, 0.5, -1.0};
+    dense.table[dense.key_of(state_of(2))] = std::vector<double>(6, 0.0);
+    const std::string start = ql_bytes(dense);
+    io::ByteReader in(start);
+    agent.load_state(in);
+    ASSERT_EQ(ql_bytes(agent), start);
+
+    Rng rng(23);
+    for (int step = 0; step < 3000; ++step) {
+      const std::vector<double> s = state_of(rng.index(8));
+      const std::vector<double> s2 =
+          rng.bernoulli(0.2) ? s : state_of(rng.index(8));
+      const std::size_t a = agent.act(s);
+      ASSERT_EQ(a, dense.act(s)) << "step " << step;
+      static constexpr double kRewards[] = {0.0, -0.0, -1.0, -4.0, 2.0, -0.25};
+      const double reward = kRewards[rng.index(6)];
+      agent.update(s, a, reward, s2);
+      dense.update(s, a, reward, s2);
+      ASSERT_EQ(agent.act_greedy(s), dense.act_greedy(s)) << "step " << step;
+      ASSERT_EQ(agent.act_greedy(s2), dense.act_greedy(s2)) << "step " << step;
+      ASSERT_EQ(ql_bytes(agent), ql_bytes(dense)) << "step " << step;
+    }
+    // The run reached what it is meant to cover.
+    std::size_t full = 0;
+    std::size_t negative = 0;
+    for (const auto& [key, row] : dense.table) {
+      full += std::none_of(row.begin(), row.end(), [](double q) {
+        return std::bit_cast<std::uint64_t>(q) == 0;
+      });
+      negative += std::all_of(row.begin(), row.end(),
+                              [](double q) { return q < 0.0; });
+    }
+    EXPECT_EQ(dense.table.size(), 8u);
+    EXPECT_GT(full, 0u);
+    EXPECT_GT(negative, 0u);
+  }
 }
 
 // ------------------------------------------------------------ Double DQN ----
