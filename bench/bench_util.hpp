@@ -88,7 +88,7 @@ void print_header(const std::string& title, const std::string& paper_note);
 /// The full Table-I metric set of one run as a JSON object.
 JsonValue metrics_json(const core::MetricsReport& m);
 
-/// Machine-readable record emitted by every bench binary but bench_micro.
+/// Machine-readable record emitted by every bench binary.
 ///
 /// On write() (or destruction) the report lands in BENCH_<name>.json under
 /// CTJ_BENCH_JSON_DIR (default: the current directory) with the schema:

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,6 @@
 #include "jammer/registry.hpp"
 #include "jammer/sweep_jammer.hpp"
 #include "mdp/antijam_mdp.hpp"
-#include "mdp/value_iteration.hpp"
 
 namespace ctj::conformance {
 
@@ -159,11 +157,6 @@ struct StructureCheckOptions {
   std::vector<double> lj_grid;  // L_J sweep (n* must be non-increasing)
   std::vector<double> lh_grid;  // L_H sweep (n* must be non-decreasing)
   std::vector<int> cycle_grid;  // ⌈K/m⌉ sweep (n* must be non-decreasing)
-
-  /// Solver run at each grid point; null = mdp::solve (full value
-  /// iteration). Lets the same Thm. III.4–III.5 battery exercise an
-  /// alternative solver, e.g. mdp::threshold_solve.
-  std::function<mdp::Solution(const mdp::AntijamMdp&)> solver;
 
   /// Paper grids: L_J 10..100, L_H 0..100, cycle 2..16, both jammer modes.
   static StructureCheckOptions defaults();

@@ -16,11 +16,9 @@ const char* mode_name(JammerPowerMode mode) { return to_string(mode); }
 /// monotonicity of Lemmas III.2–III.3 at every power level.
 StructurePoint check_point(const mdp::AntijamParams& params,
                            const std::string& sweep, double x,
-                           const StructureCheckOptions& options,
                            std::vector<Divergence>& divergences) {
   const mdp::AntijamMdp model(params);
-  const mdp::Solution solution =
-      options.solver ? options.solver(model) : mdp::solve(model);
+  const mdp::Solution solution = mdp::solve(model);
 
   StructurePoint point;
   point.sweep = sweep;
@@ -111,7 +109,7 @@ StructureCheckResult check_policy_structure(
         params.mode = mode;
         params.loss_jam = lj;
         result.points.push_back(
-            check_point(params, "L_J", lj, options, result.divergences));
+            check_point(params, "L_J", lj, result.divergences));
       }
       // Costlier jamming makes staying riskier: hop earlier.
       check_monotone(result.points, begin, "L_J", mode, /*increasing=*/false,
@@ -124,7 +122,7 @@ StructureCheckResult check_policy_structure(
         params.mode = mode;
         params.loss_hop = lh;
         result.points.push_back(
-            check_point(params, "L_H", lh, options, result.divergences));
+            check_point(params, "L_H", lh, result.divergences));
       }
       // Costlier hopping delays the hop.
       check_monotone(result.points, begin, "L_H", mode, /*increasing=*/true,
@@ -137,8 +135,8 @@ StructureCheckResult check_policy_structure(
         auto params = mdp::AntijamParams::defaults();
         params.mode = mode;
         params.sweep_cycle = cycle;
-        result.points.push_back(check_point(params, "cycle", static_cast<double>(cycle),
-                                        options, result.divergences));
+        result.points.push_back(check_point(
+            params, "cycle", static_cast<double>(cycle), result.divergences));
       }
       // A longer sweep cycle lowers the early hazard: stay longer.
       check_monotone(result.points, begin, "cycle", mode, /*increasing=*/true,

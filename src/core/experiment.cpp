@@ -79,13 +79,8 @@ RlExperimentResult run_rl_experiment(RlExperimentConfig config) {
   scheme.reset();
   EnvironmentConfig eval_config = config.env;
   eval_config.seed = config.eval_seed;
-  if (config.eval_replicas > 1) {
-    result.metrics = evaluate_batched(scheme, eval_config, config.eval_slots,
-                                      config.eval_replicas);
-  } else {
-    CompetitionEnvironment eval_env(eval_config);
-    result.metrics = evaluate(scheme, eval_env, config.eval_slots);
-  }
+  CompetitionEnvironment eval_env(eval_config);
+  result.metrics = evaluate(scheme, eval_env, config.eval_slots);
   return result;
 }
 

@@ -39,11 +39,6 @@ struct RlExperimentConfig {
   std::size_t train_slots = 30000;
   std::size_t eval_slots = 20000;
   std::uint64_t eval_seed = 97;
-  /// Evaluation environment replicas. 1 (the default) keeps the historical
-  /// sequential evaluate() path — figure numbers are unchanged; > 1 runs
-  /// eval_slots slots on each of the replicas through the batched rollout
-  /// engine (evaluate_batched), amortizing the network forward across them.
-  std::size_t eval_replicas = 1;
 
   /// Optional periodic checkpoint/resume for the training phase (passed
   /// through to TrainerConfig::checkpoint — see CheckpointOptions).

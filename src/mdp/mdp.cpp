@@ -45,10 +45,6 @@ void Mdp::add_transition(std::size_t s, std::size_t a, std::size_t s2,
   set_transition(s, a, s2, transition(s, a, s2) + p);
 }
 
-const double* Mdp::transition_row(std::size_t s, std::size_t a) const {
-  return transition_.data() + index(s, a) * num_states_;
-}
-
 void Mdp::validate(double tol) const {
   for (std::size_t s = 0; s < num_states_; ++s) {
     for (std::size_t a = 0; a < num_actions_; ++a) {

@@ -28,10 +28,6 @@ class Mdp {
   /// Add probability mass (convenient when several cases target one state).
   void add_transition(std::size_t s, std::size_t a, std::size_t s2, double p);
 
-  /// Raw transition row P(· | s, a), length num_states(). For hot-path
-  /// solvers that sweep whole rows without per-element bounds checks.
-  const double* transition_row(std::size_t s, std::size_t a) const;
-
   /// Throws CheckFailure unless every (s, a) row is a probability
   /// distribution within `tol`.
   void validate(double tol = 1e-9) const;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
-#include <limits>
 #include "common/math_util.hpp"
-#include "mdp/antijam_mdp.hpp"
 
 namespace ctj::mdp {
 
@@ -69,187 +68,6 @@ Solution value_iteration(const Mdp& mdp, const ValueIterationOptions& options) {
     sol.policy[s] = argmax(sol.q[s]);
   }
   return sol;
-}
-
-namespace {
-
-// Exact V^π: solve (I − γ P_π) V = R_π by Gaussian elimination with partial
-// pivoting. The anti-jamming state space is ≤ ~20 states, so the O(S³)
-// solve is a handful of microseconds and sidesteps the O(log(1/tol)/log(1/γ))
-// sweep count of iterative evaluation entirely.
-std::vector<double> exact_policy_value(const Mdp& mdp, double gamma,
-                                       const std::vector<std::size_t>& policy) {
-  const std::size_t n = mdp.num_states();
-  std::vector<double> a(n * (n + 1));  // augmented [I − γP | R]
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* row = mdp.transition_row(s, policy[s]);
-    for (std::size_t s2 = 0; s2 < n; ++s2) {
-      a[s * (n + 1) + s2] = (s == s2 ? 1.0 : 0.0) - gamma * row[s2];
-    }
-    a[s * (n + 1) + n] = mdp.reward(s, policy[s]);
-  }
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t piv = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a[r * (n + 1) + col]) > std::abs(a[piv * (n + 1) + col])) {
-        piv = r;
-      }
-    }
-    if (piv != col) {
-      for (std::size_t c = col; c <= n; ++c) {
-        std::swap(a[col * (n + 1) + c], a[piv * (n + 1) + c]);
-      }
-    }
-    // I − γP is strictly diagonally dominant for γ < 1, so the pivot is
-    // bounded away from zero.
-    const double d = a[col * (n + 1) + col];
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = a[r * (n + 1) + col] / d;
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c <= n; ++c) {
-        a[r * (n + 1) + c] -= f * a[col * (n + 1) + c];
-      }
-    }
-  }
-  std::vector<double> value(n);
-  for (std::size_t s = n; s-- > 0;) {
-    double v = a[s * (n + 1) + n];
-    for (std::size_t c = s + 1; c < n; ++c) {
-      v -= a[s * (n + 1) + c] * value[c];
-    }
-    value[s] = v / a[s * (n + 1) + s];
-  }
-  return value;
-}
-
-double q_of(const Mdp& mdp, double gamma, const std::vector<double>& value,
-            std::size_t s, std::size_t a) {
-  double q = mdp.reward(s, a);
-  const double* row = mdp.transition_row(s, a);
-  for (std::size_t s2 = 0; s2 < mdp.num_states(); ++s2) {
-    if (row[s2] > 0.0) q += gamma * row[s2] * value[s2];
-  }
-  return q;
-}
-
-}  // namespace
-
-ThresholdSolution threshold_solve(const AntijamMdp& model,
-                                  const ValueIterationOptions& options) {
-  const Mdp& mdp = model.mdp();
-  const double gamma = model.params().gamma;
-  CTJ_CHECK(gamma >= 0.0 && gamma < 1.0);
-  mdp.validate();
-
-  const std::size_t num_powers = model.params().num_power_levels();
-  const int sweep = model.params().sweep_cycle;
-
-  // Value-magnitude scale for the improvement epsilon and the certificate:
-  // |V| <= max|R| / (1 − γ).
-  double max_reward = 0.0;
-  for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-    for (std::size_t a = 0; a < mdp.num_actions(); ++a) {
-      max_reward = std::max(max_reward, std::abs(mdp.reward(s, a)));
-    }
-  }
-  const double vscale = 1.0 + max_reward / (1.0 - gamma);
-
-  ThresholdSolution out;
-  std::vector<double> best_value;
-  double best_sum = -std::numeric_limits<double>::infinity();
-
-  // Allowed actions per state for one threshold family, then restricted
-  // policy iteration inside it. PI over a fixed skeleton converges in a
-  // handful of exact evaluations at these sizes.
-  std::vector<std::vector<std::size_t>> allowed(mdp.num_states());
-  std::vector<std::size_t> policy(mdp.num_states());
-  for (int n_star = 1; n_star <= sweep; ++n_star) {
-    for (std::size_t s = 0; s < mdp.num_states(); ++s) allowed[s].clear();
-    for (int n = 1; n <= sweep - 1; ++n) {
-      const std::size_t s = model.state_n(n);
-      for (std::size_t p = 0; p < num_powers; ++p) {
-        allowed[s].push_back(n >= n_star ? model.action_hop(p)
-                                         : model.action_stay(p));
-      }
-    }
-    for (std::size_t s : {model.state_tj(), model.state_j()}) {
-      for (std::size_t a = 0; a < mdp.num_actions(); ++a) {
-        allowed[s].push_back(a);
-      }
-    }
-
-    // Start from the myopically best allowed action in each state.
-    for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-      std::size_t best_a = allowed[s].front();
-      for (std::size_t a : allowed[s]) {
-        if (mdp.reward(s, a) > mdp.reward(s, best_a)) best_a = a;
-      }
-      policy[s] = best_a;
-    }
-
-    constexpr std::size_t kMaxSweeps = 100;
-    const double eps = 1e-12 * vscale;  // strict improvement: no 2-cycles
-    std::vector<double> value;
-    for (std::size_t it = 0; it < kMaxSweeps; ++it) {
-      value = exact_policy_value(mdp, gamma, policy);
-      ++out.policy_evaluations;
-      bool changed = false;
-      for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-        double q_cur = q_of(mdp, gamma, value, s, policy[s]);
-        for (std::size_t a : allowed[s]) {
-          if (a == policy[s]) continue;
-          const double q = q_of(mdp, gamma, value, s, a);
-          if (q > q_cur + eps) {
-            policy[s] = a;
-            q_cur = q;
-            changed = true;
-          }
-        }
-      }
-      if (!changed) break;
-    }
-
-    double sum = 0.0;
-    for (double v : value) sum += v;
-    if (sum > best_sum) {
-      best_sum = sum;
-      best_value = value;
-      out.n_star = static_cast<std::size_t>(n_star);
-    }
-  }
-
-  // Certify the winner against the unrestricted Bellman optimality
-  // condition; the restricted families only cover policies the theorems
-  // promise, so a violated certificate (premises not met) falls back to the
-  // oracle solver.
-  auto q = q_from_value(mdp, gamma, best_value);
-  double residual = 0.0;
-  for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-    double best_q = -std::numeric_limits<double>::infinity();
-    for (std::size_t a = 0; a < mdp.num_actions(); ++a) {
-      best_q = std::max(best_q, q[s][a]);
-    }
-    residual = std::max(residual, std::abs(best_q - best_value[s]));
-  }
-  const double cert_tol = std::max(options.tolerance * 10.0, 1e-8) * vscale;
-  out.certified = residual <= cert_tol;
-  if (!out.certified) {
-    ValueIterationOptions vi_options = options;
-    vi_options.gamma = gamma;
-    out.solution = value_iteration(mdp, vi_options);
-    out.fell_back = true;
-    return out;
-  }
-
-  out.solution.value = std::move(best_value);
-  out.solution.q = std::move(q);
-  out.solution.policy.resize(mdp.num_states());
-  for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-    out.solution.policy[s] = argmax(out.solution.q[s]);
-  }
-  out.solution.iterations = out.policy_evaluations;
-  out.solution.residual = residual;
-  return out;
 }
 
 std::vector<double> policy_evaluation(const Mdp& mdp, double gamma,

@@ -43,40 +43,4 @@ std::vector<double> policy_evaluation(const Mdp& mdp, double gamma,
                                       double tolerance = 1e-10,
                                       std::size_t max_iterations = 100000);
 
-class AntijamMdp;
-
-struct ThresholdSolution {
-  Solution solution;
-  /// The winning hop threshold: hop from n-states with n >= n_star
-  /// (n_star == sweep_cycle means never hop). The best restricted family
-  /// even when the certificate failed.
-  std::size_t n_star = 0;
-  /// True when the best threshold policy's exact value passed the Bellman
-  /// optimality certificate, i.e. the returned solution is provably optimal.
-  bool certified = false;
-  /// True when the certificate failed and the result came from a full
-  /// value_iteration() run instead.
-  bool fell_back = false;
-  /// Exact linear-system policy evaluations performed across all families.
-  std::size_t policy_evaluations = 0;
-};
-
-/// Threshold-structure-aware solver for the anti-jamming MDP. Thms.
-/// III.4–III.5 guarantee the optimal stay/hop rule on the n-states is a
-/// threshold in n, so instead of iterating the Bellman operator to a fixed
-/// point this enumerates the sweep_cycle threshold families, runs restricted
-/// policy iteration inside each (stay below n_star / hop at or above it,
-/// T_J and J unconstrained; exact Gaussian-elimination policy evaluation —
-/// the state space is tiny), picks the best family, and certifies it
-/// against the full Bellman optimality condition. A failed certificate
-/// (e.g. parameters outside the theorems' premises) falls back to
-/// value_iteration(), so the result is never worse than the oracle.
-///
-/// Like mdp::solve(), the discount comes from model.params().gamma;
-/// options.gamma is ignored. options.tolerance bounds the certificate
-/// residual (scaled by the value magnitude) and is forwarded to the
-/// fallback.
-ThresholdSolution threshold_solve(const AntijamMdp& model,
-                                  const ValueIterationOptions& options = {});
-
 }  // namespace ctj::mdp

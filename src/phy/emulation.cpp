@@ -12,18 +12,6 @@
 #include "phy/scrambler.hpp"
 
 namespace ctj::phy {
-namespace {
-
-double resolve_alpha_max(std::span<const Cplx> targets, double alpha_max) {
-  if (alpha_max > 0.0) return alpha_max;
-  double max_mag = 0.0;
-  for (const Cplx& t : targets) max_mag = std::max(max_mag, std::abs(t));
-  // The smallest grid magnitude is sqrt(2)/sqrt(42) ≈ 0.218; α beyond
-  // max|P_j| / 0.218 cannot reduce the error further.
-  return std::max(max_mag * 5.0, 1e-6);
-}
-
-}  // namespace
 
 double quantization_error(std::span<const Cplx> targets, double alpha) {
   CTJ_CHECK(alpha > 0.0);
@@ -37,7 +25,13 @@ double quantization_error(std::span<const Cplx> targets, double alpha) {
 
 double optimal_alpha(std::span<const Cplx> targets, double alpha_max) {
   CTJ_CHECK(!targets.empty());
-  alpha_max = resolve_alpha_max(targets, alpha_max);
+  if (!(alpha_max > 0.0)) {
+    double max_mag = 0.0;
+    for (const Cplx& t : targets) max_mag = std::max(max_mag, std::abs(t));
+    // The smallest grid magnitude is sqrt(2)/sqrt(42) ≈ 0.218; α beyond
+    // max|P_j| / 0.218 cannot reduce the error further.
+    alpha_max = std::max(max_mag * 5.0, 1e-6);
+  }
   // E(α) is piecewise quadratic in α and only near-unimodal (the nearest-
   // point assignment switches at cell boundaries), so a dense scan first
   // locates candidate basins, then golden-section search refines the best
@@ -74,81 +68,6 @@ double optimal_alpha(std::span<const Cplx> targets, double alpha_max) {
       best_alpha = a;
     }
   }
-  return best_alpha;
-}
-
-double AlphaSearch::solve(std::span<const Cplx> targets, double alpha_max) {
-  CTJ_CHECK(!targets.empty());
-  const double amax = resolve_alpha_max(targets, alpha_max);
-  const auto cold = [&] {
-    ++cold_solves_;
-    last_alpha_ = optimal_alpha(targets, alpha_max);
-    has_last_ = true;
-    return last_alpha_;
-  };
-  if (!has_last_ || last_alpha_ <= 0.0 || last_alpha_ > amax) return cold();
-
-  // Warm path: descend the same 512-point grid the cold scan uses, starting
-  // from the previous optimum instead of evaluating all of it.
-  constexpr std::size_t kScanPoints = 512;
-  constexpr std::size_t kMaxSlides = 48;
-  const auto grid = linspace(amax / static_cast<double>(kScanPoints), amax,
-                             kScanPoints);
-  const auto eval = [&](double a) { return quantization_error(targets, a); };
-  std::size_t idx = 0;
-  {
-    // Nearest grid index to the seed (grid spacing is amax / kScanPoints).
-    const double step = amax / static_cast<double>(kScanPoints);
-    const double pos = last_alpha_ / step - 1.0;  // grid[i] ≈ (i + 1)·step
-    const double snapped = std::round(pos);
-    idx = snapped <= 0.0 ? 0
-                         : std::min(kScanPoints - 1,
-                                    static_cast<std::size_t>(snapped));
-  }
-  double e_cur = eval(grid[idx]);
-  std::size_t slides = 0;
-  for (;;) {
-    if (slides >= kMaxSlides) return cold();  // basin moved far: rescan
-    if (idx > 0) {
-      const double left = eval(grid[idx - 1]);
-      if (left < e_cur) {
-        --idx;
-        e_cur = left;
-        ++slides;
-        continue;
-      }
-    }
-    if (idx + 1 < grid.size()) {
-      const double right = eval(grid[idx + 1]);
-      if (right < e_cur) {
-        ++idx;
-        e_cur = right;
-        ++slides;
-        continue;
-      }
-    }
-    break;
-  }
-  // Same bracket conventions and tolerance as the cold scan's refinement.
-  const double lo = idx == 0 ? grid[0] / 2.0 : grid[idx - 1];
-  const double hi = idx + 1 == grid.size() ? grid[idx] : grid[idx + 1];
-  double best_alpha = grid[idx];
-  double best_err = e_cur;
-  const double refined = minimize_unimodal(eval, lo, hi, amax * 1e-8);
-  const double refined_err = eval(refined);
-  if (refined_err < best_err) {
-    best_alpha = refined;
-    best_err = refined_err;
-  }
-  // Cross-check against a 16x-coarser sweep: a deeper basin anywhere else
-  // means the landscape changed qualitatively — fall back to the full scan.
-  constexpr std::size_t kCheckPoints = 32;
-  for (std::size_t i = 0; i < kCheckPoints; ++i) {
-    const double a = amax * static_cast<double>(i + 1) /
-                     static_cast<double>(kCheckPoints);
-    if (eval(a) < best_err) return cold();
-  }
-  last_alpha_ = best_alpha;
   return best_alpha;
 }
 
@@ -192,9 +111,8 @@ EmulationResult EmuBeeEmulator::emulate(
     for (std::size_t bin : data_bins) targets.push_back(spectrum[bin]);
   }
 
-  result.alpha = !config_.optimize_alpha ? config_.fixed_alpha
-                 : config_.warm_start_alpha ? alpha_search_.solve(targets)
-                                            : optimal_alpha(targets);
+  result.alpha = config_.optimize_alpha ? optimal_alpha(targets)
+                                        : config_.fixed_alpha;
   CTJ_CHECK(result.alpha > 0.0);
   result.quantization_error = quantization_error(targets, result.alpha);
 

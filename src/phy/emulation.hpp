@@ -27,33 +27,6 @@ double quantization_error(std::span<const Cplx> targets, double alpha);
 /// from the target magnitudes. Coarse scan + golden-section refinement.
 double optimal_alpha(std::span<const Cplx> targets, double alpha_max = 0.0);
 
-/// Incremental Eq. (2) solver for streams of similar target sets (successive
-/// packets of the same designed waveform). The first call runs the full
-/// optimal_alpha() scan; later calls descend the coarse-scan grid from the
-/// previous optimum (E(α) basins move little between similar packets) and
-/// refine with the same golden-section step, then cross-check against a
-/// 16x-coarser sweep — any deeper basin elsewhere, a descent that walks too
-/// far, or a stale out-of-range seed triggers a full rescan. On the rescan
-/// path the result equals optimal_alpha() exactly.
-class AlphaSearch {
- public:
-  /// Same contract as optimal_alpha(targets, alpha_max).
-  double solve(std::span<const Cplx> targets, double alpha_max = 0.0);
-
-  /// Drop the warm-start seed; the next solve() runs the full scan.
-  void reset() { has_last_ = false; }
-  /// True once a previous optimum is available to seed from.
-  bool warm() const { return has_last_; }
-  /// Full-scan invocations so far (first call + fallbacks); exposed so
-  /// callers and tests can observe warm-start effectiveness.
-  std::size_t cold_solves() const { return cold_solves_; }
-
- private:
-  double last_alpha_ = 0.0;
-  bool has_last_ = false;
-  std::size_t cold_solves_ = 0;
-};
-
 struct EmulationResult {
   /// Designed waveform resampled onto the OFDM useful-sample grid
   /// (64 samples per OFDM symbol, cyclic prefixes not represented).
@@ -76,17 +49,14 @@ class EmuBeeEmulator {
     /// the paper improves upon.
     bool optimize_alpha = true;
     double fixed_alpha = 1.0;
-    /// Seed each emulate() call's α search from the previous call's optimum
-    /// (AlphaSearch); the first call always runs the full scan. Disable for
-    /// strictly stateless emulate() calls.
-    bool warm_start_alpha = true;
   };
 
   EmuBeeEmulator() : EmuBeeEmulator(Config{}) {}
   explicit EmuBeeEmulator(Config config);
 
   /// Emulate an arbitrary designed waveform sampled at 20 Msps. The waveform
-  /// is zero-padded to a whole number of 64-sample OFDM symbols.
+  /// is zero-padded to a whole number of 64-sample OFDM symbols. Keeps no
+  /// state between calls.
   EmulationResult emulate(std::span<const Cplx> designed_20msps) const;
 
   const Config& config() const { return config_; }
@@ -94,10 +64,6 @@ class EmuBeeEmulator {
  private:
   Config config_;
   WifiPhy wifi_;
-  /// Warm-start state for Eq. (2) across emulate() calls. emulate() stays
-  /// logically const; concurrent emulate() on the *same* instance is not
-  /// supported (it never was — per-thread instances are cheap).
-  mutable AlphaSearch alpha_search_;
 };
 
 /// Build a designed ZigBee waveform at the Wi-Fi sample rate (20 Msps,

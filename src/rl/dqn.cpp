@@ -110,9 +110,7 @@ void DqnAgent::observe(const Transition& transition) {
   const std::size_t slot = replay_.push(transition);
   if (slot < bootstrap_cache_.size()) bootstrap_cache_[slot].epoch = 0;
   ++env_steps_;
-  if (config_.train_every > 0 && env_steps_ % config_.train_every == 0) {
-    train_step();
-  }
+  train_step();
 }
 
 std::optional<double> DqnAgent::train_step() {
@@ -255,7 +253,9 @@ void write_counters(io::ByteWriter& out, const DqnConfig& config,
   out.u64(config.min_replay_before_training);
   out.u64(config.target_sync_interval);
   out.f64(config.target_tau);
-  out.u64(config.train_every);
+  // The train_every slot, gradient steps per observed transition: always 1,
+  // kept so checkpoint bytes stay the same and older checkpoints load.
+  out.u64(1);
   out.u8(config.double_dqn ? 1 : 0);
   out.u64(config.seed);
 }
@@ -299,7 +299,7 @@ Counters read_counters(io::ByteReader& in, const DqnConfig& config,
     throw mismatch("target_sync_interval");
   }
   if (in.f64() != config.target_tau) throw mismatch("target_tau");
-  if (in.u64() != config.train_every) throw mismatch("train_every");
+  if (in.u64() != 1) throw mismatch("train_every");
   if (in.u8() != (config.double_dqn ? 1 : 0)) throw mismatch("double_dqn");
   counters.seed = in.u64();
   if (!adopt_seed && counters.seed != config.seed) throw mismatch("seed");

@@ -42,8 +42,6 @@ struct DqnConfig {
   /// and target_sync_interval's periodic hard copy is disabled. 0 keeps the
   /// paper's hard sync.
   double target_tau = 0.0;
-  /// Gradient steps per observed transition.
-  std::size_t train_every = 1;
   /// Double-DQN target (van Hasselt et al.): select the bootstrap action
   /// with the online network, evaluate it with the target network. Reduces
   /// the max-operator overestimation bias; off by default to match the

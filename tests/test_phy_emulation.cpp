@@ -165,6 +165,24 @@ TEST(EmuBee, OptimizedAlphaBeatsNaiveScale) {
   EXPECT_LT(opt.quantization_error, raw.quantization_error);
 }
 
+TEST(EmuBee, EmulateIsStateless) {
+  // emulate() carries nothing from one call to the next: the same waveform
+  // gives the same α, error and payload, even with another waveform
+  // emulated in between.
+  Rng rng(12);
+  std::vector<std::size_t> syms(16), other(16);
+  for (auto& s : syms) s = static_cast<std::size_t>(rng.uniform_int(0, 15));
+  for (auto& s : other) s = static_cast<std::size_t>(rng.uniform_int(0, 15));
+  const IqBuffer designed = design_zigbee_waveform(syms);
+  const EmuBeeEmulator emulator;
+  const auto first = emulator.emulate(designed);
+  emulator.emulate(design_zigbee_waveform(other, 3e6));
+  const auto second = emulator.emulate(designed);
+  EXPECT_EQ(first.alpha, second.alpha);
+  EXPECT_EQ(first.quantization_error, second.quantization_error);
+  EXPECT_EQ(first.payload_bits, second.payload_bits);
+}
+
 TEST(EmuBee, ChipErrorRateFoolsDespreader) {
   // The acid test of Sec. II.A: a ZigBee receiver despreading the *emulated*
   // waveform should recover most chips — enough to treat it as a ZigBee

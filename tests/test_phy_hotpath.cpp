@@ -17,9 +17,7 @@
 //    AVX-512, whichever the host supports), including unreachable-metric
 //    patterns;
 //  - qam64_error: scalar kernel bit-exact vs the transcribed loop, SIMD
-//    levels within tolerance;
-//  - AlphaSearch: cold path identical to optimal_alpha, warm path never
-//    worse than the full scan, fallback counting.
+//    levels within tolerance.
 
 #include <gtest/gtest.h>
 
@@ -463,61 +461,6 @@ TEST(PhyHotpath, QuantizationErrorMatchesReference) {
     const double actual = phy::quantization_error(targets, alpha);
     EXPECT_NEAR(actual, expected, 1e-9 * (1.0 + expected)) << alpha;
   }
-}
-
-TEST(PhyHotpath, AlphaSearchColdPathEqualsOptimalAlpha) {
-  Rng rng(112);
-  phy::IqBuffer targets(96);
-  for (auto& t : targets) t = phy::Cplx(rng.normal(), rng.normal());
-  phy::AlphaSearch search;
-  EXPECT_FALSE(search.warm());
-  // First call runs the full scan; its result is the full scan's, exactly.
-  const double cold = search.solve(targets);
-  EXPECT_EQ(cold, phy::optimal_alpha(targets));
-  EXPECT_TRUE(search.warm());
-  EXPECT_EQ(search.cold_solves(), 1u);
-}
-
-TEST(PhyHotpath, AlphaSearchWarmNeverWorseThanFullScan) {
-  Rng rng(113);
-  phy::IqBuffer targets(128);
-  for (auto& t : targets) t = phy::Cplx(rng.normal(), rng.normal());
-  phy::AlphaSearch search;
-  search.solve(targets);
-  for (std::size_t step = 0; step < 8; ++step) {
-    // Successive packets of a streaming attack: same waveform plus a little
-    // noise, so the E(α) basin moves slightly between solves.
-    for (auto& t : targets) {
-      t += phy::Cplx(0.02 * rng.normal(), 0.02 * rng.normal());
-    }
-    const double warm = search.solve(targets);
-    const double full = phy::optimal_alpha(targets);
-    const double warm_err = phy::quantization_error(targets, warm);
-    const double full_err = phy::quantization_error(targets, full);
-    ASSERT_LE(warm_err, full_err * (1.0 + 1e-9)) << "step " << step;
-  }
-}
-
-TEST(PhyHotpath, AlphaSearchFallsBackOnForeignTargets) {
-  // A seed from one target set must not trap the search in a stale basin
-  // when the targets change completely: the cross-check triggers a rescan,
-  // and the rescan result equals optimal_alpha exactly.
-  Rng rng(114);
-  phy::IqBuffer small(64), large(64);
-  for (auto& t : small) {
-    t = phy::Cplx(0.05 * rng.normal(), 0.05 * rng.normal());
-  }
-  for (auto& t : large) t = phy::Cplx(9.0 * rng.normal(), 9.0 * rng.normal());
-  phy::AlphaSearch search;
-  search.solve(small);
-  const std::size_t cold_before = search.cold_solves();
-  const double alpha = search.solve(large);
-  EXPECT_EQ(alpha, phy::optimal_alpha(large));
-  EXPECT_GT(search.cold_solves(), cold_before);
-
-  // reset() drops the seed outright.
-  search.reset();
-  EXPECT_FALSE(search.warm());
 }
 
 }  // namespace
