@@ -2,33 +2,134 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/check.hpp"
 
 namespace ctj::rl {
 
-QLearningAgent::QLearningAgent(QLearningConfig config)
-    : config_(config), rng_(config.seed) {
-  CTJ_CHECK(config.state_dim > 0);
-  CTJ_CHECK(config.num_actions >= 2);
-  CTJ_CHECK(config.bins_per_dim >= 2);
-  CTJ_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
-}
+namespace {
 
-std::uint64_t QLearningAgent::key_of(std::span<const double> state) const {
-  CTJ_CHECK(state.size() == config_.state_dim);
-  // FNV-style rolling hash of the per-dimension bin indices. Observations
-  // are expected in [0, 1]; out-of-range values clamp to the edge bins.
+/// FNV-style rolling hash of the per-dimension bin indices. Observations
+/// are expected in [0, 1]; out-of-range values clamp to the edge bins.
+std::uint64_t hash_bins(std::span<const double> state, std::size_t bins) {
   std::uint64_t key = 1469598103934665603ULL;
   for (double v : state) {
     const double clamped = std::min(1.0, std::max(0.0, v));
-    auto bin = static_cast<std::uint64_t>(
-        clamped * static_cast<double>(config_.bins_per_dim));
-    bin = std::min<std::uint64_t>(bin, config_.bins_per_dim - 1);
+    auto bin = static_cast<std::uint64_t>(clamped * static_cast<double>(bins));
+    bin = std::min<std::uint64_t>(bin, bins - 1);
     key ^= bin + 0x9e3779b97f4a7c15ULL;
     key *= 1099511628211ULL;
   }
   return key;
+}
+
+}  // namespace
+
+// ------------------------------------------------------------------ Table --
+
+std::size_t QLearningAgent::Table::probe(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of key·2^64/φ pick the home slot.
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                           shift_);
+  while (index[i] != 0 && rows[index[i] - 1].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void QLearningAgent::Table::reindex(std::size_t slots) {
+  index.assign(slots, 0);
+  shift_ = 64 - std::countr_zero(slots);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    index[probe(rows[r].key)] = static_cast<std::uint32_t>(r + 1);
+  }
+}
+
+std::uint32_t QLearningAgent::Table::find(std::uint64_t key) const {
+  const std::uint32_t slot = index[probe(key)];
+  return slot == 0 ? kNoRow : slot - 1;
+}
+
+std::uint32_t QLearningAgent::Table::find_or_add(std::uint64_t key) {
+  std::size_t slot = probe(key);
+  if (index[slot] != 0) return index[slot] - 1;
+  CTJ_CHECK(rows.size() + 1 < kNoRow);
+  if (2 * (rows.size() + 1) > index.size()) {
+    reindex(2 * index.size());
+    slot = probe(key);
+  }
+  rows.push_back({key, static_cast<std::uint32_t>(entries.size()), 0, 0});
+  index[slot] = static_cast<std::uint32_t>(rows.size());
+  return static_cast<std::uint32_t>(rows.size() - 1);
+}
+
+double& QLearningAgent::Table::entry(std::uint32_t r, std::uint32_t action,
+                                     std::size_t num_actions) {
+  Row& row = rows[r];
+  Entry* first = entries.data() + row.begin;
+  const std::size_t at = static_cast<std::size_t>(
+      std::lower_bound(first, first + row.size, action,
+                       [](const Entry& e, std::uint32_t a) {
+                         return e.action < a;
+                       }) -
+      first);
+  if (at < row.size && first[at].action == action) return first[at].q;
+  if (row.size == row.cap) {
+    // The block doubles: in place when it is the last one, else it moves
+    // to the end and its old slots are left unused.
+    const auto cap = static_cast<std::uint32_t>(std::min<std::size_t>(
+        std::max<std::size_t>(1, 2 * std::size_t{row.cap}), num_actions));
+    if (row.begin + row.cap == entries.size()) {
+      entries.resize(row.begin + std::size_t{cap});
+    } else {
+      const std::size_t begin = entries.size();
+      CTJ_CHECK(begin + cap <= static_cast<std::size_t>(kNoRow));
+      entries.resize(begin + cap);
+      std::copy_n(entries.begin() + row.begin, row.size,
+                  entries.begin() + static_cast<std::ptrdiff_t>(begin));
+      row.begin = static_cast<std::uint32_t>(begin);
+    }
+    row.cap = cap;
+    first = entries.data() + row.begin;
+  }
+  std::copy_backward(first + at, first + row.size, first + row.size + 1);
+  first[at] = {action, 0.0};
+  ++row.size;
+  return first[at].q;
+}
+
+// ------------------------------------------------------------------ agent --
+
+QLearningAgent::QLearningAgent(QLearningConfig config)
+    : config_(config),
+      rng_(config.seed),
+      memo_states_(2 * config.state_dim, 0.0) {
+  CTJ_CHECK(config.state_dim > 0);
+  CTJ_CHECK(config.num_actions >= 2);
+  CTJ_CHECK(config.num_actions < Table::kNoRow);
+  CTJ_CHECK(config.bins_per_dim >= 2);
+  CTJ_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
+  memo_keys_[0] = memo_keys_[1] = hash_bins(
+      std::span<const double>(memo_states_).first(config.state_dim),
+      config.bins_per_dim);
+}
+
+std::uint64_t QLearningAgent::key_of(std::span<const double> state) const {
+  CTJ_CHECK(state.size() == config_.state_dim);
+  const std::size_t dim = config_.state_dim;
+  for (const std::size_t slot : {memo_recent_, 1 - memo_recent_}) {
+    if (std::memcmp(memo_states_.data() + slot * dim, state.data(),
+                    state.size_bytes()) == 0) {
+      memo_recent_ = slot;
+      return memo_keys_[slot];
+    }
+  }
+  const std::size_t slot = 1 - memo_recent_;
+  std::copy(state.begin(), state.end(),
+            memo_states_.begin() + static_cast<std::ptrdiff_t>(slot * dim));
+  memo_keys_[slot] = hash_bins(state, config_.bins_per_dim);
+  memo_recent_ = slot;
+  return memo_keys_[slot];
 }
 
 double QLearningAgent::epsilon() const {
@@ -40,18 +141,17 @@ double QLearningAgent::epsilon() const {
          frac * (config_.epsilon_end - config_.epsilon_start);
 }
 
-QLearningAgent::Entry QLearningAgent::greedy(
-    std::span<const double> state) const {
-  const auto it = table_.find(key_of(state));
-  if (it == table_.end()) return {0, 0.0};
-  const Row& row = it->second;
+QLearningAgent::Greedy QLearningAgent::greedy(std::uint32_t r) const {
+  if (r == Table::kNoRow) return {0, 0.0};
+  const std::span<const Entry> row = table_.entries_of(r);
   // std::max_element on the dense row starts at action 0 and moves to a
   // later action only if best.q < q. Of the absent actions (+0.0) only the
   // first can move it: once a +0.0 has been compared, !(best.q < 0.0)
   // holds (best.q >= 0.0 or NaN), and each later move keeps it. So scan
   // the stored entries plus the first absent action, in action order,
   // starting from action 0 (stored or absent; rescanning it moves nothing).
-  Entry best{0, !row.empty() && row.front().action == 0 ? row.front().q : 0.0};
+  Greedy best{0, !row.empty() && row.front().action == 0 ? row.front().q
+                                                         : 0.0};
   const auto scan = [&best](std::size_t action, double q) {
     if (best.q < q) best = {action, q};
   };
@@ -71,7 +171,7 @@ QLearningAgent::Entry QLearningAgent::greedy(
 }
 
 std::size_t QLearningAgent::act_greedy(std::span<const double> state) const {
-  return greedy(state).action;
+  return greedy(table_.find(key_of(state))).action;
 }
 
 std::size_t QLearningAgent::act(std::span<const double> state) {
@@ -82,26 +182,43 @@ std::size_t QLearningAgent::act(std::span<const double> state) {
   return other;
 }
 
+void QLearningAgent::update(std::span<const double> state, std::size_t action,
+                            double reward,
+                            std::span<const double> next_state) {
+  CTJ_CHECK(action < config_.num_actions);
+  const double max_next = greedy(table_.find(key_of(next_state))).q;
+  double& q = table_.entry(table_.find_or_add(key_of(state)),
+                           static_cast<std::uint32_t>(action),
+                           config_.num_actions);
+  const double target = reward * config_.reward_scale + config_.gamma * max_next;
+  q += config_.learning_rate * (target - q);
+  ++steps_;
+}
+
 void QLearningAgent::save_state(io::ByteWriter& out) const {
   out.str(rng_.serialize_state());
   out.u64(steps_);
-  using Slot = decltype(table_)::value_type;
-  std::vector<const Slot*> rows;
-  rows.reserve(table_.size());
-  for (const Slot& slot : table_) rows.push_back(&slot);
-  std::sort(rows.begin(), rows.end(),
-            [](const Slot* a, const Slot* b) { return a->first < b->first; });
+  const std::vector<Row>& rows = table_.rows;
+  std::vector<std::uint32_t> order(rows.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    order[r] = static_cast<std::uint32_t>(r);
+  }
+  std::sort(order.begin(), order.end(), [&rows](std::uint32_t a,
+                                                std::uint32_t b) {
+    return rows[a].key < rows[b].key;
+  });
   // Count, then per row a key, a length and the row written dense through
   // one reused scratch row (2.4 MB after 2 048 slots: one allocation for a
   // spool, none for a digest writer).
   out.reserve(8 + rows.size() * (16 + 8 * config_.num_actions));
   out.u64(rows.size());
   std::vector<double> dense(config_.num_actions, 0.0);
-  for (const Slot* slot : rows) {
-    out.u64(slot->first);
-    for (const Entry& e : slot->second) dense[e.action] = e.q;
+  for (const std::uint32_t r : order) {
+    out.u64(rows[r].key);
+    const std::span<const Entry> row = table_.entries_of(r);
+    for (const Entry& e : row) dense[e.action] = e.q;
     out.f64_vec(dense);
-    for (const Entry& e : slot->second) dense[e.action] = 0.0;
+    for (const Entry& e : row) dense[e.action] = 0.0;
   }
 }
 
@@ -114,13 +231,13 @@ void QLearningAgent::load_state(io::ByteReader& in) {
     throw io::IoError(io::ErrorKind::kBadPayload, "QL agent RNG state");
   }
   const std::uint64_t steps = in.u64();
-  const std::uint64_t entries = in.u64();
-  std::unordered_map<std::uint64_t, Row> table;
-  // The count is untrusted: reserve no more entries than the payload can
+  const std::uint64_t count = in.u64();
+  Table table;
+  // The count is untrusted: reserve no more rows than the payload can
   // hold (a key, a length and num_actions doubles each).
-  table.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      entries, in.remaining() / (16 + 8 * config_.num_actions))));
-  for (std::uint64_t i = 0; i < entries; ++i) {
+  table.rows.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      count, in.remaining() / (16 + 8 * config_.num_actions))));
+  for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t key = in.u64();
     const std::vector<double> dense = in.f64_vec();
     if (dense.size() != config_.num_actions) {
@@ -129,40 +246,24 @@ void QLearningAgent::load_state(io::ByteReader& in) {
                             " actions, agent expects " +
                             std::to_string(config_.num_actions));
     }
-    // Only the bits of +0.0 read back as an absent action: -0.0, NaN and
-    // subnormals are stored, so they round-trip. A row of zeros stays a row.
-    Row row;
-    for (std::size_t a = 0; a < dense.size(); ++a) {
-      if (std::bit_cast<std::uint64_t>(dense[a]) != 0) {
-        row.push_back({a, dense[a]});
-      }
-    }
-    if (!table.emplace(key, std::move(row)).second) {
+    const std::size_t rows_before = table.rows.size();
+    const std::uint32_t r = table.find_or_add(key);
+    if (table.rows.size() == rows_before) {
       throw io::IoError(io::ErrorKind::kBadPayload,
                         "duplicate Q-table key in payload");
+    }
+    // Only the bits of +0.0 read back as an absent action: -0.0, NaN and
+    // subnormals are stored, so they round-trip. A row of zeros stays a row.
+    for (std::size_t a = 0; a < dense.size(); ++a) {
+      if (std::bit_cast<std::uint64_t>(dense[a]) != 0) {
+        table.entry(r, static_cast<std::uint32_t>(a), config_.num_actions) =
+            dense[a];
+      }
     }
   }
   rng_ = rng;
   steps_ = static_cast<std::size_t>(steps);
   table_ = std::move(table);
-}
-
-void QLearningAgent::update(std::span<const double> state, std::size_t action,
-                            double reward,
-                            std::span<const double> next_state) {
-  CTJ_CHECK(action < config_.num_actions);
-  const double max_next = greedy(next_state).q;
-  Row& row = table_[key_of(state)];
-  auto it = std::lower_bound(
-      row.begin(), row.end(), action,
-      [](const Entry& e, std::size_t a) { return e.action < a; });
-  if (it == row.end() || it->action != action) {
-    it = row.insert(it, {action, 0.0});
-  }
-  double& q = it->q;
-  const double target = reward * config_.reward_scale + config_.gamma * max_next;
-  q += config_.learning_rate * (target - q);
-  ++steps_;
 }
 
 }  // namespace ctj::rl

@@ -9,11 +9,17 @@
 //
 // A row stores only the actions an update has written to it. A 2 048-slot
 // serve job visits ≈ 1 870 states and writes about one of the 160 actions
-// in each, so dense rows would be ~99 % zeros (2.4 MB per job).
+// in each, so dense rows would be ~99 % zeros (2.4 MB per job). The table
+// is three flat vectors (rows, entries, an open-addressing key index), so
+// a job's table is a handful of allocations, not one per visited state.
+//
+// The agent remembers the keys of the last two observations it hashed. In
+// the policy shell's order act(s), update(s, a, r, s'), act(s') each
+// observation is then discretized and hashed once.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -41,7 +47,8 @@ class QLearningAgent {
   explicit QLearningAgent(QLearningConfig config);
 
   /// ε-greedy action for the (continuous) observation. A state with no
-  /// table row reads as an all-zero row: greedy action 0.
+  /// table row reads as an all-zero row: greedy action 0. act_greedy is
+  /// const but updates the key memo, so one agent serves one thread.
   std::size_t act(std::span<const double> state);
   std::size_t act_greedy(std::span<const double> state) const;
 
@@ -53,41 +60,89 @@ class QLearningAgent {
   double epsilon() const;
   std::size_t steps() const { return steps_; }
   /// Number of distinct discretized states seen so far (table growth).
-  std::size_t table_size() const { return table_.size(); }
+  std::size_t table_size() const { return table_.rows.size(); }
 
   const QLearningConfig& config() const { return config_; }
 
   /// Checkpoint-format serialization: the RNG stream, step counter and the
   /// whole Q table with its keys sorted, each row written dense
   /// (num_actions doubles, +0.0 where no entry is stored), so identical
-  /// agent state always yields identical bytes regardless of hash-map
-  /// iteration order.
+  /// agent state always yields identical bytes.
   /// load_state throws io::IoError (kBadPayload / kStateMismatch) on
   /// malformed or incompatible input, leaving the agent unchanged.
   void save_state(io::ByteWriter& out) const;
   void load_state(io::ByteReader& in);
 
  private:
-  /// One stored Q value. A row keeps only the actions written to it,
-  /// sorted by action; an absent action reads +0.0.
+  /// One stored Q value; an absent action reads +0.0.
   struct Entry {
+    std::uint32_t action;
+    double q;
+  };
+  /// A row's entries are entries[begin, begin + size), sorted by action,
+  /// in a block with room for cap.
+  struct Row {
+    std::uint64_t key;
+    std::uint32_t begin;
+    std::uint32_t size;
+    std::uint32_t cap;
+  };
+  /// The Q table: rows in the order they were first written, their entries,
+  /// and a linear-probing index of row number + 1 (0 = empty slot) whose
+  /// size is a power of two, at most half full.
+  struct Table {
+    static constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
+
+    Table() { reindex(16); }
+    /// The row of `key`, or kNoRow.
+    std::uint32_t find(std::uint64_t key) const;
+    /// The row of `key`, appended empty if the key has none.
+    std::uint32_t find_or_add(std::uint64_t key);
+    /// The entry of `action` in row r, inserted as +0.0 if absent (up to
+    /// num_actions entries per row).
+    double& entry(std::uint32_t r, std::uint32_t action,
+                  std::size_t num_actions);
+    std::span<const Entry> entries_of(std::uint32_t r) const {
+      return {entries.data() + rows[r].begin, rows[r].size};
+    }
+
+    std::vector<Row> rows;
+    std::vector<Entry> entries;
+    std::vector<std::uint32_t> index;
+
+   private:
+    /// The index slot that holds `key`, or the empty slot where it goes.
+    std::size_t probe(std::uint64_t key) const;
+    void reindex(std::size_t slots);
+
+    int shift_ = 0;  // 64 − log2(index.size())
+  };
+
+  struct Greedy {
     std::size_t action;
     double q;
   };
-  using Row = std::vector<Entry>;
 
-  /// The greedy action for a state and its Q value: what argmax and
-  /// std::max_element give on the state's row written dense (no row reads
-  /// as an all-zero row: action 0, value 0.0).
-  Entry greedy(std::span<const double> state) const;
+  /// The greedy action of row r and its Q value: what argmax and
+  /// std::max_element give on the row written dense (no row, kNoRow,
+  /// reads as an all-zero row: action 0, value 0.0).
+  Greedy greedy(std::uint32_t r) const;
 
-  /// Discretize an observation into a table key.
+  /// The table key of an observation: from the memo when its bits equal
+  /// one of the last two observations hashed, else discretized and hashed.
   std::uint64_t key_of(std::span<const double> state) const;
 
   QLearningConfig config_;
   mutable Rng rng_;
-  std::unordered_map<std::uint64_t, Row> table_;
+  Table table_;
   std::size_t steps_ = 0;
+
+  // The last two observations hashed (2 × state_dim doubles) and their
+  // keys; memo_recent_ is the one looked up last. Both start as the zero
+  // observation, so every slot always holds a true (observation, key) pair.
+  mutable std::vector<double> memo_states_;
+  mutable std::uint64_t memo_keys_[2] = {};
+  mutable std::size_t memo_recent_ = 0;
 };
 
 }  // namespace ctj::rl

@@ -1141,6 +1141,86 @@ TEST(QLearning, SparseRowsMatchDenseReference) {
   }
 }
 
+TEST(QLearning, KeyReuseNeverServesAStaleKey) {
+  // The agent answers a repeated observation from its memo of the last two
+  // keys it hashed. Drive act, act_greedy and update in random orders the
+  // policy shell never uses, over observations that share their bins but
+  // not their bits and observations whose bins differ in one dimension, and
+  // match the dense reference after every call.
+  QLearningConfig config;
+  config.state_dim = 3;
+  config.num_actions = 5;
+  config.bins_per_dim = 3;
+  config.learning_rate = 0.5;
+  config.reward_scale = 1.0;
+  config.epsilon_decay_steps = 500;
+  config.seed = 29;
+  QLearningAgent agent(config);
+  DenseQlReference dense(config);
+
+  // Bin 0, bin 1 and bin 2 values, with several bit patterns per bin
+  // (signed zeros, edges, clamped out-of-range values).
+  static constexpr double kValues[] = {-0.0, 0.0, 0.1,  0.33, -2.0, 0.34,
+                                       0.5,  0.66, 0.67, 1.0, 1.5};
+  Rng rng(31);
+  const auto random_state = [&rng] {
+    std::vector<double> s(3);
+    for (double& v : s) v = kValues[rng.index(std::size(kValues))];
+    return s;
+  };
+  std::vector<std::vector<double>> recent = {random_state(), random_state(),
+                                             random_state()};
+  std::size_t same_bins_new_bits = 0;
+  std::size_t one_bin_apart = 0;
+  // Mostly one of the last three observations, often with one coordinate
+  // changed; sometimes a fresh one.
+  const auto next_state = [&] {
+    std::vector<double> s = rng.bernoulli(0.1)
+                                ? random_state()
+                                : recent[rng.index(recent.size())];
+    if (rng.bernoulli(0.6)) {
+      s[rng.index(3)] = kValues[rng.index(std::size(kValues))];
+    }
+    const std::vector<double>& last = recent.back();
+    const bool same_bits = std::equal(
+        s.begin(), s.end(), last.begin(), [](double a, double b) {
+          return std::bit_cast<std::uint64_t>(a) ==
+                 std::bit_cast<std::uint64_t>(b);
+        });
+    const bool same_key = dense.key_of(s) == dense.key_of(last);
+    std::size_t dims_changed = 0;
+    for (std::size_t d = 0; d < s.size(); ++d) dims_changed += s[d] != last[d];
+    same_bins_new_bits += same_key && !same_bits;
+    one_bin_apart += !same_key && dims_changed == 1;
+    recent.erase(recent.begin());
+    recent.push_back(s);
+    return s;
+  };
+
+  static constexpr double kRewards[] = {0.0, -1.0, -4.0, 2.0, -0.25};
+  for (int step = 0; step < 4000; ++step) {
+    const std::vector<double> s = next_state();
+    switch (rng.index(3)) {
+      case 0:
+        ASSERT_EQ(agent.act(s), dense.act(s)) << "step " << step;
+        break;
+      case 1:
+        ASSERT_EQ(agent.act_greedy(s), dense.act_greedy(s)) << "step " << step;
+        break;
+      default: {
+        const std::vector<double> s2 = next_state();
+        const std::size_t a = rng.index(config.num_actions);
+        const double reward = kRewards[rng.index(std::size(kRewards))];
+        agent.update(s, a, reward, s2);
+        dense.update(s, a, reward, s2);
+      }
+    }
+    ASSERT_EQ(ql_bytes(agent), ql_bytes(dense)) << "step " << step;
+  }
+  EXPECT_GT(same_bins_new_bits, 100u);
+  EXPECT_GT(one_bin_apart, 100u);
+}
+
 // ------------------------------------------------------------ Double DQN ----
 
 TEST(DoubleDqn, TrainsAndActs) {
