@@ -40,7 +40,8 @@ class QLearningScheme : public AntiJammingScheme {
   /// Checkpoint-format serialization (the serve layer's QLSTATE payload): a
   /// digest of the Config, the PolicyShell state block (training flag,
   /// deploy RNG, observation window, pending transition) and the whole
-  /// agent (RNG, steps, sorted Q table).
+  /// agent (QLSTATE v2: RNG, steps, the sparse Q table in first-write
+  /// order; see rl::QLearningAgent::save_state).
   /// load_state rejects a payload whose Config digest differs from this
   /// scheme's (io::IoError kStateMismatch); the scheme is unchanged on any
   /// failure.

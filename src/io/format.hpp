@@ -36,7 +36,7 @@ enum class ErrorKind {
   kOpenFailed,       // cannot open the file for reading/writing
   kWriteFailed,      // short write or failed atomic rename
   kBadMagic,         // first four bytes are not "CTJS"
-  kVersionMismatch,  // format_version is not one this build understands
+  kVersionMismatch,  // a format or payload version this build does not read
   kTruncated,        // file shorter than its header/chunk table promises
   kCrcMismatch,      // stored CRC32 does not match the bytes on disk
   kMissingChunk,     // a required chunk tag is absent

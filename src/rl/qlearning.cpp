@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -63,34 +64,28 @@ std::uint32_t QLearningAgent::Table::find_or_add(std::uint64_t key) {
   return static_cast<std::uint32_t>(rows.size() - 1);
 }
 
-double& QLearningAgent::Table::entry(std::uint32_t r, std::uint32_t action,
-                                     std::size_t num_actions) {
+double& QLearningAgent::Table::entry(std::uint32_t r, std::size_t action) {
   Row& row = rows[r];
   Entry* first = entries.data() + row.begin;
   const std::size_t at = static_cast<std::size_t>(
       std::lower_bound(first, first + row.size, action,
-                       [](const Entry& e, std::uint32_t a) {
+                       [](const Entry& e, std::size_t a) {
                          return e.action < a;
                        }) -
       first);
   if (at < row.size && first[at].action == action) return first[at].q;
   if (row.size == row.cap) {
-    // The block doubles: in place when it is the last one, else it moves
-    // to the end and its old slots are left unused.
-    const auto cap = static_cast<std::uint32_t>(std::min<std::size_t>(
-        std::max<std::size_t>(1, 2 * std::size_t{row.cap}), num_actions));
-    if (row.begin + row.cap == entries.size()) {
-      entries.resize(row.begin + std::size_t{cap});
-    } else {
-      const std::size_t begin = entries.size();
-      CTJ_CHECK(begin + cap <= static_cast<std::size_t>(kNoRow));
-      entries.resize(begin + cap);
-      std::copy_n(entries.begin() + row.begin, row.size,
-                  entries.begin() + static_cast<std::ptrdiff_t>(begin));
-      row.begin = static_cast<std::uint32_t>(begin);
-    }
-    row.cap = cap;
-    first = entries.data() + row.begin;
+    // The row moves to a block of twice the room at the end; its old
+    // slots are left unused.
+    const std::size_t begin = entries.size();
+    const std::size_t cap = std::max<std::size_t>(1, 2 * std::size_t{row.cap});
+    CTJ_CHECK(begin + cap <= static_cast<std::size_t>(kNoRow));
+    entries.resize(begin + cap);
+    std::copy_n(entries.begin() + row.begin, row.size,
+                entries.begin() + static_cast<std::ptrdiff_t>(begin));
+    row.begin = static_cast<std::uint32_t>(begin);
+    row.cap = static_cast<std::uint32_t>(cap);
+    first = entries.data() + begin;
   }
   std::copy_backward(first + at, first + row.size, first + row.size + 1);
   first[at] = {action, 0.0};
@@ -106,7 +101,8 @@ QLearningAgent::QLearningAgent(QLearningConfig config)
       memo_states_(2 * config.state_dim, 0.0) {
   CTJ_CHECK(config.state_dim > 0);
   CTJ_CHECK(config.num_actions >= 2);
-  CTJ_CHECK(config.num_actions < Table::kNoRow);
+  // QLSTATE writes actions as u32.
+  CTJ_CHECK(config.num_actions <= std::numeric_limits<std::uint32_t>::max());
   CTJ_CHECK(config.bins_per_dim >= 2);
   CTJ_CHECK(config.gamma >= 0.0 && config.gamma < 1.0);
   memo_keys_[0] = memo_keys_[1] = hash_bins(
@@ -141,7 +137,7 @@ double QLearningAgent::epsilon() const {
          frac * (config_.epsilon_end - config_.epsilon_start);
 }
 
-QLearningAgent::Greedy QLearningAgent::greedy(std::uint32_t r) const {
+QLearningAgent::Entry QLearningAgent::greedy(std::uint32_t r) const {
   if (r == Table::kNoRow) return {0, 0.0};
   const std::span<const Entry> row = table_.entries_of(r);
   // std::max_element on the dense row starts at action 0 and moves to a
@@ -150,8 +146,8 @@ QLearningAgent::Greedy QLearningAgent::greedy(std::uint32_t r) const {
   // holds (best.q >= 0.0 or NaN), and each later move keeps it. So scan
   // the stored entries plus the first absent action, in action order,
   // starting from action 0 (stored or absent; rescanning it moves nothing).
-  Greedy best{0, !row.empty() && row.front().action == 0 ? row.front().q
-                                                         : 0.0};
+  Entry best{0, !row.empty() && row.front().action == 0 ? row.front().q
+                                                        : 0.0};
   const auto scan = [&best](std::size_t action, double q) {
     if (best.q < q) best = {action, q};
   };
@@ -187,42 +183,52 @@ void QLearningAgent::update(std::span<const double> state, std::size_t action,
                             std::span<const double> next_state) {
   CTJ_CHECK(action < config_.num_actions);
   const double max_next = greedy(table_.find(key_of(next_state))).q;
-  double& q = table_.entry(table_.find_or_add(key_of(state)),
-                           static_cast<std::uint32_t>(action),
-                           config_.num_actions);
+  double& q = table_.entry(table_.find_or_add(key_of(state)), action);
   const double target = reward * config_.reward_scale + config_.gamma * max_next;
   q += config_.learning_rate * (target - q);
   ++steps_;
 }
 
 void QLearningAgent::save_state(io::ByteWriter& out) const {
+  out.u32(kStateVersion);
   out.str(rng_.serialize_state());
   out.u64(steps_);
-  const std::vector<Row>& rows = table_.rows;
-  std::vector<std::uint32_t> order(rows.size());
-  for (std::size_t r = 0; r < order.size(); ++r) {
-    order[r] = static_cast<std::uint32_t>(r);
-  }
-  std::sort(order.begin(), order.end(), [&rows](std::uint32_t a,
-                                                std::uint32_t b) {
-    return rows[a].key < rows[b].key;
-  });
-  // Count, then per row a key, a length and the row written dense through
-  // one reused scratch row (2.4 MB after 2 048 slots: one allocation for a
-  // spool, none for a digest writer).
-  out.reserve(8 + rows.size() * (16 + 8 * config_.num_actions));
-  out.u64(rows.size());
-  std::vector<double> dense(config_.num_actions, 0.0);
-  for (const std::uint32_t r : order) {
-    out.u64(rows[r].key);
-    const std::span<const Entry> row = table_.entries_of(r);
-    for (const Entry& e : row) dense[e.action] = e.q;
-    out.f64_vec(dense);
-    for (const Entry& e : row) dense[e.action] = 0.0;
+  out.u64(table_.rows.size());
+  out.reserve(12 * (table_.rows.size() + table_.entries.size()));
+  // Rows in first-write order, each built in a scratch buffer and written
+  // in one append: key u64, entry count u32, then (action u32, q f64) per
+  // entry whose bits are not +0.0, actions ascending.
+  std::vector<char> scratch(12 + 12 * config_.num_actions);
+  const auto put = [](char* at, std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      at[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    }
+  };
+  for (std::uint32_t r = 0; r < table_.rows.size(); ++r) {
+    char* at = scratch.data() + 12;
+    std::uint64_t count = 0;
+    for (const Entry& e : table_.entries_of(r)) {
+      const auto bits = std::bit_cast<std::uint64_t>(e.q);
+      if (bits == 0) continue;
+      put(at, e.action, 4);
+      put(at + 4, bits, 8);
+      at += 12;
+      ++count;
+    }
+    put(scratch.data(), table_.rows[r].key, 8);
+    put(scratch.data() + 8, count, 4);
+    out.bytes(scratch.data(), static_cast<std::size_t>(at - scratch.data()));
   }
 }
 
 void QLearningAgent::load_state(io::ByteReader& in) {
+  const std::uint32_t version = in.u32();
+  if (version != kStateVersion) {
+    throw io::IoError(io::ErrorKind::kVersionMismatch,
+                      "QL table version " + std::to_string(version) +
+                          ", this build reads " +
+                          std::to_string(kStateVersion));
+  }
   const std::string rng_text = in.str();
   Rng rng;
   try {
@@ -231,34 +237,49 @@ void QLearningAgent::load_state(io::ByteReader& in) {
     throw io::IoError(io::ErrorKind::kBadPayload, "QL agent RNG state");
   }
   const std::uint64_t steps = in.u64();
-  const std::uint64_t count = in.u64();
+  // Every count is untrusted: a row takes at least 12 bytes (its key and
+  // entry count) and an entry 12 (action and value), so no count may
+  // promise more than the bytes that remain.
+  const auto bad = [](const std::string& what) {
+    return io::IoError(io::ErrorKind::kBadPayload, what);
+  };
+  const std::uint64_t rows = in.u64();
+  if (rows > in.remaining() / 12) {
+    throw bad("Q table of " + std::to_string(rows) +
+              " rows exceeds remaining payload " +
+              std::to_string(in.remaining()));
+  }
   Table table;
-  // The count is untrusted: reserve no more rows than the payload can
-  // hold (a key, a length and num_actions doubles each).
-  table.rows.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-      count, in.remaining() / (16 + 8 * config_.num_actions))));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  table.rows.reserve(static_cast<std::size_t>(rows));
+  table.entries.reserve((in.remaining() - 12 * rows) / 12);
+  for (std::uint64_t i = 0; i < rows; ++i) {
     const std::uint64_t key = in.u64();
-    const std::vector<double> dense = in.f64_vec();
-    if (dense.size() != config_.num_actions) {
-      throw io::IoError(io::ErrorKind::kStateMismatch,
-                        "Q row has " + std::to_string(dense.size()) +
-                            " actions, agent expects " +
-                            std::to_string(config_.num_actions));
+    const std::uint32_t count = in.u32();
+    if (count > config_.num_actions || count > in.remaining() / 12) {
+      throw bad("Q row of " + std::to_string(count) + " entries (" +
+                std::to_string(config_.num_actions) + " actions, " +
+                std::to_string(in.remaining()) + " bytes left)");
     }
     const std::size_t rows_before = table.rows.size();
-    const std::uint32_t r = table.find_or_add(key);
+    Row& row = table.rows[table.find_or_add(key)];
     if (table.rows.size() == rows_before) {
-      throw io::IoError(io::ErrorKind::kBadPayload,
-                        "duplicate Q-table key in payload");
+      throw bad("duplicate Q-table key in payload");
     }
-    // Only the bits of +0.0 read back as an absent action: -0.0, NaN and
-    // subnormals are stored, so they round-trip. A row of zeros stays a row.
-    for (std::size_t a = 0; a < dense.size(); ++a) {
-      if (std::bit_cast<std::uint64_t>(dense[a]) != 0) {
-        table.entry(r, static_cast<std::uint32_t>(a), config_.num_actions) =
-            dense[a];
+    row.size = row.cap = count;
+    table.entries.resize(row.begin + std::size_t{count});
+    for (std::uint32_t j = 0; j < count; ++j) {
+      const std::size_t action = in.u32();
+      const double q = in.f64();
+      if (action >= config_.num_actions ||
+          (j > 0 && action <= table.entries[row.begin + j - 1].action)) {
+        throw bad("Q row actions out of range or not strictly ascending");
       }
+      // A written table never stores +0.0 (it reads as absent), so only
+      // one payload encodes each table.
+      if (std::bit_cast<std::uint64_t>(q) == 0) {
+        throw bad("Q row stores +0.0");
+      }
+      table.entries[row.begin + j] = {action, q};
     }
   }
   rng_ = rng;

@@ -15,7 +15,8 @@
 //    agree stream for stream.
 //
 //  * save()/load() round-trip the complete state through a CTJS container
-//    (SRVJOB + JAMRCFG + SRVPRG + the scheme/env chunks), so an evicted
+//    (SRVJOB + JAMRCFG + SRVPRG + the scheme/env chunks; a QL tenant's
+//    scheme chunk is the sparse QLSTATE v2 table), so an evicted
 //    tenant revived on a different worker — or a different day — continues
 //    bit-identically. load() rejects a checkpoint whose JobSpec or
 //    adversary differs from the expected one (io::IoError kStateMismatch),
@@ -83,7 +84,9 @@ class TenantRunner {
   /// the CTJS container of its chunks for DQN, the QLSTATE/FHSTATE payload
   /// otherwise. The latter is written by the same encoder as the spool's
   /// chunk, into a digest writer that CRCs the bytes as they come and keeps
-  /// none of them (a QL table's payload is 2.4 MB after 2 048 slots).
+  /// none of them. For QL that chunk is QLSTATE v2 (rl/qlearning.hpp):
+  /// only stored, non-+0.0 entries, rows in first-write order, so a live
+  /// and a revived tenant digest the same bytes.
   virtual std::uint32_t scheme_state_crc() const = 0;
 
   /// Per-slot bookkeeping shared by every scheme: reward window, stream

@@ -2,12 +2,14 @@
 // rl::QLearningAgent, which keeps only the written actions of each row.
 // Every row here is a full num_actions vector: act_greedy is argmax
 // (std::max_element) of the row and update bootstraps from the row's
-// std::max_element, exactly as the agent must behave. The QLSTATE bytes are
-// the agent's: RNG state, step count, entry count, then per row (keys
-// ascending) the key and the row as an f64_vec.
+// std::max_element, exactly as the agent must behave. The QLSTATE v2 bytes
+// are the agent's: version, RNG state, step count, row count, then per row
+// in first-write order the key, the count of values whose bits are not
+// +0.0, and those values as (action, q) pairs, actions ascending.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -66,41 +68,61 @@ struct DenseQlReference {
         next == table.end()
             ? 0.0
             : *std::max_element(next->second.begin(), next->second.end());
-    std::vector<double>& q =
-        table.try_emplace(key_of(state), config.num_actions, 0.0)
-            .first->second;
+    std::vector<double>& q = row(key_of(state));
     const double target =
         reward * config.reward_scale + config.gamma * max_next;
     q[action] += config.learning_rate * (target - q[action]);
     ++steps;
   }
 
+  /// The row of `key`, created all-zero (and recorded in `order`) on its
+  /// first write.
+  std::vector<double>& row(std::uint64_t key) {
+    const auto [it, added] = table.try_emplace(key, config.num_actions, 0.0);
+    if (added) order.push_back(key);
+    return it->second;
+  }
+
   void save_state(io::ByteWriter& out) const {
+    out.u32(QLearningAgent::kStateVersion);
     out.str(rng.serialize_state());
     out.u64(steps);
-    std::vector<std::pair<std::uint64_t, const std::vector<double>*>> rows;
-    for (const auto& [key, row] : table) rows.emplace_back(key, &row);
-    std::sort(rows.begin(), rows.end());
-    out.u64(rows.size());
-    for (const auto& [key, row] : rows) {
+    out.u64(order.size());
+    for (const std::uint64_t key : order) {
+      const std::vector<double>& q = table.at(key);
+      const auto stored = [](double v) {
+        return std::bit_cast<std::uint64_t>(v) != 0;
+      };
       out.u64(key);
-      out.f64_vec(*row);
+      out.u32(static_cast<std::uint32_t>(
+          std::count_if(q.begin(), q.end(), stored)));
+      for (std::size_t a = 0; a < q.size(); ++a) {
+        if (!stored(q[a])) continue;
+        out.u32(static_cast<std::uint32_t>(a));
+        out.f64(q[a]);
+      }
     }
   }
 
   void load_state(io::ByteReader& in) {
+    in.u32();  // version
     rng.restore_state(in.str());
     steps = in.u64();
     table.clear();
+    order.clear();
     for (std::uint64_t n = in.u64(); n > 0; --n) {
-      const std::uint64_t key = in.u64();
-      table[key] = in.f64_vec();
+      std::vector<double>& q = row(in.u64());
+      for (std::uint32_t m = in.u32(); m > 0; --m) {
+        const std::uint32_t a = in.u32();
+        q.at(a) = in.f64();
+      }
     }
   }
 
   QLearningConfig config;
   Rng rng;
   std::unordered_map<std::uint64_t, std::vector<double>> table;
+  std::vector<std::uint64_t> order;  // table keys, first write first
   std::size_t steps = 0;
 };
 

@@ -15,6 +15,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -530,8 +532,9 @@ TEST(SchemeState, SchemeStateChunkLayout) {
 
 TEST(SchemeState, QlStatePayloadLayout) {
   // The QLSTATE payload, field by field: the Config digest, the same state
-  // block as SCHMST, then the agent (RNG str, steps u64, entry count u64,
-  // and per entry a key u64 and a Q row f64_vec, keys ascending).
+  // block as SCHMST, then the agent (v2: version u32, RNG str, steps u64,
+  // row count u64, and per row a key u64, an entry count u32 and that many
+  // (action u32, q f64) pairs, actions ascending, no +0.0 stored).
   QLearningScheme::Config config;
   config.history = 3;
   config.seed = 31;
@@ -567,44 +570,183 @@ TEST(SchemeState, QlStatePayloadLayout) {
                              config.num_power_levels +
                          pending.power_index);
 
+  EXPECT_EQ(r.u32(), rl::QLearningAgent::kStateVersion);
   Rng agent_rng;
   EXPECT_NO_THROW(agent_rng.restore_state(r.str()));
   EXPECT_EQ(r.u64(), 60u);  // one update per fed slot
-  const std::uint64_t entries = r.u64();
-  EXPECT_EQ(entries, scheme.agent().table_size());
+  const std::uint64_t rows = r.u64();
+  EXPECT_EQ(rows, scheme.agent().table_size());
   std::vector<std::uint64_t> keys;
-  for (std::uint64_t i = 0; i < entries; ++i) {
+  std::uint64_t stored = 0;
+  for (std::uint64_t i = 0; i < rows; ++i) {
     keys.push_back(r.u64());
-    EXPECT_EQ(r.f64_vec().size(), scheme.agent().config().num_actions);
+    const std::uint32_t count = r.u32();
+    std::int64_t last = -1;
+    for (std::uint32_t j = 0; j < count; ++j) {
+      const std::uint32_t action = r.u32();
+      EXPECT_GT(static_cast<std::int64_t>(action), last);
+      EXPECT_LT(action, scheme.agent().config().num_actions);
+      EXPECT_NE(std::bit_cast<std::uint64_t>(r.f64()), 0u);
+      last = action;
+    }
+    stored += count;
   }
   r.expect_end();
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_LE(stored, 60u);  // at most one new entry per update
+  std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
+/// An agent's QLSTATE bytes.
+std::string ql_bytes(const rl::QLearningAgent& agent) {
+  io::ByteWriter out;
+  agent.save_state(out);
+  return out.take();
+}
+
+/// Expect load_state(payload) to throw io::IoError of `kind` and leave the
+/// agent's bytes as they were.
+void expect_rejected(rl::QLearningAgent& agent, std::string_view payload,
+                     io::ErrorKind kind) {
+  const std::string before = ql_bytes(agent);
+  io::ByteReader in(payload);
+  try {
+    agent.load_state(in);
+    ADD_FAILURE() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), kind) << e.what();
+  }
+  EXPECT_EQ(ql_bytes(agent), before);
+}
+
 TEST(QlState, HostileTableCountThrowsInsteadOfAllocating) {
-  // The Q-table entry count is read before any entry backs it: a count no
-  // payload could hold must fail as a typed IoError, not reserve buckets
-  // for it, and leave the agent untouched.
+  // The row count and each row's entry count are read before any bytes
+  // back them: a count no payload could hold must fail as a typed IoError,
+  // not reserve room for it, and leave the agent untouched.
   rl::QLearningConfig config;
   config.state_dim = 6;
   config.num_actions = 4;
   rl::QLearningAgent agent(config);
-  io::ByteWriter saved;
-  agent.save_state(saved);
-  io::ByteReader fields(saved.buffer());
+  const std::string saved = ql_bytes(agent);
+  io::ByteReader fields(saved);
+  io::ByteWriter head;
+  head.u32(fields.u32());  // version
+  head.str(fields.str());  // RNG
+  head.u64(fields.u64());  // steps
+
   io::ByteWriter hostile;
-  hostile.str(fields.str());  // RNG
-  hostile.u64(fields.u64());  // steps
+  hostile.bytes(head.buffer().data(), head.buffer().size());
   hostile.u64(std::numeric_limits<std::uint64_t>::max() / 2);
-  io::ByteReader r(hostile.buffer());
-  try {
-    agent.load_state(r);
-    FAIL() << "expected IoError";
-  } catch (const io::IoError& e) {
-    EXPECT_EQ(e.kind(), io::ErrorKind::kBadPayload);
-  }
+  expect_rejected(agent, hostile.buffer(), io::ErrorKind::kBadPayload);
   EXPECT_EQ(agent.table_size(), 0u);
+
+  // One row whose entry count is past both num_actions and the payload.
+  io::ByteWriter hostile_row;
+  hostile_row.bytes(head.buffer().data(), head.buffer().size());
+  hostile_row.u64(1);
+  hostile_row.u64(42);
+  hostile_row.u32(std::numeric_limits<std::uint32_t>::max());
+  expect_rejected(agent, hostile_row.buffer(), io::ErrorKind::kBadPayload);
+  EXPECT_EQ(agent.table_size(), 0u);
+}
+
+TEST(QlState, MalformedRowsThrowAndLeaveTheAgentUntouched) {
+  // Actions out of range or not strictly ascending, a key given twice and
+  // a stored +0.0 (which the writer never emits) are all kBadPayload.
+  rl::QLearningConfig config;
+  config.state_dim = 2;
+  config.num_actions = 4;
+  rl::QLearningAgent agent(config);
+  agent.update(std::vector<double>{0.1, 0.9}, 1, -5.0,
+               std::vector<double>{0.9, 0.1});
+  struct Pair {
+    std::uint32_t action;
+    double q;
+  };
+  const auto payload = [](const std::vector<std::pair<std::uint64_t,
+                                                      std::vector<Pair>>>&
+                              rows) {
+    io::ByteWriter out;
+    out.u32(rl::QLearningAgent::kStateVersion);
+    out.str(Rng(3).serialize_state());
+    out.u64(9);
+    out.u64(rows.size());
+    for (const auto& [key, pairs] : rows) {
+      out.u64(key);
+      out.u32(static_cast<std::uint32_t>(pairs.size()));
+      for (const Pair& p : pairs) {
+        out.u32(p.action);
+        out.f64(p.q);
+      }
+    }
+    return out.take();
+  };
+  // The well-formed payload loads.
+  const std::string good = payload({{7, {{0, -1.0}, {3, 2.0}}}, {5, {}}});
+  rl::QLearningAgent loaded(config);
+  io::ByteReader in(good);
+  loaded.load_state(in);
+  in.expect_end();
+  EXPECT_EQ(ql_bytes(loaded), good);
+
+  expect_rejected(agent, payload({{7, {{4, -1.0}}}}),
+                  io::ErrorKind::kBadPayload);
+  expect_rejected(agent, payload({{7, {{2, -1.0}, {2, -2.0}}}}),
+                  io::ErrorKind::kBadPayload);
+  expect_rejected(agent, payload({{7, {{2, -1.0}, {1, -2.0}}}}),
+                  io::ErrorKind::kBadPayload);
+  expect_rejected(agent, payload({{7, {{1, -1.0}}}, {5, {}}, {7, {}}}),
+                  io::ErrorKind::kBadPayload);
+  expect_rejected(agent, payload({{7, {{1, -1.0}, {2, 0.0}}}}),
+                  io::ErrorKind::kBadPayload);
+  // -0.0 is a stored value, not an absent one.
+  EXPECT_NO_THROW({
+    const std::string negative_zero = payload({{7, {{2, -0.0}}}});
+    io::ByteReader r(negative_zero);
+    loaded.load_state(r);
+  });
+}
+
+TEST(QlState, EveryTruncationThrowsTypedAndLeavesTheAgentUntouched) {
+  // Cut a real payload at every byte offset: each prefix must throw a
+  // typed IoError and leave the loading agent as it was. A v1 payload
+  // (keys sorted, rows dense f64 vectors, no version field) must fail
+  // typed as well.
+  rl::QLearningConfig config;
+  config.state_dim = 4;
+  config.num_actions = 6;
+  const auto trained = [&config](std::uint64_t seed, int updates) {
+    rl::QLearningAgent agent(config);
+    Rng rng(seed);
+    std::vector<double> s(4);
+    std::vector<double> s2(4);
+    for (int i = 0; i < updates; ++i) {
+      for (std::size_t d = 0; d < 4; ++d) {
+        s[d] = rng.uniform(0.0, 1.0);
+        s2[d] = rng.uniform(0.0, 1.0);
+      }
+      agent.update(s, agent.act(s), rng.uniform(-10.0, 1.0), s2);
+    }
+    return agent;
+  };
+  const std::string payload = ql_bytes(trained(3, 40));
+  rl::QLearningAgent target = trained(4, 25);
+  ASSERT_GT(target.table_size(), 0u);
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    const std::string before = ql_bytes(target);
+    io::ByteReader in(std::string_view(payload).substr(0, cut));
+    EXPECT_THROW(target.load_state(in), io::IoError);
+    ASSERT_EQ(ql_bytes(target), before);
+  }
+
+  io::ByteWriter v1;
+  v1.str(Rng(5).serialize_state());
+  v1.u64(1);
+  v1.u64(1);
+  v1.u64(42);
+  v1.f64_vec(std::vector<double>(config.num_actions, -1.0));
+  expect_rejected(target, v1.buffer(), io::ErrorKind::kVersionMismatch);
 }
 
 TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
@@ -618,22 +760,25 @@ TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
   const std::vector<double> s = {0.1, 0.9, 0.5, 0.2};
   const std::vector<double> s2 = {0.9, 0.1, 0.5, 0.8};
 
-  // Visit s once, then rewrite the saved row of s as zeros and the step
-  // count as 0, so the twin differs from a fresh agent only by that row.
+  // Visit s once, then rewrite the saved row of s as a row of no stored
+  // entries and the step count as 0, so the twin differs from a fresh
+  // agent only by that row.
   rl::QLearningAgent visited(config);
   visited.update(s, 2, 50.0, s);
-  io::ByteWriter saved;
-  visited.save_state(saved);
-  io::ByteReader fields(saved.buffer());
+  const std::string saved = ql_bytes(visited);
+  io::ByteReader fields(saved);
   io::ByteWriter zeroed;
+  zeroed.u32(fields.u32());  // version
   zeroed.str(fields.str());  // RNG
   fields.u64();
   zeroed.u64(0);  // steps
   ASSERT_EQ(fields.u64(), 1u);
   zeroed.u64(1);
   zeroed.u64(fields.u64());  // the key of s
-  ASSERT_NE(fields.f64_vec(), std::vector<double>(config.num_actions, 0.0));
-  zeroed.f64_vec(std::vector<double>(config.num_actions, 0.0));
+  ASSERT_EQ(fields.u32(), 1u);
+  ASSERT_EQ(fields.u32(), 2u);
+  ASSERT_NE(fields.f64(), 0.0);
+  zeroed.u32(0);
   fields.expect_end();
   rl::QLearningAgent materialized(config);
   io::ByteReader in(zeroed.buffer());
@@ -653,18 +798,23 @@ TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(fresh.act(s), materialized.act(s));
 
   // The updated row of s2, bit for bit: the whole fresh payload must equal
-  // the twin's with the zero row of s taken out.
+  // the twin's with the empty row of s taken out.
   const auto rows_of = [](const rl::QLearningAgent& agent) {
-    io::ByteWriter out;
-    agent.save_state(out);
-    io::ByteReader r(out.buffer());
+    const std::string bytes = ql_bytes(agent);
+    io::ByteReader r(bytes);
+    r.u32();
     r.str();
     r.u64();
     std::map<std::uint64_t, std::string> rows;
     for (std::uint64_t n = r.u64(); n > 0; --n) {
       const std::uint64_t key = r.u64();
+      const std::uint32_t count = r.u32();
       io::ByteWriter row;
-      row.f64_vec(r.f64_vec());
+      row.u32(count);
+      for (std::uint32_t j = 0; j < count; ++j) {
+        row.u32(r.u32());
+        row.f64(r.f64());
+      }
       rows.emplace(key, row.take());
     }
     return rows;
@@ -676,16 +826,18 @@ TEST(QlAgent, UnvisitedKeyActsLikeZeroRow) {
   const std::uint64_t key_s2 = fresh_rows.begin()->first;
   EXPECT_EQ(fresh_rows.at(key_s2), twin_rows.at(key_s2));
   io::ByteReader row(fresh_rows.at(key_s2));
-  const std::vector<double> q = row.f64_vec();
-  EXPECT_EQ(q[3], config.learning_rate *
-                      (-7.0 * config.reward_scale + config.gamma * 0.0));
+  ASSERT_EQ(row.u32(), 1u);
+  EXPECT_EQ(row.u32(), 3u);
+  EXPECT_EQ(row.f64(), config.learning_rate *
+                           (-7.0 * config.reward_scale + config.gamma * 0.0));
 }
 
 TEST(QlState, DecoderRoundTripsEveryValueBitForBit) {
-  // The agent keeps a loaded row's values except those whose bits are
-  // +0.0; everything else (-0.0, NaN payloads, subnormals) must come back
-  // bit for bit, an all-zero row must stay a row, and the greedy action on
-  // each row must be the dense row's argmax.
+  // The agent keeps a loaded row's values, which never include +0.0 (it
+  // reads as absent); everything else (-0.0, NaN payloads, subnormals)
+  // must come back bit for bit, a row of no entries must stay a row, rows
+  // must keep the payload's order, and the greedy action on each row must
+  // be the dense row's argmax.
   rl::QLearningConfig config;
   config.state_dim = 4;
   config.num_actions = 6;
@@ -704,19 +856,31 @@ TEST(QlState, DecoderRoundTripsEveryValueBitForBit) {
   };
   // One state per row, each in its own discretization cell.
   std::vector<std::vector<double>> states;
-  std::map<std::uint64_t, std::size_t> row_of_key;
+  std::vector<std::uint64_t> keys;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     states.push_back({0.1 + 0.4 * static_cast<double>(i % 3),
                       0.1 + 0.4 * static_cast<double>(i / 3), 0.5, 0.5});
-    ASSERT_TRUE(row_of_key.emplace(reference.key_of(states[i]), i).second);
+    keys.push_back(reference.key_of(states[i]));
   }
+  ASSERT_EQ(std::set<std::uint64_t>(keys.begin(), keys.end()).size(),
+            rows.size());
+  ASSERT_FALSE(std::is_sorted(keys.begin(), keys.end()));
   io::ByteWriter payload;
+  payload.u32(rl::QLearningAgent::kStateVersion);
   payload.str(Rng(5).serialize_state());
   payload.u64(77);
   payload.u64(rows.size());
-  for (const auto& [key, i] : row_of_key) {  // keys ascending
-    payload.u64(key);
-    payload.f64_vec(rows[i]);
+  for (std::size_t i = 0; i < rows.size(); ++i) {  // rows in list order
+    payload.u64(keys[i]);
+    std::vector<std::uint32_t> stored;
+    for (std::uint32_t a = 0; a < rows[i].size(); ++a) {
+      if (std::bit_cast<std::uint64_t>(rows[i][a]) != 0) stored.push_back(a);
+    }
+    payload.u32(static_cast<std::uint32_t>(stored.size()));
+    for (const std::uint32_t a : stored) {
+      payload.u32(a);
+      payload.f64(rows[i][a]);
+    }
   }
 
   rl::QLearningAgent agent(config);
@@ -724,9 +888,7 @@ TEST(QlState, DecoderRoundTripsEveryValueBitForBit) {
   agent.load_state(in);
   in.expect_end();
   EXPECT_EQ(agent.table_size(), rows.size());
-  io::ByteWriter saved;
-  agent.save_state(saved);
-  EXPECT_EQ(saved.buffer(), payload.buffer());
+  EXPECT_EQ(ql_bytes(agent), payload.buffer());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(agent.act_greedy(states[i]), argmax(rows[i])) << "row " << i;
   }
@@ -740,11 +902,9 @@ TEST(QlState, DecoderRoundTripsEveryValueBitForBit) {
     agent.update(states[(i + 1) % rows.size()], i % 6, -3.0, states[i]);
     dense.update(states[(i + 1) % rows.size()], i % 6, -3.0, states[i]);
   }
-  io::ByteWriter agent_after;
-  agent.save_state(agent_after);
   io::ByteWriter dense_after;
   dense.save_state(dense_after);
-  EXPECT_EQ(agent_after.buffer(), dense_after.buffer());
+  EXPECT_EQ(ql_bytes(agent), dense_after.buffer());
 }
 
 // The learner keeps each replay slot's target bootstrap for as long as the

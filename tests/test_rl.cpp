@@ -1102,9 +1102,9 @@ TEST(QLearning, SparseRowsMatchDenseReference) {
       return s;
     };
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    dense.table[dense.key_of(state_of(0))] = {-0.0, -0.0, 0.0, -1.0, 0.0, -0.0};
-    dense.table[dense.key_of(state_of(1))] = {-2.0, -3.0, 0.0, nan, 0.5, -1.0};
-    dense.table[dense.key_of(state_of(2))] = std::vector<double>(6, 0.0);
+    dense.row(dense.key_of(state_of(0))) = {-0.0, -0.0, 0.0, -1.0, 0.0, -0.0};
+    dense.row(dense.key_of(state_of(1))) = {-2.0, -3.0, 0.0, nan, 0.5, -1.0};
+    dense.row(dense.key_of(state_of(2))) = std::vector<double>(6, 0.0);
     const std::string start = ql_bytes(dense);
     io::ByteReader in(start);
     agent.load_state(in);
