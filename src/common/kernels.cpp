@@ -150,6 +150,35 @@ double qam64_error_scalar(const double* iq, std::size_t n, double alpha,
   return err;
 }
 
+// The Adam loop with each bias-correction division compiled in only when
+// that correction still differs from 1.0 (x / 1.0 == x, so skipping it
+// changes no bit).
+template <bool kDivM, bool kDivV>
+void adam_loop(double* p, double* m, double* v, double* g, std::size_t n,
+               double beta1, double beta2, double lr, double bc1, double bc2,
+               double epsilon) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double gk = g[k];
+    g[k] = 0.0;
+    m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
+    v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
+    const double mhat = kDivM ? m[k] / bc1 : m[k];
+    const double vhat = kDivV ? v[k] / bc2 : v[k];
+    p[k] -= lr * mhat / (std::sqrt(vhat) + epsilon);
+  }
+}
+
+void adam_update_scalar(double* p, double* m, double* v, double* g,
+                        std::size_t n, double beta1, double beta2, double lr,
+                        double bc1, double bc2, double epsilon) {
+  using Loop = decltype(&adam_loop<true, true>);
+  static constexpr Loop kLoops[2][2] = {
+      {adam_loop<false, false>, adam_loop<false, true>},
+      {adam_loop<true, false>, adam_loop<true, true>}};
+  kLoops[bc1 != 1.0][bc2 != 1.0](p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
+                                 epsilon);
+}
+
 }  // namespace
 
 const KernelOps& scalar_ops() {
@@ -157,6 +186,7 @@ const KernelOps& scalar_ops() {
       "scalar",          matmul_acc_scalar, gather_dot_scalar,
       bias_act_scalar,   row_max_scalar,    row_argmax_scalar,
       viterbi_acs_hard_scalar, viterbi_acs_soft_scalar, qam64_error_scalar,
+      adam_update_scalar,
   };
   return kOps;
 }
@@ -178,23 +208,6 @@ double huber_loss(double error, double delta) {
   return delta * (abs_error - 0.5 * delta);
 }
 
-// The Adam loop with each bias-correction division compiled in only when
-// that correction still differs from 1.0.
-template <bool kDivM, bool kDivV>
-void adam_loop(double* p, double* m, double* v, double* g, std::size_t n,
-               double beta1, double beta2, double lr, double bc1, double bc2,
-               double epsilon) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const double gk = g[k];
-    g[k] = 0.0;
-    m[k] = beta1 * m[k] + (1.0 - beta1) * gk;
-    v[k] = beta2 * v[k] + (1.0 - beta2) * gk * gk;
-    const double mhat = kDivM ? m[k] / bc1 : m[k];
-    const double vhat = kDivV ? v[k] / bc2 : v[k];
-    p[k] -= lr * mhat / (std::sqrt(vhat) + epsilon);
-  }
-}
-
 }  // namespace
 
 double td_huber_batch(const TdHuberArgs& a, double* g) {
@@ -207,17 +220,6 @@ double td_huber_batch(const TdHuberArgs& a, double* g) {
     g[i] = huber_grad(error, a.huber_delta) / a.grad_div;
   }
   return loss;
-}
-
-void adam_update(double* p, double* m, double* v, double* g,
-                 std::size_t n, double beta1, double beta2, double lr,
-                 double bc1, double bc2, double epsilon) {
-  using Loop = decltype(&adam_loop<true, true>);
-  static constexpr Loop kLoops[2][2] = {
-      {adam_loop<false, false>, adam_loop<false, true>},
-      {adam_loop<true, false>, adam_loop<true, true>}};
-  kLoops[bc1 != 1.0][bc2 != 1.0](p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
-                                 epsilon);
 }
 
 // ------------------------------------------------------------- dispatch ----

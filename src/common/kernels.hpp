@@ -7,21 +7,22 @@
 // portable build (the determinism baseline) — and an AVX2/FMA variant
 // compiled into its own translation unit with -mavx2 -mfma so even a
 // portable (-DCTJ_NATIVE=OFF) build carries the fast path and selects it at
-// run time from CPUID. An AVX-512 level widens matmul, gather_dot and the
-// PHY kernels and inherits the rest from AVX2. The SIMD kernels preserve the
-// scalar per-element accumulation *order* — register blocking only tiles the
-// data-parallel dimensions — so the only numeric divergence from the scalar
-// reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
-// row_max / row_argmax / bias_act contain no FMA and match bit for bit, and
-// gather_dot matches its own level's matmul bit for bit.
-//
-// Two learner kernels are not dispatched. kern::adam_update is one loop
-// bound by its divisions and square root, so no hand-written SIMD variant
-// beat it. kern::td_huber_batch takes each
-// row's bootstrap value ready-made, so what is left is a few scalar ops per
-// row with nothing to vectorize. A bias-gradient row sum needs no kernel
-// either: rl::LinearLayer adds it in place (x + y is what a saxpy with
-// a = 1 computes at every level).
+// run time from CPUID. An AVX-512 level widens matmul, gather_dot, Adam and
+// the PHY kernels and inherits the rest from AVX2. The SIMD kernels preserve
+// the scalar per-element accumulation *order* — register blocking only
+// tiles the data-parallel dimensions — so the only numeric divergence from
+// the scalar reference is FMA contraction (verified ULP-bounded by
+// tests/test_kernels);
+// row_max / row_argmax / bias_act contain no FMA and match bit for bit,
+// gather_dot matches its own level's matmul bit for bit, and adam_update
+// matches bit for bit: its SIMD levels replace the two bias-correction
+// divisions by a reciprocal product with one Newton step, kept only in lanes
+// where a residual check proves it equals the division (see
+// KernelOps::adam_update and kernels_detail.hpp). kern::td_huber_batch is not
+// dispatched: it takes each row's bootstrap value ready-made, so what is
+// left is a few scalar ops per row with nothing to vectorize. A
+// bias-gradient row sum needs no kernel either: rl::LinearLayer adds it in
+// place (x + y is what a saxpy with a = 1 computes at every level).
 //
 // End-to-end results are NOT build-independent at a fixed level, scalar
 // included: the rl library's own loops (the sparse gradient accumulation in
@@ -123,6 +124,23 @@ struct KernelOps {
   /// only, like matmul.
   double (*qam64_error)(const double* iq, std::size_t n, double alpha,
                         double norm);
+
+  /// One Adam update over n parameters: moment EMAs, bias correction
+  /// x / (1−βᵗ), and the sqrt-damped step p −= (lr·m̂) / (√v̂ + ε). It
+  /// consumes the gradient: each g[k] is +0.0 once read, so the next
+  /// backward accumulates from zero with no separate clearing pass. A
+  /// correction that is exactly 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from
+  /// t = 37 412) is not applied: x / 1.0 == x in IEEE arithmetic. Every
+  /// level gives the scalar level's bits for every input, NaN payloads and
+  /// signed zeros included: the scalar level divides, and the SIMD levels
+  /// compute each correction as a reciprocal product plus one FMA Newton
+  /// step, keep it only where a residual check proves it is the correctly
+  /// rounded quotient, and divide in the other lanes. The final division
+  /// and the square root are the same IEEE operations at every level, and
+  /// the moment updates are plain mul/add in the scalar order.
+  void (*adam_update)(double* p, double* m, double* v, double* g,
+                      std::size_t n, double beta1, double beta2, double lr,
+                      double bc1, double bc2, double epsilon);
 };
 
 /// The portable reference kernels (always available).
@@ -136,23 +154,6 @@ const KernelOps& scalar_ops();
 /// lives in the scalar TU (no FP contraction), so it gives the same bits on
 /// every build and at every CTJ_SIMD level.
 double td_huber_batch(const TdHuberArgs& args, double* g);
-
-/// One Adam update over n parameters: moment EMAs, bias correction by
-/// division with (1−βᵗ), and the sqrt-damped step. It consumes the
-/// gradient: each g[k] is +0.0 once read, so the next backward accumulates
-/// from zero with no separate clearing pass. A correction that is exactly
-/// 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from t = 37 412) is not divided by:
-/// x / 1.0 == x in IEEE arithmetic, so skipping it changes no bit. Not
-/// dispatched: the loop is bound by its divisions and square root, not by
-/// memory (10 555 parameters take ≈ 30 µs with the 1−β₂ᵗ division and
-/// ≈ 21 µs without it, and four copies on four threads each run at
-/// single-thread speed), and a native build already vectorizes it, which
-/// is why a hand-written AVX2 variant gained nothing. It lives in the
-/// scalar TU (no FP contraction), so it gives the same bits on every build
-/// and at every CTJ_SIMD level.
-void adam_update(double* p, double* m, double* v, double* g,
-                 std::size_t n, double beta1, double beta2, double lr,
-                 double bc1, double bc2, double epsilon);
 
 /// The AVX2/FMA kernels, or nullptr when the build targets a non-x86
 /// architecture or the compiler cannot emit AVX2.

@@ -8,7 +8,9 @@
 // they are ULP-close but not bit-identical to the scalar reference. The
 // max/argmax reductions and bias_act contain no FMA and max is
 // order-independent for non-NaN input, so those kernels are bit-exact
-// against the scalar level.
+// against the scalar level. adam_update is bit-exact too: its FMAs only
+// compute bias corrections that a residual test proves equal to the
+// division (kernels_detail.hpp).
 #include "common/kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -343,6 +345,108 @@ double qam64_error_avx2(const double* iq, std::size_t n, double alpha,
   return err;
 }
 
+// One bias correction x / bc over four lanes, bit for bit: the reciprocal
+// product with one Newton step where the residual test of kernels_detail.hpp
+// proves it is RN(x/bc), a division in the other lanes.
+class BiasCorrection4 {
+ public:
+  explicit BiasCorrection4(double bc)
+      : bc_(_mm256_set1_pd(bc)),
+        inv_(_mm256_set1_pd(1.0 / bc)),
+        c_(_mm256_set1_pd(bc * 0x1p-53)) {}
+
+  __m256d apply(__m256d x) const {
+    const __m256d exp_bits = _mm256_castsi256_pd(
+        _mm256_set1_epi64x(static_cast<long long>(detail::kExponentBits)));
+    const __m256d abs_bits = _mm256_castsi256_pd(
+        _mm256_set1_epi64x(0x7fffffffffffffffLL));
+    const __m256d q0 = _mm256_mul_pd(x, inv_);
+    const __m256d q =
+        _mm256_fnmadd_pd(_mm256_fmsub_pd(q0, bc_, x), inv_, q0);
+    const __m256d r = _mm256_fmsub_pd(q, bc_, x);
+    const __m256d pow2 = _mm256_and_pd(q, exp_bits);  // 2ᵉ of |q|
+    const __m256d t = _mm256_mul_pd(c_, pow2);
+    __m256d ok = _mm256_cmp_pd(_mm256_and_pd(r, abs_bits), t, _CMP_LT_OQ);
+    ok = _mm256_and_pd(
+        ok, _mm256_cmp_pd(_mm256_and_pd(q, abs_bits), pow2, _CMP_NEQ_OQ));
+    ok = _mm256_or_pd(ok,
+                      _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ));
+    if (_mm256_movemask_pd(ok) == 0xf) [[likely]] return q;
+    return _mm256_blendv_pd(_mm256_div_pd(x, bc_), q, ok);
+  }
+
+ private:
+  __m256d bc_, inv_, c_;  // c_ = bc·2⁻⁵³
+};
+
+// The scalar Adam loop four lanes at a time, with the same mul/add order
+// (this TU does not contract) and the same final division and square root;
+// only the bias corrections run through BiasCorrection4. The tail is one
+// masked pass whose dead lanes hold +0.0, which no step can make fail.
+template <bool kCorrM, bool kCorrV>
+void adam_loop_avx2(double* p, double* m, double* v, double* g,
+                    std::size_t n, double beta1, double beta2, double lr,
+                    double bc1, double bc2, double epsilon) {
+  const BiasCorrection4 corr1(bc1), corr2(bc2);
+  const __m256d b1 = _mm256_set1_pd(beta1);
+  const __m256d ob1 = _mm256_set1_pd(1.0 - beta1);
+  const __m256d b2 = _mm256_set1_pd(beta2);
+  const __m256d ob2 = _mm256_set1_pd(1.0 - beta2);
+  const __m256d vlr = _mm256_set1_pd(lr);
+  const __m256d veps = _mm256_set1_pd(epsilon);
+  const __m256d zero = _mm256_setzero_pd();
+  const auto step = [&](__m256d& pk, __m256d& mk, __m256d& vk, __m256d gk) {
+    mk = _mm256_add_pd(_mm256_mul_pd(b1, mk), _mm256_mul_pd(ob1, gk));
+    vk = _mm256_add_pd(_mm256_mul_pd(b2, vk),
+                       _mm256_mul_pd(_mm256_mul_pd(ob2, gk), gk));
+    const __m256d mhat = kCorrM ? corr1.apply(mk) : mk;
+    const __m256d vhat = kCorrV ? corr2.apply(vk) : vk;
+    pk = _mm256_sub_pd(pk, _mm256_div_pd(_mm256_mul_pd(vlr, mhat),
+                                         _mm256_add_pd(_mm256_sqrt_pd(vhat),
+                                                       veps)));
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    __m256d pk = _mm256_loadu_pd(p + k);
+    __m256d mk = _mm256_loadu_pd(m + k);
+    __m256d vk = _mm256_loadu_pd(v + k);
+    step(pk, mk, vk, _mm256_loadu_pd(g + k));
+    _mm256_storeu_pd(g + k, zero);
+    _mm256_storeu_pd(m + k, mk);
+    _mm256_storeu_pd(v + k, vk);
+    _mm256_storeu_pd(p + k, pk);
+  }
+  if (k == n) return;
+  const __m256i live = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(n - k)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d pk = _mm256_maskload_pd(p + k, live);
+  __m256d mk = _mm256_maskload_pd(m + k, live);
+  __m256d vk = _mm256_maskload_pd(v + k, live);
+  step(pk, mk, vk, _mm256_maskload_pd(g + k, live));
+  _mm256_maskstore_pd(g + k, live, zero);
+  _mm256_maskstore_pd(m + k, live, mk);
+  _mm256_maskstore_pd(v + k, live, vk);
+  _mm256_maskstore_pd(p + k, live, pk);
+}
+
+void adam_update_avx2(double* p, double* m, double* v, double* g,
+                      std::size_t n, double beta1, double beta2, double lr,
+                      double bc1, double bc2, double epsilon) {
+  if (!detail::rcp_correction_exact(bc1) ||
+      !detail::rcp_correction_exact(bc2)) {
+    scalar_ops().adam_update(p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
+                             epsilon);
+    return;
+  }
+  using Loop = decltype(&adam_loop_avx2<true, true>);
+  static constexpr Loop kLoops[2][2] = {
+      {adam_loop_avx2<false, false>, adam_loop_avx2<false, true>},
+      {adam_loop_avx2<true, false>, adam_loop_avx2<true, true>}};
+  kLoops[bc1 != 1.0][bc2 != 1.0](p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
+                                 epsilon);
+}
+
 }  // namespace
 
 const KernelOps* avx2_ops() {
@@ -350,6 +454,7 @@ const KernelOps* avx2_ops() {
       "avx2",          matmul_acc_avx2, gather_dot_avx2,
       bias_act_avx2,   row_max_avx2,    row_argmax_avx2,
       viterbi_acs_hard_avx2, viterbi_acs_soft_avx2, qam64_error_avx2,
+      adam_update_avx2,
   };
   return &kOps;
 }

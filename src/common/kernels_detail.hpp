@@ -1,5 +1,6 @@
-// The compressed-nonzero packing scaffold the AVX2 and AVX-512 translation
-// units share. Each level brings its own vector pack of one A row; both keep
+// What the AVX2 and AVX-512 translation units share: the compressed-nonzero
+// packing scaffold and the constants of Adam's division-free bias
+// correction. Each level brings its own vector pack of one A row; both keep
 // exactly the entries the scalar reference's `if (aik == 0.0) continue`
 // keeps, in increasing k, so every level's matmul and gather_dot run the
 // same per-element chains.
@@ -76,6 +77,55 @@ void gather_dot_packed(double* out, const double* a, const double* b,
     }
     out[i] = s;
   }
+}
+
+// ------------------------------------- Adam's bias correction, exactly ----
+//
+// The SIMD levels of adam_update compute each bias correction x / bc as
+//
+//   inv = RN(1/bc)                       once per call
+//   q₀  = RN(x·inv)
+//   q   = RN(q₀ − RN(q₀·bc − x)·inv)     two FMAs: one Newton step
+//   r   = RN(q·bc − x)                   one FMA
+//
+// and keep q in a lane only when x = ±0, or when
+//
+//   |r| < T,  T = RN(c·2ᵉ),  c = bc·2⁻⁵³,
+//
+// with 2ᵉ the bits of q with its sign and fraction cleared, and q's
+// fraction bits are not all zero. Every other lane divides. A kept q is
+// RN(x/bc), the scalar level's quotient, for these reasons:
+// - bc ≥ kRcpMinCorrection, so c = bc·2⁻⁵³ is normal and exact, and T is
+//   the single rounding of bc·2ᵉ⁻⁵³. For a normal q in [2ᵉ, 2ᵉ⁺¹),
+//   ulp(q) = 2ᵉ⁻⁵², so that exact value is bc·ulp(q)/2.
+// - RN is monotone and odd: |q·bc − x| ≥ bc·ulp(q)/2 would give |r| ≥ T. So
+//   |r| < T proves |x − q·bc| < bc·ulp(q)/2, that is |x/bc − q| < ulp(q)/2,
+//   however r and T were rounded (T may even be subnormal).
+// - q is normal and not a power of two, so both of its neighbours lie one
+//   ulp(q) away, and x/bc, strictly less than half of that from q, rounds
+//   to q. At a power of two the neighbour below is half an ulp away, which
+//   is why those lanes divide.
+// - The test rejects the other quotients by itself: a zero or subnormal q
+//   has 2ᵉ = +0, so T = +0; an infinite or NaN q gives T = +inf and an
+//   infinite or NaN r; both fail the ordered compare. bc ≤ 1 keeps T finite
+//   for every finite q.
+// - x = ±0 gives q₀ = x, then RN(q₀·bc − x) = +0 and q = x: in this FMA
+//   order the zero sums keep x's sign. x/bc is that same zero.
+// With nothing near underflow, one Newton step from RN(1/bc) is already
+// correctly rounded (Markstein's theorem), so the lanes that divide are
+// NaN and infinite moments, quotients at or near the subnormal range and
+// exact powers of two. The SIMD bodies test the whole vector once and take
+// the dividing branch only when a lane failed; the training runs measured
+// never took it.
+//
+// Corrections outside [kRcpMinCorrection, 1], which 0 < β < 1 never gives,
+// leave the whole call to the scalar level.
+inline constexpr double kRcpMinCorrection = 0x1p-900;
+inline constexpr std::uint64_t kExponentBits = 0x7ff0000000000000ULL;
+inline constexpr std::uint64_t kFractionBits = 0x000fffffffffffffULL;
+
+inline bool rcp_correction_exact(double bc) {
+  return bc >= kRcpMinCorrection && bc <= 1.0;
 }
 
 }  // namespace ctj::kern::detail

@@ -335,11 +335,12 @@ void AdamOptimizer::step(Mlp& net) {
   ++t_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const auto adam_update = kern::ops().adam_update;
   std::size_t slot = 0;
   auto update = [&](Matrix& param, Matrix& grad) {
-    kern::adam_update(param.data(), m_[slot].data(), v_[slot].data(),
-                      grad.data(), param.size(), config_.beta1, config_.beta2,
-                      config_.lr, bc1, bc2, config_.epsilon);
+    adam_update(param.data(), m_[slot].data(), v_[slot].data(), grad.data(),
+                param.size(), config_.beta1, config_.beta2, config_.lr, bc1,
+                bc2, config_.epsilon);
     ++slot;
   };
   for (std::size_t i = 0; i < net.num_layers(); ++i) {

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/kernels.hpp"
@@ -458,8 +459,8 @@ void adam_reference(std::vector<double>& p, std::vector<double>& m,
 }
 
 TEST(KernelParity, AdamUpdateBitExact) {
-  // kern::adam_update is not dispatched; it must equal the reference to the
-  // last bit on every build and leave every gradient at +0.0 — also once a
+  // The active level's adam_update must equal the reference to the last
+  // bit on every build and leave every gradient at +0.0 — also once a
   // bias correction has rounded to exactly 1.0 and the kernel stops
   // dividing by it (1−0.9ᵗ at t ≥ 356, 1−0.999ᵗ at t ≥ 37 412), while the
   // reference still divides, and on the last steps before that, where it
@@ -487,8 +488,8 @@ TEST(KernelParity, AdamUpdateBitExact) {
       auto p = p_ref, m = m_ref, v = v_ref, g = g_ref;
       adam_reference(p_ref, m_ref, v_ref, g_ref, beta1, beta2, lr, c.bc1,
                      c.bc2, eps);
-      kern::adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1,
-                        beta2, lr, c.bc1, c.bc2, eps);
+      kern::ops().adam_update(p.data(), m.data(), v.data(), g.data(), n,
+                              beta1, beta2, lr, c.bc1, c.bc2, eps);
       EXPECT_EQ(p, p_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
       EXPECT_EQ(m, m_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
       EXPECT_EQ(v, v_ref) << "n=" << n << " bc1=" << c.bc1 << " bc2=" << c.bc2;
@@ -496,6 +497,154 @@ TEST(KernelParity, AdamUpdateBitExact) {
       for (std::size_t k = 0; k < n; ++k) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(g[k]), 0u)
             << "n=" << n << " entry " << k;
+      }
+    }
+  }
+}
+
+/// One hostile moment for a bias correction bc: a value whose corrected
+/// quotient x / bc makes the SIMD levels' reciprocal-and-Newton correction
+/// divide, or is where it could go wrong. Never NaN (callers add NaNs).
+double hostile_moment(double bc, Rng& rng) {
+  const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+  const std::uint64_t bits = rng.engine()();
+  // A power of two for the quotient, half the time near the subnormal range.
+  const int k = rng.bernoulli(0.5) ? rng.uniform_int(-40, 40)
+                                   : rng.uniform_int(-1022, -1000);
+  switch (rng.index(8)) {
+    case 0:  // the quotient is that power of two
+      return sign * std::ldexp(bc, k);
+    case 1:  // one ulp either side of that
+      return sign * std::nextafter(std::ldexp(bc, k),
+                                   rng.bernoulli(0.5) ? 0.0 : 1e300);
+    case 2:  // signed zero
+      return sign * 0.0;
+    case 3:  // subnormal, the 5·2⁻¹⁰⁷⁴ first moment of a stalled run included
+      return sign * (rng.bernoulli(0.3)
+                         ? 5 * std::numeric_limits<double>::denorm_min()
+                         : std::bit_cast<double>(bits & 0x000fffffffffffffULL));
+    case 4:  // ±inf, or a quotient that overflows
+      return sign * (rng.bernoulli(0.5)
+                         ? std::numeric_limits<double>::infinity()
+                         : std::numeric_limits<double>::max() *
+                               rng.uniform(0.5, 1.0));
+    case 5:  // an ordinary moment
+      return rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 2.0));
+    default:  // normal, with a quotient near the subnormal range
+      return sign * std::ldexp(1.0 + rng.uniform(), rng.uniform_int(-1030, -960));
+  }
+}
+
+double random_nan(Rng& rng) {
+  const std::uint64_t bits = rng.engine()();
+  const std::uint64_t quiet = rng.bernoulli(0.5) ? 0x0008000000000000ULL : 0;
+  // A signalling NaN needs a nonzero payload below the quiet bit.
+  return std::bit_cast<double>((bits & 0x8007ffffffffffffULL) | quiet |
+                               0x7ff0000000000001ULL);
+}
+
+TEST(KernelParity, AdamUpdateEveryLevelBitExact) {
+  // Every SIMD level's adam_update against the scalar table, compared by
+  // bits so ±0.0 and NaN payloads count, on the lanes that make its
+  // reciprocal-and-Newton bias correction divide or could make it wrong:
+  // quotients that are exact powers of two or an ulp off one, subnormal
+  // moments, moments whose quotient lies near the subnormal range (where
+  // the Newton step is not correctly rounded by itself), ±0.0, ±inf,
+  // overflowing quotients and NaN. Two kinds of call: ordinary Adam
+  // hyperparameters over realistic moments, with 70 % zero gradients
+  // spanning 1e−8..1 and some hostile moments; and a probe, β = lr = 1 and
+  // ε = 0, for which the moment updates are m + 0·g and v + 0·g·g, so the
+  // corrections see the hostile moments as they are, and each p = −0.0
+  // becomes −m̂/√v̂ with one of m̂, v̂ a hostile quotient and the other
+  // exactly 1, so an error in either shows in p, down to the sign of a
+  // zero. (The corrected moments are not stored; only p shows them.)
+  // Corrections 1−βᵗ at t = 1, 355 (the last 1−0.9ᵗ below 1),
+  // 356, 37 411 and 37 412 (both 1.0); lengths 1..17 and the paper net's
+  // 10 555 reach every tail of both levels. A lane holds at most one NaN:
+  // which of two NaN payloads an add keeps depends on the operand order the
+  // compiler picks, which no level promises.
+  REQUIRE_SIMD(levels);
+  if (kern::active_level() != SimdLevel::kScalar) {
+    // What the learner calls is the active level's body, not the scalar one.
+    EXPECT_NE(kern::ops().adam_update, kern::scalar_ops().adam_update);
+  }
+  const auto bc = [](double beta, double t) { return 1.0 - std::pow(beta, t); };
+  ASSERT_LT(bc(0.9, 355.0), 1.0);
+  ASSERT_EQ(bc(0.9, 356.0), 1.0);
+  ASSERT_LT(bc(0.999, 37411.0), 1.0);
+  ASSERT_EQ(bc(0.999, 37412.0), 1.0);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(10555);
+  const auto expect_same_bits = [](const std::vector<double>& got,
+                                   const std::vector<double>& want,
+                                   const char* what) {
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want[k]))
+          << what << "[" << k << "] of " << got.size() << ": " << got[k]
+          << " vs " << want[k];
+    }
+  };
+  for (const KernelOps* ops : levels) {
+    SCOPED_TRACE(ops->name);
+    Rng rng(29);
+    for (const double t : {1.0, 355.0, 356.0, 37411.0, 37412.0}) {
+      const double bc1 = bc(0.9, t), bc2 = bc(0.999, t);
+      for (const bool probe : {false, true}) {
+        const double beta1 = probe ? 1.0 : 0.9;
+        const double beta2 = probe ? 1.0 : 0.999;
+        const double lr = probe ? 1.0 : 1e-3;
+        const double eps = probe ? 0.0 : 1e-8;
+        for (const std::size_t n : lengths) {
+          SCOPED_TRACE(testing::Message()
+                       << "t=" << t << " n=" << n << (probe ? " probe" : ""));
+          std::vector<double> p(n), m(n), v(n), g(n);
+          for (std::size_t k = 0; k < n; ++k) {
+            p[k] = probe ? -0.0 : rng.normal(0.0, 1.0);
+            if (probe && rng.bernoulli(0.5)) {  // p becomes −m̂
+              m[k] = hostile_moment(bc1, rng);
+              v[k] = bc2;
+            } else if (probe) {  // p becomes −1/√v̂
+              m[k] = bc1;
+              const double h = hostile_moment(bc2, rng);
+              v[k] = h == 0.0 ? h : std::abs(h);
+            } else if (rng.bernoulli(0.05)) {
+              m[k] = hostile_moment(bc1, rng);
+              v[k] = std::abs(hostile_moment(bc2, rng));
+            } else {
+              m[k] = rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-6, 0));
+              v[k] = std::abs(rng.normal(0.0, 1.0)) *
+                     std::pow(10.0, rng.uniform(-12, 0));
+            }
+            g[k] = rng.bernoulli(0.7)
+                       ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                       : rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-8, 0));
+            switch (rng.index(20)) {  // one NaN at most, in one of the inputs
+              case 0: p[k] = random_nan(rng); break;
+              case 1: m[k] = random_nan(rng); break;
+              case 2: v[k] = random_nan(rng); break;
+              case 3: g[k] = random_nan(rng); break;
+              case 4:
+                g[k] = rng.bernoulli(0.5)
+                           ? std::numeric_limits<double>::infinity()
+                           : -std::numeric_limits<double>::infinity();
+                break;
+              default: break;
+            }
+          }
+          auto p_ref = p, m_ref = m, v_ref = v, g_ref = g;
+          kern::scalar_ops().adam_update(p_ref.data(), m_ref.data(),
+                                         v_ref.data(), g_ref.data(), n, beta1,
+                                         beta2, lr, bc1, bc2, eps);
+          ops->adam_update(p.data(), m.data(), v.data(), g.data(), n, beta1,
+                           beta2, lr, bc1, bc2, eps);
+          expect_same_bits(m, m_ref, "m");
+          expect_same_bits(v, v_ref, "v");
+          expect_same_bits(p, p_ref, "p");
+          expect_same_bits(g, g_ref, "g");
+          if (HasFatalFailure()) return;
+        }
       }
     }
   }
