@@ -66,19 +66,22 @@ bool ContainerWriter::has_chunk(std::string_view tag) const {
   return false;
 }
 
-std::string ContainerWriter::to_bytes() const {
+void ContainerWriter::encode(ByteWriter& out) const {
   std::uint64_t file_size = kHeaderSize;
   for (const Chunk& c : chunks_) {
     file_size += kChunkHeaderSize + c.payload.size();
   }
 
-  ByteWriter out;
-  out.bytes(kMagic, sizeof(kMagic));
-  out.u16(kFormatVersion);
-  out.u16(0);  // flags
-  out.u32(static_cast<std::uint32_t>(chunks_.size()));
-  out.u64(file_size);
-  out.u32(crc32(out.buffer().data(), out.buffer().size()));
+  // The header's CRC covers the header fields before it, so they are built
+  // in a buffer of their own, whatever kind of writer `out` is.
+  ByteWriter header;
+  header.bytes(kMagic, sizeof(kMagic));
+  header.u16(kFormatVersion);
+  header.u16(0);  // flags
+  header.u32(static_cast<std::uint32_t>(chunks_.size()));
+  header.u64(file_size);
+  header.u32(header.crc());
+  out.bytes(header.buffer().data(), header.buffer().size());
 
   for (const Chunk& c : chunks_) {
     std::uint32_t crc = crc32(c.tag);
@@ -89,7 +92,18 @@ std::string ContainerWriter::to_bytes() const {
     out.u32(0);  // reserved
     out.bytes(c.payload.data(), c.payload.size());
   }
+}
+
+std::string ContainerWriter::to_bytes() const {
+  ByteWriter out;
+  encode(out);
   return out.take();
+}
+
+std::uint32_t ContainerWriter::crc() const {
+  ByteWriter out = ByteWriter::digest();
+  encode(out);
+  return out.crc();
 }
 
 void ContainerWriter::write(std::ostream& os) const {

@@ -23,6 +23,8 @@
 
 namespace ctj::io {
 
+class ByteWriter;
+
 class ContainerWriter {
  public:
   /// Append a chunk; tag must be 1..8 ASCII bytes (space padded on disk).
@@ -30,6 +32,9 @@ class ContainerWriter {
   void add_chunk(std::string_view tag, std::string payload);
 
   bool has_chunk(std::string_view tag) const;
+
+  /// Encode the container into `out`: the one encoder behind every output.
+  void encode(ByteWriter& out) const;
 
   /// Serialize the container to a stream.
   void write(std::ostream& os) const;
@@ -39,6 +44,9 @@ class ContainerWriter {
 
   /// The serialized container as a byte string (for tests and diffing).
   std::string to_bytes() const;
+
+  /// CRC-32 of to_bytes(), folded as it is encoded, with no buffer built.
+  std::uint32_t crc() const;
 
  private:
   struct Chunk {

@@ -68,7 +68,7 @@ class DqnTenant final : public TenantRunner {
   std::uint32_t scheme_state_crc() const override {
     io::ContainerWriter out;
     scheme_.save_state(out);
-    return io::crc32(out.to_bytes());
+    return out.crc();
   }
 
  private:
