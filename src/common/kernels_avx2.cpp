@@ -364,13 +364,12 @@ class BiasCorrection4 {
     const __m256d q =
         _mm256_fnmadd_pd(_mm256_fmsub_pd(q0, bc_, x), inv_, q0);
     const __m256d r = _mm256_fmsub_pd(q, bc_, x);
-    const __m256d pow2 = _mm256_and_pd(q, exp_bits);  // 2ᵉ of |q|
-    const __m256d t = _mm256_mul_pd(c_, pow2);
-    __m256d ok = _mm256_cmp_pd(_mm256_and_pd(r, abs_bits), t, _CMP_LT_OQ);
-    ok = _mm256_and_pd(
-        ok, _mm256_cmp_pd(_mm256_and_pd(q, abs_bits), pow2, _CMP_NEQ_OQ));
-    ok = _mm256_or_pd(ok,
-                      _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ));
+    // T = c·2ᵉ, with 2ᵉ the exponent bits of q; q stays where |r| < T or
+    // x = ±0.
+    const __m256d t = _mm256_mul_pd(c_, _mm256_and_pd(q, exp_bits));
+    const __m256d ok = _mm256_or_pd(
+        _mm256_cmp_pd(_mm256_and_pd(r, abs_bits), t, _CMP_LT_OQ),
+        _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ));
     if (_mm256_movemask_pd(ok) == 0xf) [[likely]] return q;
     return _mm256_blendv_pd(_mm256_div_pd(x, bc_), q, ok);
   }

@@ -248,18 +248,18 @@ class BiasCorrection8 {
   __m512d apply(__m512d x) const {
     const __m512i exp_bits =
         _mm512_set1_epi64(static_cast<long long>(detail::kExponentBits));
-    const __m512i frac_bits =
-        _mm512_set1_epi64(static_cast<long long>(detail::kFractionBits));
     const __m512d q0 = _mm512_mul_pd(x, inv_);
     const __m512d q =
         _mm512_fnmadd_pd(_mm512_fmsub_pd(q0, bc_, x), inv_, q0);
     const __m512d r = _mm512_fmsub_pd(q, bc_, x);
-    const __m512i qbits = _mm512_castpd_si512(q);
+    // T = c·2ᵉ, with 2ᵉ the exponent bits of q; q stays where |r| < T or
+    // x = ±0.
     const __m512d t = _mm512_mul_pd(
-        c_, _mm512_castsi512_pd(_mm512_and_epi64(qbits, exp_bits)));
-    __mmask8 ok = _mm512_cmp_pd_mask(_mm512_abs_pd(r), t, _CMP_LT_OQ);
-    ok = _mm512_mask_test_epi64_mask(ok, qbits, frac_bits);
-    ok |= _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_EQ_OQ);
+        c_, _mm512_castsi512_pd(
+                _mm512_and_epi64(_mm512_castpd_si512(q), exp_bits)));
+    const auto ok = static_cast<__mmask8>(
+        _mm512_cmp_pd_mask(_mm512_abs_pd(r), t, _CMP_LT_OQ) |
+        _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_EQ_OQ));
     if (ok == 0xFF) [[likely]] return q;
     return _mm512_mask_div_pd(q, static_cast<__mmask8>(~ok), x, bc_);
   }
