@@ -12,17 +12,18 @@
 // the scalar per-element accumulation *order* — register blocking only
 // tiles the data-parallel dimensions — so the only numeric divergence from
 // the scalar reference is FMA contraction (verified ULP-bounded by
-// tests/test_kernels);
-// row_max / row_argmax / bias_act contain no FMA and match bit for bit,
-// gather_dot matches its own level's matmul bit for bit, and adam_update
-// matches bit for bit: its SIMD levels replace the two bias-correction
-// divisions by a reciprocal product with one Newton step, kept only in lanes
-// where a residual check proves it equals the division (see
-// KernelOps::adam_update and kernels_detail.hpp). kern::td_huber_batch is not
-// dispatched: it takes each row's bootstrap value ready-made, so what is
-// left is a few scalar ops per row with nothing to vectorize. A
-// bias-gradient row sum needs no kernel either: rl::LinearLayer adds it in
-// place (x + y is what a saxpy with a = 1 computes at every level).
+// tests/test_kernels); row_max / row_argmax / bias_act contain no FMA and
+// match bit for bit, gather_dot matches its own level's matmul bit for bit,
+// and adam_update matches bit for bit: its SIMD levels replace the two
+// bias-correction divisions by a reciprocal product with one Newton step,
+// kept only in lanes where a residual check proves it equals the division
+// (see KernelOps::adam_update and kernels_detail.hpp).
+//
+// kern::td_huber_batch is not dispatched: it takes each row's bootstrap
+// value ready-made, so what is left is a few scalar ops per row with
+// nothing to vectorize. A bias-gradient row sum needs no kernel either:
+// rl::LinearLayer adds it in place (x + y is what a saxpy with a = 1
+// computes at every level).
 //
 // End-to-end results are NOT build-independent at a fixed level, scalar
 // included: the rl library's own loops (the sparse gradient accumulation in

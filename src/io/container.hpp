@@ -33,9 +33,6 @@ class ContainerWriter {
 
   bool has_chunk(std::string_view tag) const;
 
-  /// Encode the container into `out`: the one encoder behind every output.
-  void encode(ByteWriter& out) const;
-
   /// Serialize the container to a stream.
   void write(std::ostream& os) const;
 
@@ -53,6 +50,10 @@ class ContainerWriter {
     std::string tag;  // padded to kTagSize
     std::string payload;
   };
+
+  /// Encode the container into `out`: the one encoder behind every output.
+  void encode(ByteWriter& out) const;
+
   std::vector<Chunk> chunks_;
 };
 

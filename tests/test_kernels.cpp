@@ -519,10 +519,10 @@ double hostile_moment(double bc, Rng& rng) {
                                    rng.bernoulli(0.5) ? 0.0 : 1e300);
     case 2:  // signed zero
       return sign * 0.0;
-    case 3:  // subnormal, the 5·2⁻¹⁰⁷⁴ first moment of a stalled run included
+    case 3:  // subnormal, the 5·2⁻¹⁰⁷⁴ of a stalled first moment included
       return sign * (rng.bernoulli(0.3)
                          ? 5 * std::numeric_limits<double>::denorm_min()
-                         : std::bit_cast<double>(bits & 0x000fffffffffffffULL));
+                         : std::bit_cast<double>(bits >> 12));
     case 4:  // ±inf, or a quotient that overflows
       return sign * (rng.bernoulli(0.5)
                          ? std::numeric_limits<double>::infinity()
@@ -531,7 +531,8 @@ double hostile_moment(double bc, Rng& rng) {
     case 5:  // an ordinary moment
       return rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 2.0));
     default:  // normal, with a quotient near the subnormal range
-      return sign * std::ldexp(1.0 + rng.uniform(), rng.uniform_int(-1030, -960));
+      return sign *
+             std::ldexp(1.0 + rng.uniform(), rng.uniform_int(-1030, -960));
   }
 }
 
@@ -617,9 +618,9 @@ TEST(KernelParity, AdamUpdateEveryLevelBitExact) {
               v[k] = std::abs(rng.normal(0.0, 1.0)) *
                      std::pow(10.0, rng.uniform(-12, 0));
             }
-            g[k] = rng.bernoulli(0.7)
-                       ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
-                       : rng.normal(0.0, 1.0) * std::pow(10.0, rng.uniform(-8, 0));
+            g[k] = rng.bernoulli(0.7) ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                                      : rng.normal(0.0, 1.0) *
+                                            std::pow(10.0, rng.uniform(-8, 0));
             switch (rng.index(20)) {  // one NaN at most, in one of the inputs
               case 0: p[k] = random_nan(rng); break;
               case 1: m[k] = random_nan(rng); break;
