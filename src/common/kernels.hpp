@@ -7,17 +7,17 @@
 // portable build (the determinism baseline) — and an AVX2/FMA variant
 // compiled into its own translation unit with -mavx2 -mfma so even a
 // portable (-DCTJ_NATIVE=OFF) build carries the fast path and selects it at
-// run time from CPUID. An AVX-512 level widens matmul, gather_dot, Adam and
-// the PHY kernels and inherits the rest from AVX2. The SIMD kernels preserve
-// the scalar per-element accumulation *order* — register blocking only
-// tiles the data-parallel dimensions — so the only numeric divergence from
-// the scalar reference is FMA contraction (verified ULP-bounded by
-// tests/test_kernels); row_max / row_argmax / bias_act contain no FMA and
-// match bit for bit, gather_dot matches its own level's matmul bit for bit,
-// and adam_update matches bit for bit: its SIMD levels replace the two
-// bias-correction divisions by a reciprocal product with one Newton step,
-// kept only in lanes where a residual check proves it equals the division
-// (see KernelOps::adam_update and kernels_detail.hpp).
+// run time from CPUID. An AVX-512 level widens matmul, gather_dot and the
+// PHY kernels and inherits the rest from AVX2. The SIMD kernels preserve the
+// scalar per-element accumulation *order* — register blocking only tiles the
+// data-parallel dimensions — so the only numeric divergence from the scalar
+// reference is FMA contraction (verified ULP-bounded by tests/test_kernels);
+// row_max / row_argmax / bias_act contain no FMA and match bit for bit,
+// gather_dot matches its own level's matmul bit for bit, and adam_update
+// matches bit for bit: its AVX2 body replaces the two bias-correction
+// divisions by a reciprocal product with one Newton step, kept only in
+// lanes where a residual check proves it equals the division (see
+// KernelOps::adam_update and kernels_avx2.cpp).
 //
 // kern::td_huber_batch is not dispatched: it takes each row's bootstrap
 // value ready-made, so what is left is a few scalar ops per row with
@@ -132,13 +132,17 @@ struct KernelOps {
   /// backward accumulates from zero with no separate clearing pass. A
   /// correction that is exactly 1.0 (1−0.9ᵗ from t = 356, 1−0.999ᵗ from
   /// t = 37 412) is not applied: x / 1.0 == x in IEEE arithmetic. Every
-  /// level gives the scalar level's bits for every input, NaN payloads and
-  /// signed zeros included: the scalar level divides, and the SIMD levels
-  /// compute each correction as a reciprocal product plus one FMA Newton
-  /// step, keep it only where a residual check proves it is the correctly
-  /// rounded quotient, and divide in the other lanes. The final division
-  /// and the square root are the same IEEE operations at every level, and
-  /// the moment updates are plain mul/add in the scalar order.
+  /// level gives the scalar level's bits, signed zeros and NaN payloads
+  /// included, in every parameter with at most one NaN among its inputs.
+  /// Where two NaNs meet in one add (a NaN moment and a NaN gradient, say),
+  /// the payload that survives is the operand the compiler put first, which
+  /// no level fixes. The scalar level divides; the AVX2 body, which the
+  /// AVX-512 level inherits, computes each correction as a reciprocal
+  /// product plus one FMA Newton step, keeps it only where a residual check
+  /// proves it is the correctly rounded quotient, and divides in the other
+  /// lanes. The final division and the square root are the same IEEE
+  /// operations at every level, and the moment updates are plain mul/add
+  /// in the scalar order.
   void (*adam_update)(double* p, double* m, double* v, double* g,
                       std::size_t n, double beta1, double beta2, double lr,
                       double bc1, double bc2, double epsilon);

@@ -7,19 +7,19 @@
 // doubles the compute roofline on machines whose 256-bit FMA throughput
 // matches their L2 streaming bandwidth, which is exactly the regime where
 // batched inference is otherwise compute-bound), gather_dot (on this
-// level's eight-lane nonzero pack), Adam (eight lanes per division and
-// square root, bias corrections as in the AVX2 level) and the PHY hot-path
-// kernels (Viterbi ACS hard/soft, 64-QAM quantization error) whose fixed
-// 64-state / long-stream shapes fill full zmm lanes. Everything else
-// (bias_act, the row reductions) is inherited from the AVX2 table: those
-// kernels are bandwidth-bound or tiny, so a wider vector buys nothing.
-// gather_dot stays exact against this level's matmul because both run the
-// same per-element FMA chain over the same pack.
+// level's eight-lane nonzero pack) and the PHY hot-path kernels (Viterbi
+// ACS hard/soft, 64-QAM quantization error) whose fixed 64-state /
+// long-stream shapes fill full zmm lanes. Everything else (bias_act, the
+// row reductions, adam_update) is inherited from the AVX2 table: those
+// kernels are bandwidth-bound or tiny, so a wider vector buys nothing (an
+// eight-lane Adam timed no faster than the AVX2 body). gather_dot stays
+// exact against this level's matmul because both run the same per-element
+// FMA chain over the same pack.
 //
 // Numerics match the AVX2 level's contract: FMA contraction only,
 // per-element k-accumulation order unchanged and exact zeros skipped like
 // the scalar reference, so results are ULP-bounded against it (and exact for
-// one-hot rows); adam_update is bit-exact against it.
+// one-hot rows).
 #include "common/kernels.hpp"
 
 #if defined(__AVX512F__) && defined(__FMA__)
@@ -235,96 +235,6 @@ double qam64_error_avx512(const double* iq, std::size_t n, double alpha,
   return err;
 }
 
-// One bias correction x / bc over eight lanes, bit for bit: the reciprocal
-// product with one Newton step where the residual test of kernels_detail.hpp
-// proves it is RN(x/bc), a masked division in the other lanes.
-class BiasCorrection8 {
- public:
-  explicit BiasCorrection8(double bc)
-      : bc_(_mm512_set1_pd(bc)),
-        inv_(_mm512_set1_pd(1.0 / bc)),
-        c_(_mm512_set1_pd(bc * 0x1p-53)) {}
-
-  __m512d apply(__m512d x) const {
-    const __m512i exp_bits =
-        _mm512_set1_epi64(static_cast<long long>(detail::kExponentBits));
-    const __m512d q0 = _mm512_mul_pd(x, inv_);
-    const __m512d q =
-        _mm512_fnmadd_pd(_mm512_fmsub_pd(q0, bc_, x), inv_, q0);
-    const __m512d r = _mm512_fmsub_pd(q, bc_, x);
-    // T = c·2ᵉ, with 2ᵉ the exponent bits of q; q stays where |r| < T or
-    // x = ±0.
-    const __m512d t = _mm512_mul_pd(
-        c_, _mm512_castsi512_pd(
-                _mm512_and_epi64(_mm512_castpd_si512(q), exp_bits)));
-    const auto ok = static_cast<__mmask8>(
-        _mm512_cmp_pd_mask(_mm512_abs_pd(r), t, _CMP_LT_OQ) |
-        _mm512_cmp_pd_mask(x, _mm512_setzero_pd(), _CMP_EQ_OQ));
-    if (ok == 0xFF) [[likely]] return q;
-    return _mm512_mask_div_pd(q, static_cast<__mmask8>(~ok), x, bc_);
-  }
-
- private:
-  __m512d bc_, inv_, c_;  // c_ = bc·2⁻⁵³
-};
-
-// The scalar Adam loop eight lanes at a time, with the same mul/add order
-// (this TU does not contract) and the same final division and square root;
-// only the bias corrections run through BiasCorrection8. Loads and stores
-// are masked to the live lanes; dead lanes hold +0.0, which no step can
-// make fail.
-template <bool kCorrM, bool kCorrV>
-void adam_loop_avx512(double* p, double* m, double* v, double* g,
-                      std::size_t n, double beta1, double beta2, double lr,
-                      double bc1, double bc2, double epsilon) {
-  const BiasCorrection8 corr1(bc1), corr2(bc2);
-  const __m512d b1 = _mm512_set1_pd(beta1);
-  const __m512d ob1 = _mm512_set1_pd(1.0 - beta1);
-  const __m512d b2 = _mm512_set1_pd(beta2);
-  const __m512d ob2 = _mm512_set1_pd(1.0 - beta2);
-  const __m512d vlr = _mm512_set1_pd(lr);
-  const __m512d veps = _mm512_set1_pd(epsilon);
-  for (std::size_t k = 0; k < n; k += 8) {
-    const std::size_t left = n - k;
-    const auto live =
-        static_cast<__mmask8>(left >= 8 ? 0xFFu : 0xFFu >> (8 - left));
-    const __m512d gk = _mm512_maskz_loadu_pd(live, g + k);
-    const __m512d mk =
-        _mm512_add_pd(_mm512_mul_pd(b1, _mm512_maskz_loadu_pd(live, m + k)),
-                      _mm512_mul_pd(ob1, gk));
-    const __m512d vk =
-        _mm512_add_pd(_mm512_mul_pd(b2, _mm512_maskz_loadu_pd(live, v + k)),
-                      _mm512_mul_pd(_mm512_mul_pd(ob2, gk), gk));
-    const __m512d mhat = kCorrM ? corr1.apply(mk) : mk;
-    const __m512d vhat = kCorrV ? corr2.apply(vk) : vk;
-    const __m512d pk = _mm512_sub_pd(
-        _mm512_maskz_loadu_pd(live, p + k),
-        _mm512_div_pd(_mm512_mul_pd(vlr, mhat),
-                      _mm512_add_pd(_mm512_maskz_sqrt_pd(live, vhat), veps)));
-    _mm512_mask_storeu_pd(g + k, live, _mm512_setzero_pd());
-    _mm512_mask_storeu_pd(m + k, live, mk);
-    _mm512_mask_storeu_pd(v + k, live, vk);
-    _mm512_mask_storeu_pd(p + k, live, pk);
-  }
-}
-
-void adam_update_avx512(double* p, double* m, double* v, double* g,
-                        std::size_t n, double beta1, double beta2, double lr,
-                        double bc1, double bc2, double epsilon) {
-  if (!detail::rcp_correction_exact(bc1) ||
-      !detail::rcp_correction_exact(bc2)) {
-    scalar_ops().adam_update(p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
-                             epsilon);
-    return;
-  }
-  using Loop = decltype(&adam_loop_avx512<true, true>);
-  static constexpr Loop kLoops[2][2] = {
-      {adam_loop_avx512<false, false>, adam_loop_avx512<false, true>},
-      {adam_loop_avx512<true, false>, adam_loop_avx512<true, true>}};
-  kLoops[bc1 != 1.0][bc2 != 1.0](p, m, v, g, n, beta1, beta2, lr, bc1, bc2,
-                                 epsilon);
-}
-
 }  // namespace
 
 const KernelOps* avx512_ops() {
@@ -338,7 +248,6 @@ const KernelOps* avx512_ops() {
     ops.viterbi_acs_hard = viterbi_acs_hard_avx512;
     ops.viterbi_acs_soft = viterbi_acs_soft_avx512;
     ops.qam64_error = qam64_error_avx512;
-    ops.adam_update = adam_update_avx512;
     return ops;
   }();
   return &kOps;

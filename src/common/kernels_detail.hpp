@@ -1,6 +1,5 @@
-// What the AVX2 and AVX-512 translation units share: the compressed-nonzero
-// packing scaffold and the constants of Adam's division-free bias
-// correction. Each level brings its own vector pack of one A row; both keep
+// The compressed-nonzero packing scaffold the AVX2 and AVX-512 translation
+// units share. Each level brings its own vector pack of one A row; both keep
 // exactly the entries the scalar reference's `if (aik == 0.0) continue`
 // keeps, in increasing k, so every level's matmul and gather_dot run the
 // same per-element chains.
@@ -77,56 +76,6 @@ void gather_dot_packed(double* out, const double* a, const double* b,
     }
     out[i] = s;
   }
-}
-
-// ------------------------------------- Adam's bias correction, exactly ----
-//
-// The SIMD levels of adam_update compute each bias correction x / bc as
-//
-//   inv = RN(1/bc)                       once per call
-//   q₀  = RN(x·inv)
-//   q   = RN(q₀ − RN(q₀·bc − x)·inv)     two FMAs: one Newton step
-//   r   = RN(q·bc − x)                   one FMA
-//
-// and keep q in a lane only when x = ±0, or when
-//
-//   |r| < T,  T = RN(c·2ᵉ),  c = bc·2⁻⁵³,
-//
-// with 2ᵉ the bits of q with its sign and fraction cleared. Every other
-// lane divides. A kept q is RN(x/bc), the scalar level's quotient:
-// - bc ≥ kRcpMinCorrection, so c = bc·2⁻⁵³ is normal and exact, and T is
-//   the single rounding of bc·2ᵉ⁻⁵³. For a normal q in [2ᵉ, 2ᵉ⁺¹),
-//   ulp(q) = 2ᵉ⁻⁵², so that exact value is bc·ulp(q)/2.
-// - RN is monotone and odd: |q·bc − x| ≥ bc·ulp(q)/2 would give |r| ≥ T. So
-//   |r| < T proves |x/bc − q| < ulp(q)/2, however r and T were rounded
-//   (T may even be subnormal).
-// - If q is not a power of two, both of its neighbours lie ulp(q) away,
-//   and x/bc, strictly less than half of that from q, rounds to q.
-// - If q = 2ᵉ, its lower neighbour lies only ulp(q)/2 below, but no
-//   quotient falls between the two. T > 0 needs X = bc·2ᵉ > 2⁻¹⁰²², so X
-//   is a normal double, and the next double below X is at least X·2⁻⁵³
-//   below it; hence no x has x/bc in (2ᵉ − 2ᵉ⁻⁵³, 2ᵉ). So x/bc lies in
-//   [2ᵉ, 2ᵉ + ulp(q)/2) and rounds to q. Adam's first step meets this
-//   case whenever a gradient is a power of two: then m̂ = g and v̂ = g².
-// - The test rejects the other quotients by itself: a zero or subnormal q
-//   has 2ᵉ = +0, so T = +0; an infinite or NaN q gives T = +inf and an
-//   infinite or NaN r; both fail the ordered compare. bc ≤ 1 keeps T finite
-//   for every finite q.
-// - x = ±0 gives q₀ = x, then RN(q₀·bc − x) = +0 and q = x: in this FMA
-//   order the zero sums keep x's sign. x/bc is that same zero.
-// With nothing near underflow, one Newton step from RN(1/bc) is already
-// correctly rounded (Markstein's theorem), so the lanes that divide are
-// NaN and infinite moments and quotients at or near the subnormal range,
-// where r itself is rounded to a few bits. The SIMD bodies test the whole
-// vector once and take the dividing branch only when a lane failed.
-//
-// Corrections outside [kRcpMinCorrection, 1], which 0 < β < 1 never gives,
-// leave the whole call to the scalar level.
-inline constexpr double kRcpMinCorrection = 0x1p-900;
-inline constexpr std::uint64_t kExponentBits = 0x7ff0000000000000ULL;
-
-inline bool rcp_correction_exact(double bc) {
-  return bc >= kRcpMinCorrection && bc <= 1.0;
 }
 
 }  // namespace ctj::kern::detail
