@@ -5,9 +5,9 @@
 #include <sched.h>
 #endif
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -65,8 +65,7 @@ EngineStats EngineStats::decode(io::ByteReader& in) {
   return stats;
 }
 
-ServeEngine::ServeEngine(const ServeConfig& config)
-    : config_(config), ready_(config.queue_capacity) {
+ServeEngine::ServeEngine(const ServeConfig& config) : config_(config) {
   CTJ_CHECK(config.workers > 0);
   CTJ_CHECK(config.max_resident > 0);
   CTJ_CHECK(config.quantum_slots > 0);
@@ -85,11 +84,19 @@ ServeEngine::ServeEngine(const ServeConfig& config)
 
 ServeEngine::~ServeEngine() {
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
+  // Unfinished tenants are dropped, and so are their spool files (best
+  // effort, as on completion).
+  for (const auto& [id, tenant] : tenants_) {
+    if (tenant->spooled && tenant->state != JobState::kDone) {
+      std::error_code ec;
+      std::filesystem::remove(spool_path(id), ec);
+    }
+  }
 }
 
 std::string ServeEngine::spool_path(std::uint64_t id) const {
@@ -105,10 +112,11 @@ std::uint64_t ServeEngine::submit(const JobSpec& spec) {
     auto tenant = std::make_unique<Tenant>();
     tenant->id = id;
     tenant->spec = spec;
+    queue_.push_back(tenant.get());
     tenants_.emplace(id, std::move(tenant));
     ++submitted_;
   }
-  push_ready(id, /*wake=*/true);
+  work_cv_.notify_one();
   return id;
 }
 
@@ -167,73 +175,44 @@ EngineStats ServeEngine::stats() const {
   return stats;
 }
 
-void ServeEngine::push_ready(std::uint64_t id, bool wake) {
-  // The ring covers queue_capacity in-flight tenants; beyond that, yield
-  // until a worker drains a slot (ids are small, so no work is lost).
-  while (!ready_.try_push(id)) std::this_thread::yield();
-  if (!wake) return;
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+ServeEngine::Tenant* ServeEngine::claim_locked() {
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    Tenant* tenant = *it;
+    if (tenant->busy) continue;  // another worker is evicting it
+    queue_.erase(it);
+    tenant->busy = true;
+    tenant->state = JobState::kRunning;
+    return tenant;
   }
-  wake_cv_.notify_one();
-}
-
-bool ServeEngine::pop_ready(std::uint64_t& id) {
-  for (;;) {
-    if (ready_.try_pop(id)) return true;
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    // Re-check under the lock: a pusher must take wake_mutex_ to notify, so
-    // a push between the failed pop above and wait() below cannot be lost.
-    if (ready_.try_pop(id)) return true;
-    if (stop_) return false;
-    wake_cv_.wait(lock);
-  }
+  return nullptr;
 }
 
 ServeEngine::Tenant* ServeEngine::pick_eviction_victim_locked() {
   if (resident_ <= config_.max_resident) return nullptr;
-  Tenant* victim = nullptr;
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  for (auto& [id, tenant] : tenants_) {
-    if (tenant->runner == nullptr || tenant->busy ||
-        tenant->state != JobState::kQueued) {
-      continue;
-    }
-    if (tenant->last_run_stamp < oldest) {
-      oldest = tenant->last_run_stamp;
-      victim = tenant.get();
+  // The queue is in requeue order: its first resident idle tenant is the
+  // least recently run.
+  for (Tenant* tenant : queue_) {
+    if (tenant->runner != nullptr && !tenant->busy) {
+      tenant->busy = true;
+      return tenant;
     }
   }
-  if (victim != nullptr) victim->busy = true;
-  return victim;
+  return nullptr;
 }
 
 void ServeEngine::worker_loop() {
-  std::uint64_t id;
-  while (pop_ready(id)) {
-    Tenant* tenant;
-    bool claimed = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tenant = tenants_.at(id).get();
-      // busy means another worker is evicting this tenant right now; put the
-      // id back and take the next one instead.
-      if (!tenant->busy) {
-        tenant->busy = true;
-        tenant->state = JobState::kRunning;
-        claimed = true;
-      }
-    }
-    if (!claimed) {
-      // This worker pops again at once, so it wakes nobody; the yield lets
-      // the evicting worker finish if both share a CPU.
-      push_ready(id, /*wake=*/false);
-      std::this_thread::yield();
-      continue;
-    }
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    Tenant* tenant = nullptr;
+    work_cv_.wait(lock, [&] {
+      return stop_ || (tenant = claim_locked()) != nullptr;
+    });
+    if (tenant == nullptr) return;  // stopping
+    lock.unlock();
 
     // Stepping, spool I/O and finishing all happen outside the lock; `busy`
     // keeps everyone else away from this tenant and its runner.
+    const std::uint64_t id = tenant->id;
     bool failed = false;
     std::string error;
     bool revived = false;
@@ -269,41 +248,43 @@ void ServeEngine::worker_loop() {
     // A finished tenant's runner leaves the table under the lock but is
     // destroyed after it is released.
     std::unique_ptr<TenantRunner> retired;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (fresh) {
-        tenant->runner = std::move(fresh);
-        ++resident_;
-        if (revived) ++revivals_;
-      }
-      tenant->busy = false;
-      if (failed || result) {
-        retired = std::move(tenant->runner);
-        if (retired) --resident_;
-        ++completed_;
-        done = true;
-      }
-      if (failed) {
-        tenant->state = JobState::kFailed;
-        tenant->error = error;
-        ++failed_;
-      } else {
-        tenant->slots_done = slots_done;
-        if (result) {
-          result->evictions = tenant->evictions;
-          tenant->result = std::move(result);
-          tenant->state = JobState::kDone;
-          drop_spool = tenant->spooled;
-        } else {
-          tenant->state = JobState::kQueued;
-          tenant->last_run_stamp = ++clock_;
-          requeue = true;
-        }
-      }
-      // Enforce the residency cap: pick (and claim) the LRU idle tenant;
-      // the save happens below, outside the lock.
-      victim = pick_eviction_victim_locked();
+    lock.lock();
+    if (fresh) {
+      tenant->runner = std::move(fresh);
+      ++resident_;
+      if (revived) ++revivals_;
     }
+    tenant->busy = false;
+    if (failed || result) {
+      retired = std::move(tenant->runner);
+      if (retired) --resident_;
+      ++completed_;
+      done = true;
+    }
+    if (failed) {
+      tenant->state = JobState::kFailed;
+      tenant->error = error;
+      ++failed_;
+    } else {
+      tenant->slots_done = slots_done;
+      if (result) {
+        result->evictions = tenant->evictions;
+        tenant->result = std::move(result);
+        tenant->state = JobState::kDone;
+        drop_spool = tenant->spooled;
+      } else {
+        tenant->state = JobState::kQueued;
+        queue_.push_back(tenant);
+        requeue = true;
+      }
+    }
+    // Enforce the residency cap: pick (and claim) the LRU idle tenant; the
+    // save happens below, outside the lock.
+    victim = pick_eviction_victim_locked();
+    lock.unlock();
+    // Without an eviction to do, this worker claims again at once and wakes
+    // nobody; with one, another worker may take the requeued tenant.
+    if (requeue && victim != nullptr) work_cv_.notify_one();
     retired.reset();
     if (done) {
       done_cv_.notify_all();
@@ -312,9 +293,6 @@ void ServeEngine::worker_loop() {
         std::filesystem::remove(spool_path(id), ec);  // best effort
       }
     }
-    // Without an eviction to do, this worker pops again at once and wakes
-    // nobody; with one, another worker may take the tenant meanwhile.
-    if (requeue) push_ready(id, /*wake=*/victim != nullptr);
 
     if (victim != nullptr) {
       bool evict_ok = true;
@@ -326,27 +304,33 @@ void ServeEngine::worker_loop() {
         evict_ok = false;
         evict_error = e.what();
       }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        victim->busy = false;
-        retired = std::move(victim->runner);
-        --resident_;
-        if (evict_ok) {
-          victim->spooled = true;
-          ++victim->evictions;
-          ++evictions_;
-        } else {
-          // Could not spool (disk full, ...): fail the tenant so the error
-          // is visible rather than silent.
-          victim->state = JobState::kFailed;
-          victim->error = "eviction failed: " + evict_error;
-          ++completed_;
-          ++failed_;
-        }
+      lock.lock();
+      victim->busy = false;
+      retired = std::move(victim->runner);
+      --resident_;
+      if (evict_ok) {
+        victim->spooled = true;
+        ++victim->evictions;
+        ++evictions_;
+      } else {
+        // Could not spool (disk full, ...): fail the tenant so the error is
+        // visible rather than silent, and take it off the queue.
+        victim->state = JobState::kFailed;
+        victim->error = "eviction failed: " + evict_error;
+        queue_.erase(std::find(queue_.begin(), queue_.end(), victim));
+        ++completed_;
+        ++failed_;
       }
+      lock.unlock();
       retired.reset();
-      if (!evict_ok) done_cv_.notify_all();
+      // The victim is claimable again (or, failed, completes).
+      if (evict_ok) {
+        work_cv_.notify_one();
+      } else {
+        done_cv_.notify_all();
+      }
     }
+    lock.lock();
   }
 }
 

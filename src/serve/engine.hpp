@@ -1,33 +1,36 @@
 // The fleet-scale serve engine: a fixed worker pool multiplexing an
 // unbounded set of tenant simulations.
 //
-// Jobs are submitted as JobSpecs and flow through a lock-free MPMC ring
-// (common/mpmc_queue.hpp): submitters push tenant ids, workers pop one id
-// at a time, advance that tenant by one quantum (TenantRunner::run), and
-// push it back until its budget is spent — cooperative round-robin over
-// however many tenants are in flight, with one OS thread per configured
-// worker.
+// Jobs are submitted as JobSpecs and wait in one FIFO queue of tenants:
+// submit() appends a tenant, a worker claims the first queued tenant that
+// no other worker is evicting, advances it by one quantum
+// (TenantRunner::run), and appends it again until its budget is spent —
+// cooperative round-robin over however many tenants are in flight, with one
+// OS thread per configured worker.
 //
 // Bounded residency: at most `max_resident` tenant runners are held in
 // memory. When the cap is exceeded the least-recently-run idle tenant is
 // evicted — its full state saved to a CTJS spool file — and revived
-// transparently the next time a worker pops it. Because suspend/resume is
-// bit-identical (tenant.hpp), eviction is invisible in the results: the
-// serve tests compare full reward streams and final scheme state across
-// max_resident = 2 vs unbounded, and across worker counts 1/2/4, bitwise.
+// transparently the next time a worker claims it. The queue is in requeue
+// order, so that tenant is the first resident one in it. If the save fails,
+// the tenant fails ("eviction failed: ...") and leaves the queue. Because
+// suspend/resume is bit-identical (tenant.hpp), eviction is invisible in the
+// results: the serve tests compare full reward streams and final scheme
+// state across max_resident = 2 vs unbounded, and across worker counts
+// 1/2/4, bitwise.
 //
-// Locking: one mutex guards the tenant table and counters, and is held only
-// for bookkeeping, so submit()/status()/try_result() never wait behind a
-// tenant's work. Creating, reviving, stepping and spooling a runner, and
-// finishing it (JobResult, whose state_crc digests the whole scheme state),
-// happen outside the lock while the tenant's `busy` flag keeps other workers
-// away; a released runner is destroyed after the lock is dropped.
+// Locking: one mutex guards the queue, the tenant table and the counters,
+// and is held only for bookkeeping, so submit()/status()/try_result() never
+// wait behind a tenant's work. Creating, reviving, stepping and spooling a
+// runner, and finishing it (JobResult, whose state_crc digests the whole
+// scheme state), happen outside the lock while the tenant's `busy` flag
+// keeps other workers away; a released runner is destroyed after the lock
+// is dropped.
 //
-// Wakeups: only submit() wakes a sleeping worker. A worker that pushes back
-// the id it just popped (a requeue after a quantum, or a tenant another
-// worker is evicting) pops again itself, so it wakes nobody; it wakes one
-// only when it has an eviction to do first. A worker sleeps only when the
-// ring is empty, so an id is never left behind while every worker sleeps.
+// Wakeups: a worker sleeps on one condition variable while no queued tenant
+// is claimable. Four events wake one: submit(), a requeue that leaves the
+// requeuing worker an eviction to do, the end of an eviction, and stop. A
+// plain requeue wakes nobody: the requeuing worker claims again itself.
 // Waking a worker on every requeue cost the submitter its CPU: the woken
 // worker preempted it inside notify_one. On the serve_stream benchmark (QL
 // jobs at 30/s), traced submit p50 fell from 4.7 ms to 22 µs once requeues
@@ -51,6 +54,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,7 +63,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "serve/job.hpp"
 #include "serve/tenant.hpp"
 
@@ -76,8 +79,8 @@ struct ServeConfig {
   std::size_t quantum_slots = 256;
   /// Directory for eviction spool files (created on demand).
   std::string spool_dir = ".ctj_serve_spool";
-  /// Submission/ready ring capacity (rounded up to a power of two). Pushes
-  /// beyond it spin-yield, so this only needs to cover the common case.
+  /// Inert: the queue is unbounded and nothing reads this field. It stays
+  /// only because the benchmark driver (ctjbench) still sets it.
   std::size_t queue_capacity = 4096;
 };
 
@@ -97,7 +100,8 @@ struct EngineStats {
 class ServeEngine {
  public:
   explicit ServeEngine(const ServeConfig& config);
-  /// Stops the workers (in-flight quanta finish; queued work is dropped).
+  /// Stops the workers (in-flight quanta finish; queued work is dropped and
+  /// its spool files removed).
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
@@ -132,21 +136,20 @@ class ServeEngine {
     JobSpec spec;
     JobState state = JobState::kQueued;
     /// A worker is stepping, creating, evicting or reviving this tenant;
-    /// other workers must not touch it (they re-push the id and move on).
+    /// other workers must not touch it (claims skip it).
     bool busy = false;
     bool spooled = false;  // a spool file holds the current state
     std::unique_ptr<TenantRunner> runner;  // null when evicted/finished
     std::uint64_t slots_done = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t last_run_stamp = 0;
     std::optional<JobResult> result;
     std::string error;
   };
 
   void worker_loop();
-  bool pop_ready(std::uint64_t& id);
-  /// Push an id onto the ready ring; `wake` also wakes a sleeping worker.
-  void push_ready(std::uint64_t id, bool wake);
+  /// Take the first queued tenant that is not busy off the queue and mark it
+  /// running; null when there is none.
+  Tenant* claim_locked();
   /// Pick the least-recently-run evictable tenant while over the residency
   /// cap; marks it busy. Caller (worker) performs the save outside the lock.
   Tenant* pick_eviction_victim_locked();
@@ -154,22 +157,20 @@ class ServeEngine {
 
   const ServeConfig config_;
 
-  mutable std::mutex mutex_;  // tenant table + counters
+  mutable std::mutex mutex_;  // queue + tenant table + counters
   std::condition_variable done_cv_;
+  std::condition_variable work_cv_;  // a queued tenant to claim, or stop
   std::map<std::uint64_t, std::unique_ptr<Tenant>> tenants_;
+  /// Queued tenants, in submit/requeue order.
+  std::deque<Tenant*> queue_;
+  bool stop_ = false;
   std::uint64_t next_id_ = 1;
-  std::uint64_t clock_ = 0;  // logical last-run stamps for LRU
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t resident_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t revivals_ = 0;
-
-  MpmcQueue<std::uint64_t> ready_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  bool stop_ = false;
 
   std::atomic<std::uint64_t> slots_total_{0};
 

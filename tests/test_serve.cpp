@@ -1,9 +1,10 @@
-// Tests for the fleet-scale serve subsystem (src/serve): the MPMC ready
-// ring, the JobSpec/JobResult codecs, tenant-runner determinism against the
-// standalone trainer, bit-identical evict/revive on a different thread,
-// wrong-spec revival rejection, engine determinism across worker counts and
-// under forced eviction, engine scheduling (workers sharing one CPU, requeues
-// that wake nobody), and the unix-socket wire protocol end to end.
+// Tests for the fleet-scale serve subsystem (src/serve): the JobSpec/
+// JobResult codecs, tenant-runner determinism against the standalone
+// trainer, bit-identical evict/revive on a different thread, wrong-spec
+// revival rejection, engine determinism across worker counts and under
+// forced eviction, engine scheduling (workers sharing one CPU, requeues that
+// wake nobody, failed evictions, dropping queued work on destruction), and
+// the unix-socket wire protocol end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/mpmc_queue.hpp"
 #include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
@@ -76,63 +76,6 @@ void expect_results_identical(const serve::JobResult& a,
   for (std::size_t i = 0; i < a.rewards.size(); ++i) {
     EXPECT_EQ(a.rewards[i], b.rewards[i]) << "slot " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// MPMC ready ring
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<std::uint64_t> q(4);
-  std::uint64_t v = 0;
-  EXPECT_FALSE(q.try_pop(v));
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));
-}
-
-TEST(MpmcQueue, CapacityRoundsUpToPowerOfTwo) {
-  MpmcQueue<int> q(5);  // rounds to 8
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(8));
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumers) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 5000;
-  MpmcQueue<std::uint64_t> q(256);
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        std::uint64_t v = static_cast<std::uint64_t>(p) * kPerProducer + i + 1;
-        while (!q.try_push(v)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      std::uint64_t v = 0;
-      while (popped.load() < kProducers * kPerProducer) {
-        if (q.try_pop(v)) {
-          sum.fetch_add(v);
-          popped.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const std::uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n + 1) / 2);  // values were 1..n exactly once
 }
 
 // ---------------------------------------------------------------------------
@@ -672,6 +615,81 @@ TEST(ServeEngine, RequeueWithoutWakeStrandsNothing) {
     ASSERT_TRUE(result.has_value());
     expect_results_identical(direct[i], *result);
   }
+  std::filesystem::remove_all(config.spool_dir);
+}
+
+TEST(ServeEngine, FailedEvictionFailsTheTenantOnce) {
+  // The spool directory cannot be created (its parent is a regular file),
+  // so every eviction fails. A failed tenant must leave the queue: each job
+  // ends done (equal to its direct run) or failed, and is counted once.
+  const std::string dir = scratch_dir("evict_fail");
+  const std::string blocker = dir + "/file";
+  std::fclose(std::fopen(blocker.c_str(), "w"));
+  serve::ServeConfig config;
+  config.workers = 2;
+  config.max_resident = 1;
+  config.quantum_slots = 64;
+  config.spool_dir = blocker + "/spool";
+  std::vector<serve::JobSpec> specs;
+  for (int i = 0; i < 3; ++i) {
+    specs.push_back(small_spec("ql", 500 + i));
+    specs.back().slots = 256;
+  }
+  const auto direct = direct_results(specs);
+  serve::ServeEngine engine(config);
+  std::vector<std::uint64_t> ids;
+  for (const auto& spec : specs) ids.push_back(engine.submit(spec));
+  engine.wait_all();
+  std::uint64_t failed = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const serve::JobStatus status = engine.status(ids[i]);
+    if (status.state == serve::JobState::kFailed) {
+      ++failed;
+      try {
+        (void)engine.try_result(ids[i]);
+        ADD_FAILURE() << "job " << i << " failed without an error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("eviction failed"),
+                  std::string::npos)
+            << e.what();
+      }
+      continue;
+    }
+    ASSERT_EQ(status.state, serve::JobState::kDone) << "job " << i;
+    expect_results_identical(direct[i], *engine.try_result(ids[i]));
+  }
+  EXPECT_GT(failed, 0u);
+  // Nothing keeps running after wait_all(): the counts stay put.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const serve::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.submitted, specs.size());
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_EQ(stats.resident, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEngine, DestructionDropsQueuedWork) {
+  // Two jobs of 10^9 slots through one resident slot: the engine must stop
+  // after the quanta in flight instead of running the queued work to the
+  // end, and must remove the spool file of the evicted tenant.
+  serve::ServeConfig config;
+  config.workers = 1;
+  config.max_resident = 1;
+  config.quantum_slots = 64;
+  config.spool_dir = scratch_dir("drop");
+  {
+    serve::ServeEngine engine(config);
+    serve::JobSpec spec = small_spec("ql", 600);
+    spec.slots = 1'000'000'000;
+    spec.record_rewards = false;
+    engine.submit(spec);
+    spec.seed = 601;
+    engine.submit(spec);
+    while (engine.stats().evictions == 0) std::this_thread::yield();
+    EXPECT_FALSE(std::filesystem::is_empty(config.spool_dir));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(config.spool_dir));
   std::filesystem::remove_all(config.spool_dir);
 }
 

@@ -1,5 +1,5 @@
-// ThreadSanitizer driver for the serve engine: the worker pool, MPMC ready
-// ring, wake protocol, eviction path and unlocked tenant finishing all
+// ThreadSanitizer driver for the serve engine: the worker pool, the claim
+// queue and its wakeups, the eviction path and unlocked tenant finishing all
 // exercised under contention while a reader polls status and results, with
 // a determinism check on top. Built with TSan instrumentation (and
 // engine.cpp compiled into this binary so the scheduler itself is
@@ -60,11 +60,27 @@ std::vector<serve::JobResult> run_fleet(std::size_t workers,
   return results;
 }
 
+/// Destroy an engine mid-fleet: workers finish the quanta in flight, stop
+/// claiming, and the destructor drops the queued jobs and their spool files.
+void stop_mid_fleet(const std::string& spool) {
+  serve::ServeConfig config;
+  config.workers = 4;
+  config.max_resident = 4;
+  config.quantum_slots = 64;
+  config.spool_dir = spool;
+  serve::ServeEngine engine(config);
+  for (serve::JobSpec spec : make_jobs()) {
+    spec.slots = 1u << 20;
+    engine.submit(spec);
+  }
+  while (engine.stats().evictions == 0) std::this_thread::yield();
+}
+
 }  // namespace
 
 int main() {
   // Tight residency cap (4 << 12 jobs) forces the evict/revive path to run
-  // concurrently with stepping; 4 workers contend on the ready ring.
+  // concurrently with stepping; 4 workers contend on the claim queue.
   const auto contended = run_fleet(4, 4, "tsan_serve_spool_a");
   const auto serial = run_fleet(1, 1024, "tsan_serve_spool_b");
   if (contended.size() != serial.size()) {
@@ -79,8 +95,9 @@ int main() {
       return 1;
     }
   }
+  stop_mid_fleet("tsan_serve_spool_c");
   std::printf("tsan_serve_engine: %zu jobs bit-identical across 4w/cap4 vs "
-              "1w/uncapped\n",
+              "1w/uncapped; stopped mid-fleet\n",
               serial.size());
   return 0;
 }
