@@ -34,6 +34,24 @@
 namespace ctj::kern {
 namespace {
 
+// GCC's unmasked forms of min/max, roundscale, cvtepi64_epi32 and
+// extractf64x4 (also behind castpd512_pd256 and _mm512_reduce_add_pd) pass
+// _mm512_undefined_*() as their merge source, which GCC 12 flags as
+// -W(maybe-)uninitialized. With every lane selected, the maskz forms are
+// the same instructions with the same results.
+constexpr __mmask8 kAll8 = 0xFF;
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+// _mm512_reduce_add_pd as the header writes it: high + low half, then the
+// 128-bit halves, then the two lanes (GCC 12 emits the same instructions).
+double reduce_add(__m512d v) {
+  const __m256d h4 = _mm512_maskz_extractf64x4_pd(0xF, v, 1) +
+                     _mm512_maskz_extractf64x4_pd(0xF, v, 0);
+  const __m128d h2 =
+      _mm256_extractf128_pd(h4, 1) + _mm256_extractf128_pd(h4, 0);
+  return h2[0] + h2[1];
+}
+
 // Vector nonzero pack (detail::PackRow), eight lanes at a time, with
 // AVX-512F only: a masked load of the row (a masked gather when cs != 1), a
 // NEQ_UQ compare against zero — false on ±0.0 and true on NaN, exactly what
@@ -60,7 +78,8 @@ std::size_t pack_row_avx512(const double* arow, std::size_t cs,
     _mm512_storeu_pd(v + t, _mm512_maskz_compress_pd(nz, x));
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(ix + t),
-        _mm512_cvtepi64_epi32(_mm512_maskz_compress_epi64(nz, kv)));
+        _mm512_maskz_cvtepi64_epi32(kAll8,
+                                    _mm512_maskz_compress_epi64(nz, kv)));
     t += static_cast<std::size_t>(__builtin_popcount(nz));
     kv = _mm512_add_epi64(kv, step);
   }
@@ -160,7 +179,7 @@ void viterbi_acs_hard_avx512(const std::int32_t* metric,
         odd[b & 1], _mm512_loadu_si512(
                         reinterpret_cast<const void*>(cost1 + 16 * b)));
     _mm512_storeu_si512(reinterpret_cast<void*>(next + 16 * b),
-                        _mm512_min_epi32(v0, v1));
+                        _mm512_maskz_min_epi32(kAll16, v0, v1));
     const std::uint64_t mask = _mm512_cmpgt_epi32_mask(v0, v1);
     bits |= mask << (16 * b);
   }
@@ -190,7 +209,7 @@ void viterbi_acs_soft_avx512(const double* metric, const double* cost0,
         _mm512_add_pd(even[b & 3], _mm512_loadu_pd(cost0 + 8 * b));
     const __m512d v1 =
         _mm512_add_pd(odd[b & 3], _mm512_loadu_pd(cost1 + 8 * b));
-    _mm512_storeu_pd(next + 8 * b, _mm512_min_pd(v1, v0));
+    _mm512_storeu_pd(next + 8 * b, _mm512_maskz_min_pd(kAll8, v1, v0));
     const std::uint64_t mask = _mm512_cmp_pd_mask(v1, v0, _CMP_LT_OQ);
     bits |= mask << (8 * b);
   }
@@ -216,14 +235,16 @@ double qam64_error_avx512(const double* iq, std::size_t n, double alpha,
     const __m512d v = _mm512_loadu_pd(iq + j);
     const __m512d x =
         _mm512_mul_pd(_mm512_add_pd(_mm512_mul_pd(v, vscale), vseven), vhalf);
-    __m512d slot = _mm512_roundscale_pd(
-        _mm512_add_pd(x, vhalf), _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-    slot = _mm512_min_pd(_mm512_max_pd(slot, vzero), vseven);
+    __m512d slot = _mm512_maskz_roundscale_pd(
+        kAll8, _mm512_add_pd(x, vhalf),
+        _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    slot = _mm512_maskz_min_pd(kAll8, _mm512_maskz_max_pd(kAll8, slot, vzero),
+                               vseven);
     const __m512d level = _mm512_sub_pd(_mm512_mul_pd(slot, vtwo), vseven);
     const __m512d d = _mm512_sub_pd(_mm512_mul_pd(level, vnorm_alpha), v);
     acc = _mm512_fmadd_pd(d, d, acc);
   }
-  double err = _mm512_reduce_add_pd(acc);
+  double err = reduce_add(acc);
   for (; j < total; ++j) {
     const double x = (iq[j] * scale + 7.0) * 0.5;
     double slot = __builtin_floor(x + 0.5);
