@@ -201,14 +201,15 @@ ServeEngine::Tenant* ServeEngine::pick_eviction_victim_locked() {
 }
 
 void ServeEngine::worker_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     Tenant* tenant = nullptr;
-    work_cv_.wait(lock, [&] {
-      return stop_ || (tenant = claim_locked()) != nullptr;
-    });
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [&] {
+        return stop_ || (tenant = claim_locked()) != nullptr;
+      });
+    }
     if (tenant == nullptr) return;  // stopping
-    lock.unlock();
 
     // Stepping, spool I/O and finishing all happen outside the lock; `busy`
     // keeps everyone else away from this tenant and its runner.
@@ -248,40 +249,41 @@ void ServeEngine::worker_loop() {
     // A finished tenant's runner leaves the table under the lock but is
     // destroyed after it is released.
     std::unique_ptr<TenantRunner> retired;
-    lock.lock();
-    if (fresh) {
-      tenant->runner = std::move(fresh);
-      ++resident_;
-      if (revived) ++revivals_;
-    }
-    tenant->busy = false;
-    if (failed || result) {
-      retired = std::move(tenant->runner);
-      if (retired) --resident_;
-      ++completed_;
-      done = true;
-    }
-    if (failed) {
-      tenant->state = JobState::kFailed;
-      tenant->error = error;
-      ++failed_;
-    } else {
-      tenant->slots_done = slots_done;
-      if (result) {
-        result->evictions = tenant->evictions;
-        tenant->result = std::move(result);
-        tenant->state = JobState::kDone;
-        drop_spool = tenant->spooled;
-      } else {
-        tenant->state = JobState::kQueued;
-        queue_.push_back(tenant);
-        requeue = true;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (fresh) {
+        tenant->runner = std::move(fresh);
+        ++resident_;
+        if (revived) ++revivals_;
       }
+      tenant->busy = false;
+      if (failed || result) {
+        retired = std::move(tenant->runner);
+        if (retired) --resident_;
+        ++completed_;
+        done = true;
+      }
+      if (failed) {
+        tenant->state = JobState::kFailed;
+        tenant->error = error;
+        ++failed_;
+      } else {
+        tenant->slots_done = slots_done;
+        if (result) {
+          result->evictions = tenant->evictions;
+          tenant->result = std::move(result);
+          tenant->state = JobState::kDone;
+          drop_spool = tenant->spooled;
+        } else {
+          tenant->state = JobState::kQueued;
+          queue_.push_back(tenant);
+          requeue = true;
+        }
+      }
+      // Enforce the residency cap: pick (and claim) the LRU idle tenant;
+      // the save happens below, outside the lock.
+      victim = pick_eviction_victim_locked();
     }
-    // Enforce the residency cap: pick (and claim) the LRU idle tenant; the
-    // save happens below, outside the lock.
-    victim = pick_eviction_victim_locked();
-    lock.unlock();
     // Without an eviction to do, this worker claims again at once and wakes
     // nobody; with one, another worker may take the requeued tenant.
     if (requeue && victim != nullptr) work_cv_.notify_one();
@@ -304,24 +306,25 @@ void ServeEngine::worker_loop() {
         evict_ok = false;
         evict_error = e.what();
       }
-      lock.lock();
-      victim->busy = false;
-      retired = std::move(victim->runner);
-      --resident_;
-      if (evict_ok) {
-        victim->spooled = true;
-        ++victim->evictions;
-        ++evictions_;
-      } else {
-        // Could not spool (disk full, ...): fail the tenant so the error is
-        // visible rather than silent, and take it off the queue.
-        victim->state = JobState::kFailed;
-        victim->error = "eviction failed: " + evict_error;
-        queue_.erase(std::find(queue_.begin(), queue_.end(), victim));
-        ++completed_;
-        ++failed_;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        victim->busy = false;
+        retired = std::move(victim->runner);
+        --resident_;
+        if (evict_ok) {
+          victim->spooled = true;
+          ++victim->evictions;
+          ++evictions_;
+        } else {
+          // Could not spool (disk full, ...): fail the tenant so the error
+          // is visible rather than silent, and take it off the queue.
+          victim->state = JobState::kFailed;
+          victim->error = "eviction failed: " + evict_error;
+          queue_.erase(std::find(queue_.begin(), queue_.end(), victim));
+          ++completed_;
+          ++failed_;
+        }
       }
-      lock.unlock();
       retired.reset();
       // The victim is claimable again (or, failed, completes).
       if (evict_ok) {
@@ -330,7 +333,6 @@ void ServeEngine::worker_loop() {
         done_cv_.notify_all();
       }
     }
-    lock.lock();
   }
 }
 

@@ -28,9 +28,10 @@
 // is dropped.
 //
 // Wakeups: a worker sleeps on one condition variable while no queued tenant
-// is claimable. Four events wake one: submit(), a requeue that leaves the
-// requeuing worker an eviction to do, the end of an eviction, and stop. A
-// plain requeue wakes nobody: the requeuing worker claims again itself.
+// is claimable. Three events wake one worker: submit(), a requeue that
+// leaves the requeuing worker an eviction to do, and the end of a
+// successful eviction; stop wakes all. A plain requeue wakes nobody: the
+// requeuing worker claims again itself.
 // Waking a worker on every requeue cost the submitter its CPU: the woken
 // worker preempted it inside notify_one. On the serve_stream benchmark (QL
 // jobs at 30/s), traced submit p50 fell from 4.7 ms to 22 µs once requeues
