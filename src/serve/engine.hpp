@@ -81,7 +81,7 @@ struct ServeConfig {
   /// Directory for eviction spool files (created on demand).
   std::string spool_dir = ".ctj_serve_spool";
   /// Inert: the queue is unbounded and nothing reads this field. It stays
-  /// only because the benchmark driver (ctjbench) still sets it.
+  /// only because the ctjbench serve workloads still set it.
   std::size_t queue_capacity = 4096;
 };
 

@@ -1,4 +1,4 @@
-// ThreadSanitizer driver for the serve engine: the worker pool, the claim
+// ThreadSanitizer program for the serve engine: the worker pool, the claim
 // queue and its wakeups, the eviction path and unlocked tenant finishing all
 // exercised under contention while a reader polls status and results, with
 // a determinism check on top. Built with TSan instrumentation (and
